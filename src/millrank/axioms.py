@@ -1,12 +1,21 @@
 """Executable checkers for the selection axioms.
 
-Each checker scans one ranking for every premise instance of its axiom,
-evaluates the given rule wherever a premise fires, and reports one of
-three statuses: ``inapplicable`` (no premise instance exists),
-``satisfied`` (every instance met its forced conclusion) or ``violated``
-(at least one did not, with the first failing instance recorded as a
-replayable witness). ``premises_checked`` always counts every instance
-found, so sweep statistics distinguish vacuous passes from real evidence.
+Each axiom is a premise on the ranking plus a forced conclusion on the
+selection. The nine premise-only axioms (TAG, STAG, TDF, TJAD, CV, RAG,
+WRAG, RDF, RJAD) are one table, :data:`PREMISE_AXIOMS`: a premise lister
+that returns every premise instance of a ranking in the documented scan
+order, and a conclusion (the selection equals the forced individuals,
+or contains them). One function, :func:`judge`, builds their verdicts.
+The two transformation axioms, slide independence (SI) and downward
+monotonicity (DMON), evaluate the rule on transformed rankings as well
+and keep their own scans.
+
+A verdict is one of three statuses: ``inapplicable`` (no premise
+instance exists), ``satisfied`` (every instance met its forced
+conclusion) or ``violated`` (at least one did not, with the first
+failing instance recorded as a replayable witness).
+``premises_checked`` always counts every instance found, so sweep
+statistics distinguish vacuous passes from real evidence.
 
 Checkers are pure. A rule is any callable from rankings to ascending id
 tuples, e.g. the entries of :data:`millrank.solutions.RULES`.
@@ -15,6 +24,7 @@ tuples, e.g. the entries of :data:`millrank.solutions.RULES`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .core import CoalitionalRanking, concomitant_set, mask_members, top_intersection
 from .errors import UnknownAxiomError
@@ -23,6 +33,7 @@ from .transforms import (
     apply_deterioration,
     apply_slide,
     enumerate_deterioration_specs,
+    slide_gammas,
 )
 
 INAPPLICABLE = "inapplicable"
@@ -62,178 +73,92 @@ def _verdict(premises: int, witness: Witness | None) -> Verdict:
     return Verdict(SATISFIED, premises)
 
 
-def _sel(ids) -> tuple[int, ...]:
-    return tuple(ids)
-
-
 def _spell(ranking, ids) -> str:
     names = ranking.universe.names
     return "{" + ",".join(names[i] for i in sorted(ids)) + "}"
 
 
-def check_top_agreement(ranking, rule, strong: bool = False) -> Verdict:
-    """Agreement read off the best class.
+def _top_agreement_premises(ranking, strong: bool = False):
+    """Agreement read off the best class (TAG, STAG).
 
-    Weak form: when exactly one individual lies in every best-class
-    coalition, the rule must select precisely that individual. Strong
-    form: whenever the best-class intersection is nonempty, the selection
-    must equal it.
+    Weak form: exactly one individual lies in every best-class
+    coalition. Strong form: the best-class intersection is nonempty.
+    Either way the selection must equal that intersection.
     """
     inter = top_intersection(ranking)
-    n = ranking.universe.n
-    applicable = inter != 0 if strong else inter.bit_count() == 1
-    if not applicable:
-        return Verdict(INAPPLICABLE, 0)
-    forced = mask_members(inter, n)
-    actual = rule(ranking)
-    witness = None
-    if set(actual) != set(forced):
-        witness = Witness(
-            axiom="STAG" if strong else "TAG",
-            ranking=ranking,
-            premise={"top_intersection": forced},
-            expected=f"selection equals the best-class intersection {_spell(ranking, forced)}",
-            actual={"selection": _sel(actual)},
-        )
-    return _verdict(1, witness)
+    if inter.bit_count() == 1 or strong and inter:
+        return [(mask_members(inter, ranking.universe.n),)]
+    return []
 
 
-def check_top_difference(ranking, rule) -> Verdict:
-    """Difference read off the best class.
+def _top_difference_premises(ranking):
+    """Difference read off the best class (TDF).
 
     When the best class consists of exactly the coalitions containing
-    some individual x, the rule must select x alone. At most one such x
+    some individual x, the selection must be x alone. At most one such x
     can exist.
     """
     n = ranking.universe.n
-    inter = top_intersection(ranking)
-    half = 1 << (n - 1)
-    premises = 0
-    witness = None
-    if len(ranking.classes[0]) == half and inter:
-        for x in mask_members(inter, n):
-            premises += 1
-            actual = rule(ranking)
-            if set(actual) != {x}:
-                witness = Witness(
-                    axiom="TDF",
-                    ranking=ranking,
-                    premise={"x": x},
-                    expected=f"selection equals {_spell(ranking, (x,))}",
-                    actual={"selection": _sel(actual)},
-                )
-                break
-    return _verdict(premises, witness)
+    if len(ranking.classes[0]) != 1 << (n - 1):
+        return []
+    return [(x,) for x in mask_members(top_intersection(ranking), n)]
 
 
-def check_top_joint(ranking, rule) -> Verdict:
-    """Joint agreement and difference read off the best class.
+def _top_joint_premises(ranking):
+    """Joint agreement and difference read off the best class (TJAD).
 
     Premise: the best-class intersection is a single individual x, the
     coalitions below the best class have empty intersection, and none of
-    them contains x. Conclusion: the rule selects x alone.
+    them contains x. Conclusion: the selection is x alone.
     """
-    n = ranking.universe.n
     inter = top_intersection(ranking)
     if inter.bit_count() != 1:
-        return Verdict(INAPPLICABLE, 0)
-    below_inter = ranking.universe.full_mask
-    below_union = 0
+        return []
+    below_inter, below_union = ranking.universe.full_mask, 0
     for cls in ranking.classes[1:]:
         for mask in cls:
             below_inter &= mask
             below_union |= mask
-    if len(ranking.classes) == 1:
-        below_inter = ranking.universe.full_mask  # empty family: never empty
-    if below_inter != 0 or below_union & inter:
-        return Verdict(INAPPLICABLE, 0)
-    x = inter.bit_length() - 1
-    actual = rule(ranking)
-    witness = None
-    if set(actual) != {x}:
-        witness = Witness(
-            axiom="TJAD",
-            ranking=ranking,
-            premise={"x": x},
-            expected=f"selection equals {_spell(ranking, (x,))}",
-            actual={"selection": _sel(actual)},
-        )
-    return _verdict(1, witness)
+    # With a single class the family below is empty and below_inter stays full.
+    if below_inter or below_union & inter:
+        return []
+    return [(inter.bit_length() - 1,)]
 
 
-def check_concomitant(ranking, rule) -> Verdict:
-    """Concomitant variation.
+def _concomitant_premises(ranking):
+    """Concomitant variation (CV).
 
     Every individual whose presence strictly improves each coalition
     avoiding them must be selected. Inapplicable when no individual has
     that property.
     """
     c = concomitant_set(ranking)
-    if not c:
-        return Verdict(INAPPLICABLE, 0)
-    actual = rule(ranking)
-    witness = None
-    if not set(c) <= set(actual):
-        witness = Witness(
-            axiom="CV",
-            ranking=ranking,
-            premise={"concomitant": c},
-            expected=f"selection contains every individual of {_spell(ranking, c)}",
-            actual={"selection": _sel(actual)},
-        )
-    return _verdict(1, witness)
+    return [(c,)] if c else []
 
 
-def _prefix_intersections(ranking):
+def _agreement_classes(ranking):
+    """(j, x) for every class j > 0 whose strict superiors share exactly x."""
     out = []
     inter = ranking.universe.full_mask
-    for cls in ranking.classes:
-        for mask in cls:
+    for j in range(1, len(ranking.classes)):
+        for mask in ranking.classes[j - 1]:
             inter &= mask
-        out.append(inter)
+        if not inter:
+            break
+        if inter.bit_count() == 1:
+            out.append((j, inter.bit_length() - 1))
     return out
 
 
-def check_relative_agreement(ranking, rule, weak: bool = False) -> Verdict:
-    """Agreement relative to a reference coalition.
+def rag_premises(ranking):
+    """All (s0, x) pairs firing the relative-agreement premise (RAG, WRAG).
 
-    For every reference coalition s0 whose strict superiors have exactly
-    one common individual x, the rule must select x alone (weak form:
-    must at least include x). References with no strict superior never
-    fire. Premises are scanned by class of s0, then by mask.
+    Premise for (s0, x): the strict superiors of s0 have exactly one
+    common individual x. The selection must be x alone (weak form: must
+    at least include x). References with no strict superior never fire.
+    Premises are scanned by class of s0, then by mask.
     """
-    premises = 0
-    witness = None
-    prefix = _prefix_intersections(ranking)
-    actual = None
-    n = ranking.universe.n
-    axiom = "WRAG" if weak else "RAG"
-    for j in range(1, len(ranking.classes)):
-        inter = prefix[j - 1]
-        if inter.bit_count() != 1:
-            continue
-        x = inter.bit_length() - 1
-        cls = ranking.classes[j]
-        premises += len(cls)
-        if witness is not None:
-            continue
-        if actual is None:
-            actual = rule(ranking)
-        ok = x in actual if weak else set(actual) == {x}
-        if not ok:
-            requirement = (
-                f"selection contains {_spell(ranking, (x,))}"
-                if weak
-                else f"selection equals {_spell(ranking, (x,))}"
-            )
-            witness = Witness(
-                axiom=axiom,
-                ranking=ranking,
-                premise={"s0": cls[0], "x": x},
-                expected=requirement,
-                actual={"selection": _sel(actual)},
-            )
-    return _verdict(premises, witness)
+    return [(s0, x) for j, x in _agreement_classes(ranking) for s0 in ranking.classes[j]]
 
 
 def _separation_bounds(ranking):
@@ -252,120 +177,153 @@ def _separation_bounds(ranking):
     return worst_with, best_without
 
 
-def check_relative_difference(ranking, rule) -> Verdict:
-    """Difference relative to a reference coalition.
-
-    Premise for a pair (s0, x): every coalition containing x is strictly
-    better than s0, and s0 is at least as good as every nonempty
-    coalition avoiding x. Conclusion: the rule selects x alone. Premises
-    are scanned by individual, then by class of s0, then by mask.
-    """
-    premises = 0
-    witness = None
-    actual = None
-    n = ranking.universe.n
-    worst_with, best_without = _separation_bounds(ranking)
-    for x in range(n):
-        lo, hi = worst_with[x], best_without[x]
-        if hi >= len(ranking.classes) or hi <= lo:
-            continue
-        # every coalition of class hi avoids x (x-coalitions all sit above lo < hi)
-        cls = ranking.classes[hi]
-        premises += len(cls)
-        if witness is not None:
-            continue
-        if actual is None:
-            actual = rule(ranking)
-        if set(actual) != {x}:
-            witness = Witness(
-                axiom="RDF",
-                ranking=ranking,
-                premise={"s0": cls[0], "x": x},
-                expected=f"selection equals {_spell(ranking, (x,))}",
-                actual={"selection": _sel(actual)},
-            )
-    return _verdict(premises, witness)
-
-
 def rdf_premises(ranking):
-    """All (s0, x) pairs firing the relative-difference premise."""
+    """All (s0, x) pairs firing the relative-difference premise (RDF).
+
+    Premise for (s0, x): every coalition containing x is strictly better
+    than s0, and s0 is at least as good as every nonempty coalition
+    avoiding x. Conclusion: the selection is x alone. Premises are
+    scanned by individual, then by class of s0, then by mask.
+    """
     out = []
     worst_with, best_without = _separation_bounds(ranking)
     for x in range(ranking.universe.n):
         lo, hi = worst_with[x], best_without[x]
         if hi >= len(ranking.classes) or hi <= lo:
             continue
+        # every coalition of class hi avoids x (x-coalitions all sit above lo < hi)
         out.extend((s0, x) for s0 in ranking.classes[hi])
     return out
 
 
-def check_relative_joint(ranking, rule) -> Verdict:
-    """Joint method relative to a reference coalition.
+def rjad_premises(ranking):
+    """All (s0, x) pairs firing the relative-joint premise (RJAD).
 
     Premise for (s0, x): the strict superiors of s0 share exactly the
     individual x, the remaining coalitions share nobody, and none of the
-    remaining coalitions contains x. Conclusion: the rule selects x
+    remaining coalitions contains x. Conclusion: the selection is x
     alone. Scanned by class of s0, then by mask.
+    """
+    levels = _agreement_classes(ranking)
+    if not levels:
+        return []
+    classes = ranking.classes
+    inter, union = ranking.universe.full_mask, 0
+    below = [None] * len(classes)  # (intersection, union) of classes j and below
+    for j in range(len(classes) - 1, levels[0][0] - 1, -1):
+        for mask in classes[j]:
+            inter &= mask
+            union |= mask
+        below[j] = inter, union
+    return [
+        (s0, x)
+        for j, x in levels
+        if not below[j][0] and not below[j][1] >> x & 1
+        for s0 in classes[j]
+    ]
+
+
+_EQUALS = "selection equals {}"
+_EQUALS_TOP = "selection equals the best-class intersection {}"
+
+# Each premise-only axiom is (premise lister, witness names of an
+# instance's entries, whether the selection must contain the forced
+# individuals rather than equal them, the expected conclusion with "{}"
+# for those individuals). A lister returns the premise instances of a
+# ranking in scan order; the last entry of an instance is the forced
+# individual (an id) or individuals (an ascending id tuple).
+PREMISE_AXIOMS = {
+    "RAG": (rag_premises, ("s0", "x"), False, _EQUALS),
+    "WRAG": (rag_premises, ("s0", "x"), True, "selection contains {}"),
+    "RDF": (rdf_premises, ("s0", "x"), False, _EQUALS),
+    "RJAD": (rjad_premises, ("s0", "x"), False, _EQUALS),
+    "TAG": (_top_agreement_premises, ("top_intersection",), False, _EQUALS_TOP),
+    "STAG": (
+        partial(_top_agreement_premises, strong=True), ("top_intersection",), False, _EQUALS_TOP
+    ),
+    "TDF": (_top_difference_premises, ("x",), False, _EQUALS),
+    "TJAD": (_top_joint_premises, ("x",), False, _EQUALS),
+    "CV": (_concomitant_premises, ("concomitant",), True, "selection contains every individual of {}"),
+}
+
+
+def judge(axiom: str, ranking, rule) -> Verdict:
+    """Verdict of one premise-only axiom on one ranking.
+
+    Counts every premise instance, evaluates the rule once and only when
+    an instance exists, and records the first instance whose conclusion
+    fails as the witness.
+    """
+    premises, keys, contains, expected = PREMISE_AXIOMS[axiom]
+    instances = premises(ranking)
+    if not instances:
+        return Verdict(INAPPLICABLE, 0)
+    actual = tuple(rule(ranking))
+    chosen = set(actual)
+    held = None
+    for instance in instances:
+        if instance[-1] == held:
+            continue  # the same forced individuals as an instance that held
+        forced = instance[-1] if isinstance(instance[-1], tuple) else instance[-1:]
+        if chosen.issuperset(forced) if contains else chosen == set(forced):
+            held = instance[-1]
+            continue
+        witness = Witness(
+            axiom=axiom,
+            ranking=ranking,
+            premise=dict(zip(keys, instance)),
+            expected=expected.format(_spell(ranking, forced)),
+            actual={"selection": actual},
+        )
+        return Verdict(VIOLATED, len(instances), witness)
+    return Verdict(SATISFIED, len(instances))
+
+
+def check_top_agreement(ranking, rule, strong: bool = False) -> Verdict:
+    """Verdict of TAG, or of STAG when ``strong`` is set."""
+    return judge("STAG" if strong else "TAG", ranking, rule)
+
+
+def check_relative_agreement(ranking, rule, weak: bool = False) -> Verdict:
+    """Verdict of RAG, or of WRAG when ``weak`` is set."""
+    return judge("WRAG" if weak else "RAG", ranking, rule)
+
+
+check_top_difference = partial(judge, "TDF")
+check_top_joint = partial(judge, "TJAD")
+check_concomitant = partial(judge, "CV")
+check_relative_difference = partial(judge, "RDF")
+check_relative_joint = partial(judge, "RJAD")
+
+
+def judge_slide(ranking, move, slid, before, after, pairs):
+    """Premise count and first witness of slide independence on one slide.
+
+    ``before`` and ``after`` are the selections, as sets, on ``ranking``
+    and on ``slid``, the ranking after ``move``. For each pair {x, y} in
+    ``pairs``, a premise fires when both selections meet the pair, and
+    it is violated when the two intersections differ.
     """
     premises = 0
     witness = None
-    actual = None
-    n = ranking.universe.n
-    prefix = _prefix_intersections(ranking)
-    l = len(ranking.classes)
-    suffix_inter = [0] * (l + 1)
-    suffix_union = [0] * (l + 1)
-    suffix_inter[l] = ranking.universe.full_mask
-    for j in range(l - 1, -1, -1):
-        inter, union = suffix_inter[j + 1], suffix_union[j + 1]
-        for mask in ranking.classes[j]:
-            inter &= mask
-            union |= mask
-        suffix_inter[j], suffix_union[j] = inter, union
-    for j in range(1, l):
-        pos = prefix[j - 1]
-        if pos.bit_count() != 1:
+    for x, y in pairs:
+        before_pair = before & {x, y}
+        after_pair = after & {x, y}
+        if not (before_pair and after_pair):
             continue
-        if suffix_inter[j] != 0 or suffix_union[j] & pos:
-            continue
-        x = pos.bit_length() - 1
-        cls = ranking.classes[j]
-        premises += len(cls)
-        if witness is not None:
-            continue
-        if actual is None:
-            actual = rule(ranking)
-        if set(actual) != {x}:
+        premises += 1
+        if before_pair != after_pair and witness is None:
             witness = Witness(
-                axiom="RJAD",
+                axiom="SI",
                 ranking=ranking,
-                premise={"s0": cls[0], "x": x},
-                expected=f"selection equals {_spell(ranking, (x,))}",
-                actual={"selection": _sel(actual)},
+                premise={"x": x, "y": y, "move": move, "ranking_after": slid},
+                expected=f"selection restricted to {_spell(ranking, (x, y))} unchanged",
+                actual={
+                    "intersection_before": tuple(sorted(before_pair)),
+                    "intersection_after": tuple(sorted(after_pair)),
+                },
             )
-    return _verdict(premises, witness)
-
-
-def rjad_premises(ranking):
-    """All (s0, x) pairs firing the relative-joint premise."""
-    out = []
-    prefix = _prefix_intersections(ranking)
-    l = len(ranking.classes)
-    full = ranking.universe.full_mask
-    for j in range(1, l):
-        pos = prefix[j - 1]
-        if pos.bit_count() != 1:
-            continue
-        inter, union = full, 0
-        for k in range(j, l):
-            for mask in ranking.classes[k]:
-                inter &= mask
-                union |= mask
-        if inter != 0 or union & pos:
-            continue
-        x = pos.bit_length() - 1
-        out.extend((s0, x) for s0 in ranking.classes[j])
-    return out
+    return premises, witness
 
 
 def check_slide_independence(ranking, rule) -> Verdict:
@@ -377,70 +335,32 @@ def check_slide_independence(ranking, rule) -> Verdict:
     scanned by source class, gamma bit pattern, destination class, then
     pair; the witness is the first violation in that order.
     """
-    base = rule(ranking)
-    base_set = set(base)
+    base = set(rule(ranking))
     n = ranking.universe.n
     relevant = [
         (x, y)
         for x in range(n)
         for y in range(x + 1, n)
-        if x in base_set or y in base_set
+        if x in base or y in base
     ]
+    classes = ranking.classes
+    if not relevant or len(classes) < 2:
+        return Verdict(INAPPLICABLE, 0)
     premises = 0
     witness = None
-    if not relevant:
-        return Verdict(INAPPLICABLE, 0)
-    classes = ranking.classes
-    l = len(classes)
-    for k1 in range(l):
-        cls = classes[k1]
-        m = len(cls)
-        if m < 2 or l < 2:
-            continue
-        for bits in range(1, (1 << m) - 1):
-            counts = [0] * n
-            members = []
-            rest = bits
-            while rest:
-                low = rest & -rest
-                mask = cls[low.bit_length() - 1]
-                members.append(mask)
-                for i in range(n):
-                    if mask >> i & 1:
-                        counts[i] += 1
-                rest ^= low
+    for k1, cls in enumerate(classes):
+        for gamma, counts in slide_gammas(cls, n):
             balanced = [(x, y) for x, y in relevant if counts[x] == counts[y]]
             if not balanced:
                 continue
-            gamma = tuple(members)
-            for k2 in range(l):
+            for k2 in range(len(classes)):
                 if k2 == k1:
                     continue
                 move = SlideMove(k1, k2, gamma)
                 slid = apply_slide(ranking, move)
-                after = set(rule(slid))
-                for x, y in balanced:
-                    before_pair = base_set & {x, y}
-                    after_pair = after & {x, y}
-                    if not after_pair:
-                        continue
-                    premises += 1
-                    if before_pair != after_pair and witness is None:
-                        witness = Witness(
-                            axiom="SI",
-                            ranking=ranking,
-                            premise={
-                                "x": x,
-                                "y": y,
-                                "move": move,
-                                "ranking_after": slid,
-                            },
-                            expected=f"selection restricted to {_spell(ranking, (x, y))} unchanged",
-                            actual={
-                                "intersection_before": tuple(sorted(before_pair)),
-                                "intersection_after": tuple(sorted(after_pair)),
-                            },
-                        )
+                found, first = judge_slide(ranking, move, slid, base, set(rule(slid)), balanced)
+                premises += found
+                witness = witness or first
     return _verdict(premises, witness)
 
 
@@ -491,15 +411,7 @@ def check_downward_monotonicity(ranking, rule) -> Verdict:
 
 
 AXIOMS = {
-    "RAG": lambda r, rule: check_relative_agreement(r, rule, weak=False),
-    "WRAG": lambda r, rule: check_relative_agreement(r, rule, weak=True),
-    "RDF": check_relative_difference,
-    "RJAD": check_relative_joint,
-    "TAG": lambda r, rule: check_top_agreement(r, rule, strong=False),
-    "STAG": lambda r, rule: check_top_agreement(r, rule, strong=True),
-    "TDF": check_top_difference,
-    "TJAD": check_top_joint,
-    "CV": check_concomitant,
+    **{axiom: partial(judge, axiom) for axiom in PREMISE_AXIOMS},
     "SI": check_slide_independence,
     "DMON": check_downward_monotonicity,
 }

@@ -167,10 +167,6 @@ REPORT_SCHEMA = {
 }
 
 
-def _name(universe, i):
-    return universe.names[i]
-
-
 def _name_list(universe, ids):
     return [universe.names[i] for i in ids]
 
@@ -183,7 +179,7 @@ def _premise_to_dict(premise: dict, universe) -> dict:
     out = {}
     for key, value in premise.items():
         if key in ("x", "y"):
-            out[key] = _name(universe, value)
+            out[key] = universe.names[value]
         elif key in ("s0", "s"):
             out[key] = _coalition(universe, value)
         elif key in ("concomitant", "top_intersection"):
@@ -302,8 +298,8 @@ def prop1_to_dict(report: dict) -> dict:
         universe = c["ranking"].universe
         constructions.append(
             {
-                "x": _name(universe, c["x"]),
-                "y": _name(universe, c["y"]),
+                "x": universe.names[c["x"]],
+                "y": universe.names[c["y"]],
                 "ranking": render_ranking(c["ranking"]),
                 "rdf_premise_holds": c["rdf_premise_holds"],
                 "rdf_forces": _name_list(universe, c["rdf_forces"]) if c["rdf_forces"] else None,
@@ -356,20 +352,23 @@ def emit_report(command: str, parameters: dict, result_key: str, result, out=Non
 
 
 def _resolve_jobs(args) -> int:
+    """Worker count: MILLRANK_JOBS, else --jobs, clamped to 1..cpu_count."""
     env = os.environ.get("MILLRANK_JOBS")
-    if env:
-        return max(1, int(env))
-    return max(1, getattr(args, "jobs", 1) or 1)
+    jobs = int(env) if env else args.jobs
+    return max(1, min(jobs, os.cpu_count() or 1))
 
 
 def _mode_from_args(args):
-    if getattr(args, "sample", None):
-        return Sample(args.sample, getattr(args, "seed", 0) or 0)
+    if args.sample is not None:
+        return Sample(args.sample, args.seed)
     return EXHAUSTIVE
 
 
-def _mode_params(mode):
-    return mode_to_dict(mode)
+def _sample_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"sample count must be at least 1, got {count}")
+    return count
 
 
 def _build_parser():
@@ -392,7 +391,9 @@ def _build_parser():
     sweep_cmd.add_argument("--rule", required=True, choices=sorted(RULES))
     sweep_cmd.add_argument("--axiom", required=True)
     sweep_cmd.add_argument("--n", required=True, type=int)
-    sweep_cmd.add_argument("--sample", type=int, help="draw this many rankings instead of enumerating")
+    sweep_cmd.add_argument(
+        "--sample", type=_sample_count, help="draw this many rankings instead of enumerating"
+    )
     sweep_cmd.add_argument("--seed", type=int, default=0)
     sweep_cmd.add_argument("--witness-cap", type=int, default=10)
     sweep_cmd.add_argument("--jobs", type=int, default=1)
@@ -403,7 +404,7 @@ def _build_parser():
     )
     verify_cmd.add_argument("--rule", choices=sorted(RULES), help="theorem1 only")
     verify_cmd.add_argument("--n", type=int)
-    verify_cmd.add_argument("--sample", type=int)
+    verify_cmd.add_argument("--sample", type=_sample_count)
     verify_cmd.add_argument("--seed", type=int, default=0)
     verify_cmd.add_argument("--witness-cap", type=int, default=10)
     verify_cmd.add_argument("--jobs", type=int, default=1)
@@ -464,7 +465,7 @@ def _cmd_sweep(args) -> int:
         "rule": args.rule,
         "axiom": report.axiom,
         "n": args.n,
-        "mode": _mode_params(mode),
+        "mode": mode_to_dict(mode),
         "witness_cap": args.witness_cap,
     }
     emit_report("sweep", parameters, "sweep_report", sweep_to_dict(report))
@@ -488,7 +489,7 @@ def _cmd_verify(args) -> int:
         if mode == EXHAUSTIVE and n > 4:
             raise UniverseTooLargeError("exhaustive probes support n <= 4; pass --sample COUNT")
         report = theorem1_probe(args.rule, n, mode, jobs=jobs, witness_cap=cap)
-        parameters = {"campaign": "theorem1", "rule": args.rule, "n": n, "mode": _mode_params(mode)}
+        parameters = {"campaign": "theorem1", "rule": args.rule, "n": n, "mode": mode_to_dict(mode)}
         emit_report("verify", parameters, "theorem1_report", theorem1_to_dict(report))
         outcome = "equivalent to plurality" if report["equivalent"] else "differs from plurality"
         print(f"theorem1 {args.rule} n={n}: {outcome}", file=sys.stderr)
@@ -514,7 +515,7 @@ def _cmd_verify(args) -> int:
         if mode == EXHAUSTIVE and n > 3:
             raise UniverseTooLargeError("exhaustive matrices support n <= 3; pass --sample COUNT")
         report = prop3_matrix(n, mode, jobs=jobs, witness_cap=cap)
-        parameters = {"campaign": "prop3", "n": n, "mode": _mode_params(mode)}
+        parameters = {"campaign": "prop3", "n": n, "mode": mode_to_dict(mode)}
         emit_report("verify", parameters, "matrix_report", matrix_to_dict(report))
         bad = report.discrepancies
         print(

@@ -163,8 +163,7 @@ def validate_ranking(classes, universe: Universe) -> CoalitionalRanking:
     MissingCoalitionError when the input is not a ranking.
     """
     full = universe.full_mask
-    seen = 0
-    count = 0
+    seen = set()  # a set, not a bitset: a bitset of 2**n bits is unaffordable for large n
     canonical = []
     for group in classes:
         members = sorted(group)
@@ -177,17 +176,16 @@ def validate_ranking(classes, universe: Universe) -> CoalitionalRanking:
                 raise OutOfUniverseError(
                     f"coalition mask {mask} not valid for a universe of {universe.n}"
                 )
-            if seen >> mask & 1:
+            if mask in seen:
                 raise DuplicateCoalitionError(
                     f"coalition mask {mask} appears more than once"
                 )
-            seen |= 1 << mask
-            count += 1
+            seen.add(mask)
         canonical.append(tuple(members))
-    if count != full:
-        missing = next(m for m in range(1, full + 1) if not seen >> m & 1)
+    if len(seen) != full:
+        missing = next(m for m in range(1, full + 1) if m not in seen)
         raise MissingCoalitionError(
-            f"{full - count} coalition(s) not placed in any class, e.g. mask {missing}"
+            f"{full - len(seen)} coalition(s) not placed in any class, e.g. mask {missing}"
         )
     return CoalitionalRanking._trusted(universe, tuple(canonical))
 

@@ -24,12 +24,15 @@ def fubini(m: int) -> int:
     """Number of weak orders on m labeled elements (exact big integer).
 
     fubini(0) = 1; fubini(m) sums over the size k of the top class:
-    C(m, k) * fubini(m - k).
+    C(m, k) * fubini(m - k). Smaller values are cached bottom-up first,
+    so no call nests more than two deep whatever the size of m.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m == 0:
         return 1
+    for smaller in range(m):
+        fubini(smaller)
     return sum(comb(m, k) * fubini(m - k) for k in range(1, m + 1))
 
 

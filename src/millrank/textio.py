@@ -99,8 +99,23 @@ def render_ranking(ranking: CoalitionalRanking) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _list_of(is_item):
+    return lambda value: isinstance(value, list) and all(is_item(item) for item in value)
+
+
+_is_names = _list_of(
+    lambda value: isinstance(value, str) and value and not _NAME_FORBIDDEN.search(value)
+)
+_is_classes = _list_of(_list_of(_is_names))
+
+
 def parse_ranking_json(document) -> CoalitionalRanking:
-    """Parse the JSON mirror of the text format (dict or JSON string)."""
+    """Parse the JSON mirror of the text format (dict or JSON string).
+
+    ``universe`` must be a list of distinct names, each a nonempty string
+    that is a valid name in the text format, and ``classes`` a list of
+    classes, each a list of coalitions, each a list of names.
+    """
     if isinstance(document, str):
         try:
             document = json.loads(document)
@@ -108,15 +123,19 @@ def parse_ranking_json(document) -> CoalitionalRanking:
             raise RankingSyntaxError(f"invalid JSON: {exc}") from None
     if not isinstance(document, dict) or "universe" not in document or "classes" not in document:
         raise RankingSyntaxError("JSON ranking needs 'universe' and 'classes' keys")
-    names = document["universe"]
+    names, classes = document["universe"], document["classes"]
+    if not _is_names(names):
+        raise RankingSyntaxError("'universe' must be a list of valid individual names")
     try:
         universe = Universe(len(names), tuple(names))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise RankingSyntaxError(f"bad universe: {exc}") from None
+    if not _is_classes(classes):
+        raise RankingSyntaxError("'classes' must be a list of lists of coalitions (lists of names)")
     classes = [
         [members_mask([universe.id_of(name) for name in coalition], universe)
          for coalition in cls]
-        for cls in document["classes"]
+        for cls in classes
     ]
     return validate_ranking(classes, universe)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CoalitionalRanking
+from .core import CoalitionalRanking, _members_table
 from .errors import InvalidMoveError, OutOfUniverseError, UniverseMismatchError
 
 
@@ -46,6 +46,29 @@ def apply_slide(ranking: CoalitionalRanking, move: SlideMove) -> CoalitionalRank
     return CoalitionalRanking._trusted(ranking.universe, tuple(new_classes))
 
 
+def slide_gammas(cls, n: int):
+    """Yield every gamma a slide can move out of one class.
+
+    Gammas are the nonempty proper subsets of ``cls``, taken in order of
+    their bit pattern over the mask-sorted class. Each comes as
+    ``(gamma, counts)``: gamma as an ascending mask tuple, and
+    ``counts[i]`` the number of its coalitions that contain individual i.
+    """
+    table = _members_table(n)
+    for bits in range(1, (1 << len(cls)) - 1):
+        counts = [0] * n
+        members = []
+        rest = bits
+        while rest:
+            low = rest & -rest
+            mask = cls[low.bit_length() - 1]
+            members.append(mask)
+            for i in table[mask]:
+                counts[i] += 1
+            rest ^= low
+        yield tuple(members), counts
+
+
 def enumerate_slides(ranking: CoalitionalRanking, x: int, y: int):
     """Yield every slide balanced between x and y, with its result.
 
@@ -60,31 +83,10 @@ def enumerate_slides(ranking: CoalitionalRanking, x: int, y: int):
         raise OutOfUniverseError(f"individual ids {x}, {y} must lie in 0..{n - 1}")
     if x == y:
         raise ValueError("x and y must be distinct individuals")
-    bx, by = 1 << x, 1 << y
     classes = ranking.classes
-    l = len(classes)
-    for k1 in range(l):
-        cls = classes[k1]
-        m = len(cls)
-        if m < 2:
-            continue
-        balanced = []
-        for bits in range(1, (1 << m) - 1):
-            cx = cy = 0
-            rest = bits
-            while rest:
-                low = rest & -rest
-                mask = cls[low.bit_length() - 1]
-                if mask & bx:
-                    cx += 1
-                if mask & by:
-                    cy += 1
-                rest ^= low
-            if cx == cy:
-                balanced.append(tuple(cls[i] for i in range(m) if bits >> i & 1))
-        if not balanced:
-            continue
-        for k2 in range(l):
+    for k1, cls in enumerate(classes):
+        balanced = [gamma for gamma, counts in slide_gammas(cls, n) if counts[x] == counts[y]]
+        for k2 in range(len(classes)):
             if k2 == k1:
                 continue
             for gamma in balanced:

@@ -17,10 +17,18 @@ import time
 from dataclasses import dataclass
 from multiprocessing import get_context
 
-from .axioms import AXIOMS, VIOLATED, Witness, rdf_premises, rjad_premises
+from .axioms import (
+    AXIOMS,
+    VIOLATED,
+    Witness,
+    judge_slide,
+    lookup_axiom,
+    rag_premises,
+    rdf_premises,
+    rjad_premises,
+)
 from .core import CoalitionalRanking, Universe, concomitant_set, members_mask
 from .enumeration import EXHAUSTIVE, RankingStream, fubini
-from .errors import UnknownAxiomError
 from .solutions import RULES, lookup_rule
 from .transforms import SlideMove, apply_slide
 
@@ -54,14 +62,6 @@ class SweepReport:
         if self.violations:
             return "violated"
         return "satisfied" if self.premises_found else "inapplicable"
-
-
-def _normalize_axiom(axiom_id: str) -> str:
-    key = axiom_id.upper()
-    if key not in AXIOMS:
-        known = ", ".join(sorted(AXIOMS))
-        raise UnknownAxiomError(f"unknown axiom {axiom_id!r} (known: {known})")
-    return key
 
 
 def _sweep_chunk(payload):
@@ -123,7 +123,8 @@ def sweep(
     n <= 4); sample mode draws ``mode.count`` uniform rankings from
     ``mode.seed``. The report is identical for any ``jobs`` value.
     """
-    axiom = _normalize_axiom(axiom)
+    lookup_axiom(axiom)
+    axiom = axiom.upper()
     lookup_rule(rule)
     universe = universe or Universe(n)
     started = time.perf_counter()
@@ -159,14 +160,13 @@ def sweep(
 
 def check_single(rule: str, axiom: str, ranking: CoalitionalRanking):
     """Run one axiom checker on one ranking, by identifiers."""
-    return AXIOMS[_normalize_axiom(axiom)](ranking, lookup_rule(rule))
+    return lookup_axiom(axiom)(ranking, lookup_rule(rule))
 
 
 def find_violation(rule: str, axiom: str, n: int, mode=EXHAUSTIVE, *, universe=None):
     """First (stream index, witness) whose checker reports a violation."""
-    axiom = _normalize_axiom(axiom)
+    check = lookup_axiom(axiom)
     rule_fn = lookup_rule(rule)
-    check = AXIOMS[axiom]
     stream = RankingStream(universe or Universe(n), mode)
     for index, ranking in enumerate(stream):
         verdict = check(ranking, rule_fn)
@@ -238,20 +238,17 @@ def _relative_lemma_chunk(payload):
     counterexamples = []
     for offset, classes in enumerate(chunk):
         ranking = CoalitionalRanking._trusted(universe, classes)
-        for kind, pairs in (("RDF", rdf_premises(ranking)), ("RJAD", rjad_premises(ranking))):
-            if kind == "RDF":
-                rdf_total += len(pairs)
-            else:
-                rjad_total += len(pairs)
-            for s0, x in pairs:
-                inter = universe.full_mask
-                j = ranking.index_of(s0)
-                for cls in ranking.classes[:j]:
-                    for mask in cls:
-                        inter &= mask
-                if inter != 1 << x and len(counterexamples) < 5:
-                    counterexamples.append((start + offset, kind, s0, x))
-    return rdf_total, rjad_total, counterexamples
+        rdf, rjad = rdf_premises(ranking), rjad_premises(ranking)
+        rdf_total += len(rdf)
+        rjad_total += len(rjad)
+        if not (rdf or rjad):
+            continue
+        agreement = set(rag_premises(ranking))
+        for kind, pairs in (("RDF", rdf), ("RJAD", rjad)):
+            counterexamples.extend(
+                (start + offset, kind, s0, x) for s0, x in pairs if (s0, x) not in agreement
+            )
+    return rdf_total, rjad_total, counterexamples[:5]
 
 
 def relative_construction(x: int, y: int, universe: Universe) -> CoalitionalRanking:
@@ -479,88 +476,43 @@ def independence_report(n: int = 4, *, jobs: int = 1, witness_cap: int = 10) -> 
         raise ValueError("independence_report needs n >= 4 for the slide instance")
     claims = []
 
-    def add_sweep_claim(rule, axiom, expected):
-        report = sweep(rule, axiom, 3, jobs=jobs, witness_cap=witness_cap)
+    def add_claim(rule, axiom, expected, evidence_kind, verdict, witness, report=None):
         claims.append(
             {
                 "rule": rule,
                 "axiom": axiom,
                 "expected": expected,
-                "verdict": report.verdict,
-                "discrepancy": report.verdict != expected,
-                "evidence_kind": "sweep",
+                "verdict": verdict,
+                "discrepancy": verdict != expected,
+                "evidence_kind": evidence_kind,
                 "sweep": report,
-                "witness": report.witnesses[0] if report.witnesses else None,
+                "witness": witness,
             }
         )
 
-    add_sweep_claim("f_star", "STAG", "satisfied")
-    add_sweep_claim("f_star", "SI", "satisfied")
+    def add_sweep_claim(rule, axiom):
+        report = sweep(rule, axiom, 3, jobs=jobs, witness_cap=witness_cap)
+        witness = report.witnesses[0] if report.witnesses else None
+        add_claim(rule, axiom, "satisfied", "sweep", report.verdict, witness, report)
 
+    add_sweep_claim("f_star", "STAG")
+    add_sweep_claim("f_star", "SI")
     found = find_violation("f_star", "DMON", 3)
-    claims.append(
-        {
-            "rule": "f_star",
-            "axiom": "DMON",
-            "expected": "violated",
-            "verdict": "violated" if found else "satisfied",
-            "discrepancy": found is None,
-            "evidence_kind": "witness_search",
-            "sweep": None,
-            "witness": found[1] if found else None,
-        }
-    )
+    verdict = "violated" if found else "satisfied"
+    add_claim("f_star", "DMON", "violated", "witness_search", verdict, found[1] if found else None)
 
-    add_sweep_claim("split_plurality", "STAG", "satisfied")
-    add_sweep_claim("split_plurality", "DMON", "satisfied")
-
+    add_sweep_claim("split_plurality", "STAG")
+    add_sweep_claim("split_plurality", "DMON")
     base, move, slid = split_plurality_slide_instance(n)
     rule_fn = RULES["split_plurality"]
-    before = set(rule_fn(base)) & {0, 1}
-    after = set(rule_fn(slid)) & {0, 1}
-    violated = bool(before) and bool(after) and before != after
-    witness = None
-    if violated:
-        pair = "{" + ",".join(base.universe.names[i] for i in (0, 1)) + "}"
-        witness = Witness(
-            axiom="SI",
-            ranking=base,
-            premise={"x": 0, "y": 1, "move": move, "ranking_after": slid},
-            expected=f"selection restricted to {pair} unchanged",
-            actual={
-                "intersection_before": tuple(sorted(before)),
-                "intersection_after": tuple(sorted(after)),
-            },
-        )
-    claims.append(
-        {
-            "rule": "split_plurality",
-            "axiom": "SI",
-            "expected": "violated",
-            "verdict": "violated" if violated else "satisfied",
-            "discrepancy": not violated,
-            "evidence_kind": "instance",
-            "sweep": None,
-            "witness": witness,
-        }
-    )
+    _, witness = judge_slide(base, move, slid, set(rule_fn(base)), set(rule_fn(slid)), [(0, 1)])
+    verdict = "violated" if witness else "satisfied"
+    add_claim("split_plurality", "SI", "violated", "instance", verdict, witness)
 
-    add_sweep_claim("les", "SI", "satisfied")
-    add_sweep_claim("les", "DMON", "satisfied")
-
+    add_sweep_claim("les", "SI")
+    add_sweep_claim("les", "DMON")
     verdict = check_single("les", "STAG", les_stag_instance())
-    claims.append(
-        {
-            "rule": "les",
-            "axiom": "STAG",
-            "expected": "violated",
-            "verdict": verdict.status,
-            "discrepancy": verdict.status != VIOLATED,
-            "evidence_kind": "instance",
-            "sweep": None,
-            "witness": verdict.witness,
-        }
-    )
+    add_claim("les", "STAG", "violated", "instance", verdict.status, verdict.witness)
 
     return {
         "n": n,

@@ -177,3 +177,20 @@ def all_placements(ranking, subject):
         inserted.insert(gap, [subject])
         out.append(validate_ranking(inserted, ranking.universe))
     return out
+
+
+def oracle_rjad_premises(ranking):
+    """(s0, x) pairs of the relative joint premise, straight from its wording."""
+    classes = as_sets(ranking)
+    out = []
+    for j in range(1, len(classes)):
+        better = [s for cls in classes[:j] for s in cls]
+        rest = [s for cls in classes[j:] for s in cls]
+        common = frozenset.intersection(*better)
+        if len(common) != 1 or frozenset.intersection(*rest):
+            continue
+        (x,) = common
+        if any(x in s for s in rest):
+            continue
+        out.extend((s0, x) for s0 in ranking.classes[j])
+    return out

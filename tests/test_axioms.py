@@ -31,7 +31,7 @@ from millrank import (
     split_plurality,
 )
 from millrank.axioms import rdf_premises, rjad_premises
-from helpers import cmask, rk, sel
+from helpers import cmask, oracle_rjad_premises, rk, sel
 
 EX2 = rk("123 12 13 / rest")
 TIE3 = rk("rest")
@@ -277,3 +277,21 @@ def test_relative_premises_induce_agreement_premise_sampled_n3(seed):
     ranking = sample_ranking(3, seed)
     for s0, x in rdf_premises(ranking) + rjad_premises(ranking):
         assert _positives_intersection(ranking, s0) == 1 << x
+
+
+def test_relative_joint_premises_match_oracle_exhaustive_n2(all_n2):
+    for ranking in all_n2:
+        assert rjad_premises(ranking) == oracle_rjad_premises(ranking)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.sampled_from([3, 4]))
+def test_relative_joint_premises_match_oracle_sampled(seed, n):
+    ranking = sample_ranking(n, seed)
+    assert rjad_premises(ranking) == oracle_rjad_premises(ranking)
+
+
+def test_relative_joint_premises_on_membership_family():
+    ranking = rk("1 12 13 123 / rest")
+    assert rjad_premises(ranking) == oracle_rjad_premises(ranking)
+    assert [x for _, x in rjad_premises(ranking)] == [0, 0, 0]

@@ -1,9 +1,10 @@
 import json
+from argparse import Namespace
 
 import jsonschema
 import pytest
 
-from millrank.cli import REPORT_SCHEMA, main
+from millrank.cli import REPORT_SCHEMA, _resolve_jobs, main
 
 EX2_DOC = """\
 universe: 1 2 3
@@ -124,6 +125,21 @@ class TestSweep:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--rule", "les", "--axiom", "STAG", "--n", "2", "--sample", "0"],
+            ["sweep", "--rule", "les", "--axiom", "STAG", "--n", "2", "--sample", "-3"],
+            ["verify", "prop3", "--n", "3", "--sample", "0"],
+            ["verify", "theorem1", "--rule", "les", "--n", "2", "--sample", "-1"],
+        ],
+    )
+    def test_sample_count_below_one_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+
     def test_env_var_overrides_jobs(self, capsys, monkeypatch):
         monkeypatch.setenv("MILLRANK_JOBS", "2")
         code = main(["sweep", "--rule", "plurality", "--axiom", "STAG", "--n", "2", "--jobs", "1"])
@@ -196,6 +212,11 @@ class TestEnumerateAndSample:
         assert code == 2
         assert "sample" in err
 
+    def test_sample_at_nine_individuals(self, capsys):
+        code, doc, _ = run(capsys, "sample", "--n", "9", "--seed", "1", "--count", "1")
+        assert code == 0
+        assert len(doc["result"]["rankings"]) == 1
+
     def test_sample_command_deterministic(self, capsys):
         code, doc1, _ = run(capsys, "sample", "--n", "3", "--seed", "5", "--count", "3")
         assert code == 0
@@ -210,3 +231,23 @@ def test_schema_accepts_every_emitted_document(capsys, ex2_file):
     code, doc, _ = run(capsys, "solve", "--rule", "f_star", "--input", ex2_file)
     assert code == 0
     assert set(doc) == {"schema_version", "command", "parameters", "result"}
+
+
+class TestResolveJobs:
+    def test_clamped_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("MILLRANK_JOBS", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert _resolve_jobs(Namespace(jobs=64)) == 2
+        assert _resolve_jobs(Namespace(jobs=2)) == 2
+        assert _resolve_jobs(Namespace(jobs=0)) == 1
+        assert _resolve_jobs(Namespace(jobs=-5)) == 1
+
+    def test_environment_is_clamped_too(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setenv("MILLRANK_JOBS", "100000")
+        assert _resolve_jobs(Namespace(jobs=1)) == 2
+
+    def test_unknown_cpu_count_means_one_worker(self, monkeypatch):
+        monkeypatch.delenv("MILLRANK_JOBS", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert _resolve_jobs(Namespace(jobs=8)) == 1

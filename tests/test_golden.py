@@ -1,0 +1,95 @@
+"""Golden-report gate: reports stay byte-identical across refactors.
+
+``golden/reports.json`` maps each command line to the sha256 of the
+report it printed on stdout and to its exit code, as recorded from a
+known-good tree. The cells are every rule x axiom ``sweep`` in three
+settings (exhaustive at n = 2, sampled at n = 3 and at n = 4 under
+fixed seeds) and every rule x axiom ``check`` on the pinned instances
+of ``test_verify.py``. A mismatch is fixed in the code, never by
+recording the file again.
+"""
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from millrank import render_ranking
+from millrank.cli import main
+from helpers import rk
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "reports.json"
+
+RULE_IDS = ("plurality", "les", "obi", "split_plurality", "f_star", "const_x")
+AXIOM_IDS = ("TAG", "STAG", "TDF", "TJAD", "CV", "RAG", "WRAG", "RDF", "RJAD", "SI", "DMON")
+
+SWEEP_SETTINGS = {
+    "sweep-n2": ("--n", "2"),
+    "sweep-n3-sampled": ("--n", "3", "--sample", "200", "--seed", "5"),
+    "sweep-n4-sampled": ("--n", "4", "--sample", "100", "--seed", "3"),
+}
+
+# File name -> (shorthand, n) of the instances pinned in test_verify.py.
+PINNED = {
+    "les_stag.rank": ("12 / 1 / rest", 3),
+    "les_cv.rank": ("12 / 2 / 1 13 123 / rest", 3),
+    "obi_tag.rank": ("1 / 2 23 / 12 123 / 3 13", 3),
+    "f_star_si.rank": ("1 2 12 / 3 / rest", 3),
+    "split_plurality_si.rank": ("1 2 23 14 / rest", 4),
+}
+
+
+def commands(group):
+    """Argument lists of one group of golden cells, in a fixed order."""
+    if group == "check-pinned":
+        return [
+            ["check", "--rule", rule, "--axiom", axiom, "--input", name]
+            for name in PINNED
+            for rule in RULE_IDS
+            for axiom in AXIOM_IDS
+        ]
+    return [
+        ["sweep", "--rule", rule, "--axiom", axiom, *SWEEP_SETTINGS[group]]
+        for rule in RULE_IDS
+        for axiom in AXIOM_IDS
+    ]
+
+
+GROUPS = (*SWEEP_SETTINGS, "check-pinned")
+
+
+def write_pinned(directory: Path):
+    for name, (shorthand, n) in PINNED.items():
+        (directory / name).write_text(render_ranking(rk(shorthand, n)))
+
+
+def run_cell(argv):
+    """(sha256 of stdout, exit code) of one in-process CLI run."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
+
+
+def test_golden_file_covers_every_cell():
+    golden = json.loads(GOLDEN_PATH.read_text())
+    expected = {" ".join(argv) for group in GROUPS for argv in commands(group)}
+    assert set(golden) == expected
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_reports_match_golden(group, tmp_path, monkeypatch):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    write_pinned(tmp_path)
+    monkeypatch.chdir(tmp_path)  # check reports name the relative input path
+    mismatches = []
+    for argv in commands(group):
+        line = " ".join(argv)
+        digest, code = run_cell(argv)
+        want = golden[line]
+        if (digest, code) != (want["stdout_sha256"], want["exit_code"]):
+            mismatches.append(f"millrank {line}: exit {code}, expected {want['exit_code']}")
+    assert not mismatches, "reports differ from the golden record:\n" + "\n".join(mismatches)

@@ -1,8 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from millrank import (
+    EmptyCoalitionError,
+    MillrankError,
     MissingCoalitionError,
     OutOfUniverseError,
     RankingSyntaxError,
@@ -90,6 +94,80 @@ class TestJsonMirror:
             parse_ranking_json("[1, 2]")
         with pytest.raises(RankingSyntaxError):
             parse_ranking_json("{nope")
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"universe": ["1", "2"], "classes": 5},
+            {"universe": "ab", "classes": [[["a", "b"]], [["a"]], [["b"]]]},
+            {"universe": [1, 2], "classes": [[[1, 2]], [[1]], [[2]]]},
+            {"universe": ["a b", "c"], "classes": [[["a b", "c"]], [["a b"]], [["c"]]]},
+            {"universe": ["", "c"], "classes": [[["", "c"]], [[""]], [["c"]]]},
+            {"universe": ["{a}"], "classes": [[["{a}"]]]},
+            {"universe": ["1", "1"], "classes": [[["1"]]]},
+            {"universe": [], "classes": []},
+            {"universe": None, "classes": []},
+            {"universe": ["1"], "classes": [["1"]]},
+            {"universe": ["1"], "classes": [[[1]]]},
+            {"universe": ["1"], "classes": [[["1"], "1"]]},
+            {"universe": ["1"], "classes": "[[['1']]]"},
+            {"universe": ["1"], "classes": {"0": [["1"]]}},
+            {"universe": ["1"]},
+            "null",
+            '"universe"',
+        ],
+    )
+    def test_rejects_malformed_structure(self, document):
+        with pytest.raises(RankingSyntaxError):
+            parse_ranking_json(document)
+
+    @pytest.mark.parametrize(
+        "document, error",
+        [
+            ({"universe": ["1"], "classes": [[["2"]]]}, OutOfUniverseError),
+            ({"universe": ["1"], "classes": [[[]]]}, EmptyCoalitionError),
+            ({"universe": ["1", "2"], "classes": [[["1"]]]}, MissingCoalitionError),
+        ],
+    )
+    def test_well_formed_non_rankings_raise_domain_errors(self, document, error):
+        with pytest.raises(error):
+            parse_ranking_json(document)
+
+    def test_wide_universe_fails_fast(self):
+        document = {"universe": [str(i) for i in range(64)], "classes": [[["63"]]]}
+        with pytest.raises(MissingCoalitionError):
+            parse_ranking_json(document)
+
+
+def _json_containers(children):
+    return st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=3), children, max_size=3)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    _json_containers,
+    max_leaves=12,
+)
+_names = st.sampled_from(["1", "2", "3"]) | _json_values
+_documents = _json_values | st.fixed_dictionaries(
+    {
+        "universe": st.lists(_names, max_size=4) | _json_values,
+        "classes": st.lists(
+            st.lists(st.lists(_names, max_size=3) | _json_values, max_size=3), max_size=4
+        )
+        | _json_values,
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=_documents)
+def test_arbitrary_json_raises_only_domain_errors(document):
+    for form in (document, json.dumps(document)):
+        try:
+            parse_ranking_json(form)
+        except MillrankError:
+            pass
 
 
 @settings(max_examples=340, deadline=None)
