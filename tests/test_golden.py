@@ -4,9 +4,13 @@
 report it printed on stdout and to its exit code, as recorded from a
 known-good tree. The cells are every rule x axiom ``sweep`` in three
 settings (exhaustive at n = 2, sampled at n = 3 and at n = 4 under
-fixed seeds) and every rule x axiom ``check`` on the pinned instances
-of ``test_verify.py``. A mismatch is fixed in the code, never by
-recording the file again.
+fixed seeds), every rule x axiom ``check`` and every rule's ``solve``
+on the pinned instances of ``test_verify.py``, the ``verify`` campaigns
+at small sizes, and the ``enumerate`` and ``sample`` listings. The
+``verify independence --n 4`` cell takes about a minute to build, so
+``test_cli.py`` checks it against the session fixture instead of
+running it here. A mismatch is fixed in the code, never by recording
+the file again.
 """
 
 import hashlib
@@ -42,6 +46,28 @@ PINNED = {
 }
 
 
+# Cells run by test_reports_match_golden, beyond the rule x axiom grids.
+FIXED_CELLS = {
+    "campaigns": (
+        *(("verify", "theorem1", "--rule", rule, "--n", "2") for rule in RULE_IDS),
+        ("verify", "theorem1", "--rule", "f_star", "--n", "3"),
+        ("verify", "theorem1", "--rule", "plurality", "--n", "4", "--sample", "30", "--seed", "2"),
+        ("verify", "theorem1", "--rule", "obi", "--n", "4", "--sample", "50", "--seed", "2"),
+        ("verify", "prop1", "--n", "4"),
+        ("verify", "prop3", "--n", "3", "--sample", "60", "--seed", "1"),
+        ("verify", "prop3", "--n", "4", "--sample", "40", "--seed", "2"),
+    ),
+    "listings": (
+        ("enumerate", "--n", "2"),
+        ("enumerate", "--n", "3", "--count-only"),
+        ("sample", "--n", "4", "--seed", "3", "--count", "5"),
+    ),
+}
+
+# Recorded here, checked by test_cli.py against the session fixture.
+INDEPENDENCE_CELL = "verify independence --n 4"
+
+
 def commands(group):
     """Argument lists of one group of golden cells, in a fixed order."""
     if group == "check-pinned":
@@ -51,6 +77,10 @@ def commands(group):
             for rule in RULE_IDS
             for axiom in AXIOM_IDS
         ]
+    if group == "solve-pinned":
+        return [["solve", "--rule", rule, "--input", name] for name in PINNED for rule in RULE_IDS]
+    if group in FIXED_CELLS:
+        return [list(argv) for argv in FIXED_CELLS[group]]
     return [
         ["sweep", "--rule", rule, "--axiom", axiom, *SWEEP_SETTINGS[group]]
         for rule in RULE_IDS
@@ -58,7 +88,7 @@ def commands(group):
     ]
 
 
-GROUPS = (*SWEEP_SETTINGS, "check-pinned")
+GROUPS = (*SWEEP_SETTINGS, "check-pinned", "solve-pinned", *FIXED_CELLS)
 
 
 def write_pinned(directory: Path):
@@ -77,7 +107,7 @@ def run_cell(argv):
 def test_golden_file_covers_every_cell():
     golden = json.loads(GOLDEN_PATH.read_text())
     expected = {" ".join(argv) for group in GROUPS for argv in commands(group)}
-    assert set(golden) == expected
+    assert set(golden) == expected | {INDEPENDENCE_CELL}
 
 
 @pytest.mark.parametrize("group", GROUPS)
