@@ -24,6 +24,7 @@ tuples, e.g. the entries of :data:`millrank.solutions.RULES`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 from functools import partial
 
 from .core import CoalitionalRanking, concomitant_set, mask_members, top_intersection
@@ -36,6 +37,7 @@ from .transforms import (
     slide_gammas,
 )
 
+Status = Literal["inapplicable", "satisfied", "violated"]
 INAPPLICABLE = "inapplicable"
 SATISFIED = "satisfied"
 VIOLATED = "violated"
@@ -60,7 +62,7 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
-    status: str
+    status: Status
     premises_checked: int
     witness: Witness | None = field(default=None)
 

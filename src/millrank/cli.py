@@ -9,6 +9,9 @@ violation or difference was found, 2 on usage or input errors.
 Reports are byte-identical for identical arguments; the worker count
 (--jobs, overridden by the MILLRANK_JOBS environment variable) and wall
 times are execution details and never appear in the JSON.
+
+One serializer, :func:`to_json`, turns every report value into JSON,
+and the schema of each campaign report is derived from its dataclass.
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, is_dataclass
+from functools import cache
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import jsonschema
 
 from .axioms import Verdict, Witness
-from .core import mask_members
+from .core import CoalitionalRanking, mask_members
 from .enumeration import EXHAUSTIVE, RankingStream, Sample, Universe, fubini
 from .errors import MillrankError, UniverseTooLargeError
 from .solutions import RULES, lookup_rule
@@ -37,10 +43,14 @@ __all__ = [
     "parse_ranking_json",
     "render_ranking",
     "load_ranking",
+    "to_json",
 ]
 from .verify import (
+    IndependenceReport,
     MatrixReport,
+    Prop1Report,
     SweepReport,
+    Theorem1Report,
     check_single,
     independence_report,
     prop1_report,
@@ -51,29 +61,135 @@ from .verify import (
 
 SCHEMA_VERSION = "1"
 
-_WITNESS_SCHEMA = {
-    "type": "object",
-    "required": ["axiom", "ranking", "premise", "expected", "actual"],
-    "properties": {
-        "axiom": {"type": "string"},
-        "ranking": {"type": "string"},
-        "premise": {"type": "object"},
-        "expected": {"type": "string"},
-        "actual": {"type": "object"},
-    },
-    "additionalProperties": False,
+
+def _names(universe, ids):
+    return [universe.names[i] for i in ids]
+
+
+def _coalition(universe, mask):
+    return _names(universe, mask_members(mask, universe.n))
+
+
+def _mode(_, mode):
+    if mode == EXHAUSTIVE:
+        return {"exhaustive": True}
+    return {"sample": {"count": mode.count, "seed": mode.seed}}
+
+
+_NAME = (lambda universe, i: universe.names[i], {"type": "string"})
+_NAMES = (_names, {"type": "array", "items": {"type": "string"}})
+_COALITION = (_coalition, _NAMES[1])
+
+# Keys whose values are individual ids, coalition masks or a sweep mode:
+# key -> (encoder taking the universe of the nearest enclosing ranking
+# and the value, JSON schema of the encoded value).
+KEYED = {
+    "x": _NAME,
+    "y": _NAME,
+    "s0": _COALITION,
+    "s": _COALITION,
+    "mode": (_mode, {"$ref": "#/$defs/mode"}),
+    **dict.fromkeys(
+        (
+            "selection",
+            "plurality_selection",
+            "selection_after",
+            "concomitant",
+            "top_intersection",
+            "rdf_forces",
+            "intersection_before",
+            "intersection_after",
+        ),
+        _NAMES,
+    ),
 }
 
-_VERDICT_SCHEMA = {
-    "type": "object",
-    "required": ["status", "premises_checked", "witness"],
-    "properties": {
-        "status": {"enum": ["inapplicable", "satisfied", "violated"]},
-        "premises_checked": {"type": "integer", "minimum": 0},
-        "witness": {"oneOf": [{"type": "null"}, {"$ref": "#/$defs/witness"}]},
-    },
-    "additionalProperties": False,
+
+@cache
+def report_fields(cls) -> dict:
+    """JSON key -> type hint of a report dataclass.
+
+    The keys are its fields, less those marked ``NOT_REPORTED``, plus
+    the properties its ``DERIVED`` tuple names.
+    """
+    hints = get_type_hints(cls)
+    keys = {f.name: hints[f.name] for f in fields(cls) if f.metadata.get("reported", True)}
+    for name in getattr(cls, "DERIVED", ()):
+        keys[name] = get_type_hints(getattr(cls, name).fget)["return"]
+    return keys
+
+
+def to_json(value, universe=None):
+    """JSON form of a report value.
+
+    Rankings are rendered as text and ids are named by the universe of
+    the nearest enclosing ``ranking`` entry (or by ``universe``); the
+    keys of :data:`KEYED` say which values are ids.
+    """
+    if isinstance(value, CoalitionalRanking):
+        return render_ranking(value)
+    if isinstance(value, SlideMove):
+        gamma = [_coalition(universe, m) for m in value.gamma]
+        return {"from_class": value.k1, "to_class": value.k2, "gamma": gamma}
+    if isinstance(value, DeteriorationSpec):
+        subject = _coalition(universe, value.subject)
+        return {"subject": subject, "kind": value.kind, "class_index": value.k}
+    if is_dataclass(value):
+        value = {key: getattr(value, key) for key in report_fields(type(value))}
+    if isinstance(value, dict):
+        if "ranking" in value:
+            universe = value["ranking"].universe
+        return {
+            key: (
+                None if item is None
+                else KEYED[key][0](universe, item) if key in KEYED
+                else to_json(item, universe)
+            )
+            for key, item in value.items()
+        }
+    if isinstance(value, (tuple, list)):
+        return [to_json(item, universe) for item in value]
+    return value
+
+
+_KEY_SCHEMAS = {key: schema for key, (_, schema) in KEYED.items()}
+_KEY_SCHEMAS["n"] = {"type": "integer", "minimum": 1}
+_TYPE_SCHEMAS = {
+    str: {"type": "string"},
+    int: {"type": "integer", "minimum": 0},
+    bool: {"type": "boolean"},
+    dict: {"type": "object"},
+    CoalitionalRanking: {"type": "string"},
+    SweepReport: {"$ref": "#/$defs/sweep_report"},
+    Witness: {"$ref": "#/$defs/witness"},
 }
+
+
+def _schema(hint, key=None):
+    """JSON schema of a report value of type ``hint`` held under ``key``."""
+    args = get_args(hint)
+    if type(None) in args:
+        (inner,) = set(args) - {type(None)}
+        return {"oneOf": [{"type": "null"}, _schema(inner, key)]}
+    if key in _KEY_SCHEMAS:
+        return _KEY_SCHEMAS[key]
+    if get_origin(hint) is Literal:
+        return {"enum": list(args)}
+    if get_origin(hint) is tuple:
+        return {"type": "array", "items": _schema(args[0])}
+    return _TYPE_SCHEMAS.get(hint) or _object_schema(hint)
+
+
+def _object_schema(cls):
+    """Schema of a report dataclass: every key required, no other key allowed."""
+    keys = report_fields(cls)
+    return {
+        "type": "object",
+        "required": sorted(keys),
+        "properties": {k: _schema(h, k) for k, h in keys.items()},
+        "additionalProperties": False,
+    }
+
 
 _MODE_SCHEMA = {
     "oneOf": [
@@ -102,35 +218,6 @@ _MODE_SCHEMA = {
     ]
 }
 
-_SWEEP_SCHEMA = {
-    "type": "object",
-    "required": [
-        "rule",
-        "axiom",
-        "n",
-        "mode",
-        "rankings_checked",
-        "premises_found",
-        "violations",
-        "verdict",
-        "witness_cap",
-        "witnesses",
-    ],
-    "properties": {
-        "rule": {"type": "string"},
-        "axiom": {"type": "string"},
-        "n": {"type": "integer", "minimum": 1},
-        "mode": {"$ref": "#/$defs/mode"},
-        "rankings_checked": {"type": "integer", "minimum": 0},
-        "premises_found": {"type": "integer", "minimum": 0},
-        "violations": {"type": "integer", "minimum": 0},
-        "verdict": {"enum": ["inapplicable", "satisfied", "violated"]},
-        "witness_cap": {"type": "integer", "minimum": 0},
-        "witnesses": {"type": "array", "items": {"$ref": "#/$defs/witness"}},
-    },
-    "additionalProperties": False,
-}
-
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -147,10 +234,10 @@ REPORT_SCHEMA = {
                 "selection": {"type": "array", "items": {"type": "string"}},
                 "verdict": {"$ref": "#/$defs/verdict"},
                 "sweep_report": {"$ref": "#/$defs/sweep_report"},
-                "matrix_report": {"type": "object"},
-                "theorem1_report": {"type": "object"},
-                "prop1_report": {"type": "object"},
-                "independence_report": {"type": "object"},
+                "matrix_report": _object_schema(MatrixReport),
+                "theorem1_report": _object_schema(Theorem1Report),
+                "prop1_report": _object_schema(Prop1Report),
+                "independence_report": _object_schema(IndependenceReport),
                 "rankings": {"type": "array", "items": {"type": "string"}},
                 "count": {"type": "integer", "minimum": 0},
             },
@@ -159,184 +246,12 @@ REPORT_SCHEMA = {
     },
     "additionalProperties": False,
     "$defs": {
-        "witness": _WITNESS_SCHEMA,
-        "verdict": _VERDICT_SCHEMA,
+        "witness": _object_schema(Witness),
+        "verdict": _object_schema(Verdict),
         "mode": _MODE_SCHEMA,
-        "sweep_report": _SWEEP_SCHEMA,
+        "sweep_report": _object_schema(SweepReport),
     },
 }
-
-
-def _name_list(universe, ids):
-    return [universe.names[i] for i in ids]
-
-
-def _coalition(universe, mask):
-    return _name_list(universe, mask_members(mask, universe.n))
-
-
-def _premise_to_dict(premise: dict, universe) -> dict:
-    out = {}
-    for key, value in premise.items():
-        if key in ("x", "y"):
-            out[key] = universe.names[value]
-        elif key in ("s0", "s"):
-            out[key] = _coalition(universe, value)
-        elif key in ("concomitant", "top_intersection"):
-            out[key] = _name_list(universe, value)
-        elif key == "move":
-            assert isinstance(value, SlideMove)
-            out[key] = {
-                "from_class": value.k1,
-                "to_class": value.k2,
-                "gamma": [_coalition(universe, m) for m in value.gamma],
-            }
-        elif key == "placement":
-            assert isinstance(value, DeteriorationSpec)
-            out[key] = {
-                "subject": _coalition(universe, value.subject),
-                "kind": value.kind,
-                "class_index": value.k,
-            }
-        elif key == "ranking_after":
-            out[key] = render_ranking(value)
-        else:
-            out[key] = value
-    return out
-
-
-def witness_to_dict(witness: Witness) -> dict:
-    universe = witness.ranking.universe
-    actual = {
-        key: _name_list(universe, value) if isinstance(value, tuple) else value
-        for key, value in witness.actual.items()
-    }
-    return {
-        "axiom": witness.axiom,
-        "ranking": render_ranking(witness.ranking),
-        "premise": _premise_to_dict(witness.premise, universe),
-        "expected": witness.expected,
-        "actual": actual,
-    }
-
-
-def verdict_to_dict(verdict: Verdict) -> dict:
-    return {
-        "status": verdict.status,
-        "premises_checked": verdict.premises_checked,
-        "witness": witness_to_dict(verdict.witness) if verdict.witness else None,
-    }
-
-
-def mode_to_dict(mode) -> dict:
-    if mode == EXHAUSTIVE:
-        return {"exhaustive": True}
-    return {"sample": {"count": mode.count, "seed": mode.seed}}
-
-
-def sweep_to_dict(report: SweepReport) -> dict:
-    return {
-        "rule": report.rule,
-        "axiom": report.axiom,
-        "n": report.n,
-        "mode": mode_to_dict(report.mode),
-        "rankings_checked": report.rankings_checked,
-        "premises_found": report.premises_found,
-        "violations": report.violations,
-        "verdict": report.verdict,
-        "witness_cap": report.witness_cap,
-        "witnesses": [witness_to_dict(w) for w in report.witnesses],
-    }
-
-
-def matrix_to_dict(report: MatrixReport) -> dict:
-    return {
-        "n": report.n,
-        "mode": mode_to_dict(report.mode),
-        "rules": list(report.rules),
-        "axioms": list(report.axioms),
-        "cells": [
-            {
-                "rule": cell.rule,
-                "axiom": cell.axiom,
-                "expected": cell.expected,
-                "expected_alt": cell.expected_alt,
-                "verdict": cell.verdict,
-                "confirmed": cell.confirmed,
-                "discrepancy": cell.discrepancy,
-                "sweep": sweep_to_dict(cell.sweep),
-            }
-            for cell in report.cells
-        ],
-    }
-
-
-def theorem1_to_dict(report: dict) -> dict:
-    difference = report["difference"]
-    if difference is not None:
-        universe = difference["ranking"].universe
-        difference = {
-            "ranking": render_ranking(difference["ranking"]),
-            "selection": _name_list(universe, difference["selection"]),
-            "plurality_selection": _name_list(universe, difference["plurality_selection"]),
-        }
-    return {
-        "rule": report["rule"],
-        "n": report["n"],
-        "mode": mode_to_dict(report["mode"]),
-        "equivalent": report["equivalent"],
-        "rankings_compared": report["rankings_compared"],
-        "difference": difference,
-        "witness": witness_to_dict(report["witness"]) if report["witness"] else None,
-        "sweeps": [sweep_to_dict(s) for s in report["sweeps"]] if report["sweeps"] else None,
-    }
-
-
-def prop1_to_dict(report: dict) -> dict:
-    constructions = []
-    for c in report["constructions"]:
-        universe = c["ranking"].universe
-        constructions.append(
-            {
-                "x": universe.names[c["x"]],
-                "y": universe.names[c["y"]],
-                "ranking": render_ranking(c["ranking"]),
-                "rdf_premise_holds": c["rdf_premise_holds"],
-                "rdf_forces": _name_list(universe, c["rdf_forces"]) if c["rdf_forces"] else None,
-                "concomitant": _name_list(universe, c["concomitant"]),
-                "jointly_unsatisfiable": c["jointly_unsatisfiable"],
-            }
-        )
-    return {
-        "n": report["n"],
-        "constructions": constructions,
-        "incompatibility_certified": report["incompatibility_certified"],
-        "lemma": report["lemma"],
-        "wrag_sweep": sweep_to_dict(report["wrag_sweep"]) if report["wrag_sweep"] else None,
-        "cv_sweep": sweep_to_dict(report["cv_sweep"]) if report["cv_sweep"] else None,
-    }
-
-
-def independence_to_dict(report: dict) -> dict:
-    claims = []
-    for claim in report["claims"]:
-        claims.append(
-            {
-                "rule": claim["rule"],
-                "axiom": claim["axiom"],
-                "expected": claim["expected"],
-                "verdict": claim["verdict"],
-                "discrepancy": claim["discrepancy"],
-                "evidence_kind": claim["evidence_kind"],
-                "sweep": sweep_to_dict(claim["sweep"]) if claim["sweep"] else None,
-                "witness": witness_to_dict(claim["witness"]) if claim["witness"] else None,
-            }
-        )
-    return {
-        "n": report["n"],
-        "claims": claims,
-        "discrepancy_count": len(report["discrepancies"]),
-    }
 
 
 def emit_report(command: str, parameters: dict, result_key: str, result, out=None) -> None:
@@ -344,8 +259,8 @@ def emit_report(command: str, parameters: dict, result_key: str, result, out=Non
     document = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "parameters": parameters,
-        "result": {result_key: result},
+        "parameters": to_json(parameters),
+        "result": {result_key: to_json(result)},
     }
     jsonschema.validate(document, REPORT_SCHEMA)
     print(json.dumps(document, sort_keys=True, indent=2), file=out or sys.stdout)
@@ -360,14 +275,21 @@ def _resolve_jobs(args) -> int:
 
 def _mode_from_args(args):
     if args.sample is not None:
-        return Sample(args.sample, args.seed)
+        return Sample(args.sample, 0 if args.seed is None else args.seed)
+    if args.seed is not None:
+        raise MillrankError("--seed only applies with --sample COUNT")
     return EXHAUSTIVE
 
 
-def _sample_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"sample count must be at least 1, got {count}")
+def _count(minimum: int):
+    """Argparse type of an integer count of at least ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
     return count
 
 
@@ -387,27 +309,25 @@ def _build_parser():
     check.add_argument("--axiom", required=True)
     check.add_argument("--input", required=True)
 
-    sweep_cmd = sub.add_parser("sweep", help="check one axiom over a whole ranking stream")
+    streamed = argparse.ArgumentParser(add_help=False)
+    streamed.add_argument(
+        "--sample", type=_count(1), help="draw this many rankings instead of enumerating"
+    )
+    streamed.add_argument("--seed", type=int, help="seed of --sample (default 0)")
+    streamed.add_argument("--witness-cap", type=_count(0), default=10)
+    streamed.add_argument("--jobs", type=int, default=1)
+
+    sweep_cmd = sub.add_parser(
+        "sweep", parents=[streamed], help="check one axiom over a whole ranking stream"
+    )
     sweep_cmd.add_argument("--rule", required=True, choices=sorted(RULES))
     sweep_cmd.add_argument("--axiom", required=True)
     sweep_cmd.add_argument("--n", required=True, type=int)
-    sweep_cmd.add_argument(
-        "--sample", type=_sample_count, help="draw this many rankings instead of enumerating"
-    )
-    sweep_cmd.add_argument("--seed", type=int, default=0)
-    sweep_cmd.add_argument("--witness-cap", type=int, default=10)
-    sweep_cmd.add_argument("--jobs", type=int, default=1)
 
-    verify_cmd = sub.add_parser("verify", help="run a verification campaign")
-    verify_cmd.add_argument(
-        "campaign", choices=["theorem1", "prop1", "prop3", "independence"]
-    )
+    verify_cmd = sub.add_parser("verify", parents=[streamed], help="run a verification campaign")
+    verify_cmd.add_argument("campaign", choices=list(_CAMPAIGN_FLAGS))
     verify_cmd.add_argument("--rule", choices=sorted(RULES), help="theorem1 only")
     verify_cmd.add_argument("--n", type=int)
-    verify_cmd.add_argument("--sample", type=_sample_count)
-    verify_cmd.add_argument("--seed", type=int, default=0)
-    verify_cmd.add_argument("--witness-cap", type=int, default=10)
-    verify_cmd.add_argument("--jobs", type=int, default=1)
 
     enum_cmd = sub.add_parser("enumerate", help="list every ranking of a small universe")
     enum_cmd.add_argument("--n", required=True, type=int)
@@ -416,7 +336,7 @@ def _build_parser():
     sample_cmd = sub.add_parser("sample", help="draw uniform random rankings")
     sample_cmd.add_argument("--n", required=True, type=int)
     sample_cmd.add_argument("--seed", required=True, type=int)
-    sample_cmd.add_argument("--count", type=int, default=1)
+    sample_cmd.add_argument("--count", type=_count(1), default=1)
 
     return parser
 
@@ -424,7 +344,7 @@ def _build_parser():
 def _cmd_solve(args) -> int:
     ranking = load_ranking(args.input)
     selection = lookup_rule(args.rule)(ranking)
-    names = _name_list(ranking.universe, selection)
+    names = _names(ranking.universe, selection)
     emit_report("solve", {"rule": args.rule, "input": args.input}, "selection", names)
     print(f"selected: {' '.join(names)}", file=sys.stderr)
     return 0
@@ -433,12 +353,8 @@ def _cmd_solve(args) -> int:
 def _cmd_check(args) -> int:
     ranking = load_ranking(args.input)
     verdict = check_single(args.rule, args.axiom, ranking)
-    emit_report(
-        "check",
-        {"rule": args.rule, "axiom": args.axiom.upper(), "input": args.input},
-        "verdict",
-        verdict_to_dict(verdict),
-    )
+    parameters = {"rule": args.rule, "axiom": args.axiom.upper(), "input": args.input}
+    emit_report("check", parameters, "verdict", verdict)
     print(
         f"{args.rule} x {args.axiom.upper()}: {verdict.status}"
         f" ({verdict.premises_checked} premise(s))",
@@ -465,10 +381,10 @@ def _cmd_sweep(args) -> int:
         "rule": args.rule,
         "axiom": report.axiom,
         "n": args.n,
-        "mode": mode_to_dict(mode),
+        "mode": mode,
         "witness_cap": args.witness_cap,
     }
-    emit_report("sweep", parameters, "sweep_report", sweep_to_dict(report))
+    emit_report("sweep", parameters, "sweep_report", report)
     print(
         f"{report.rule} x {report.axiom} n={report.n}: {report.rankings_checked} rankings,"
         f" {report.premises_found} premises, {report.violations} violations"
@@ -478,7 +394,19 @@ def _cmd_sweep(args) -> int:
     return 1 if report.violations else 0
 
 
+# The flags each campaign reads beyond --n, --witness-cap and --jobs.
+_CAMPAIGN_FLAGS = {
+    "theorem1": ("rule", "sample", "seed"),
+    "prop1": (),
+    "prop3": ("sample", "seed"),
+    "independence": (),
+}
+
+
 def _cmd_verify(args) -> int:
+    for flag in ("rule", "sample", "seed"):
+        if getattr(args, flag) is not None and flag not in _CAMPAIGN_FLAGS[args.campaign]:
+            raise MillrankError(f"verify {args.campaign} does not take --{flag}")
     jobs = _resolve_jobs(args)
     cap = args.witness_cap
     if args.campaign == "theorem1":
@@ -489,23 +417,20 @@ def _cmd_verify(args) -> int:
         if mode == EXHAUSTIVE and n > 4:
             raise UniverseTooLargeError("exhaustive probes support n <= 4; pass --sample COUNT")
         report = theorem1_probe(args.rule, n, mode, jobs=jobs, witness_cap=cap)
-        parameters = {"campaign": "theorem1", "rule": args.rule, "n": n, "mode": mode_to_dict(mode)}
-        emit_report("verify", parameters, "theorem1_report", theorem1_to_dict(report))
-        outcome = "equivalent to plurality" if report["equivalent"] else "differs from plurality"
+        parameters = {"campaign": "theorem1", "rule": args.rule, "n": n, "mode": mode}
+        emit_report("verify", parameters, "theorem1_report", report)
+        outcome = "equivalent to plurality" if report.equivalent else "differs from plurality"
         print(f"theorem1 {args.rule} n={n}: {outcome}", file=sys.stderr)
-        return 0 if report["equivalent"] else 1
+        return 0 if report.equivalent else 1
     if args.campaign == "prop1":
         n = args.n if args.n is not None else 3
         report = prop1_report(n, jobs=jobs, witness_cap=cap)
-        emit_report(
-            "verify", {"campaign": "prop1", "n": n}, "prop1_report", prop1_to_dict(report)
-        )
-        lemma = report["lemma"]
+        emit_report("verify", {"campaign": "prop1", "n": n}, "prop1_report", report)
         clean = (
-            report["incompatibility_certified"]
-            and (lemma is None or lemma["counterexamples"] == 0)
-            and (report["wrag_sweep"] is None or report["wrag_sweep"].violations == 0)
-            and (report["cv_sweep"] is None or report["cv_sweep"].violations == 0)
+            report.incompatibility_certified
+            and (report.lemma is None or report.lemma.counterexamples == 0)
+            and (report.wrag_sweep is None or report.wrag_sweep.violations == 0)
+            and (report.cv_sweep is None or report.cv_sweep.violations == 0)
         )
         print(f"prop1 n={n}: {'certified' if clean else 'FAILED'}", file=sys.stderr)
         return 0 if clean else 1
@@ -515,8 +440,8 @@ def _cmd_verify(args) -> int:
         if mode == EXHAUSTIVE and n > 3:
             raise UniverseTooLargeError("exhaustive matrices support n <= 3; pass --sample COUNT")
         report = prop3_matrix(n, mode, jobs=jobs, witness_cap=cap)
-        parameters = {"campaign": "prop3", "n": n, "mode": mode_to_dict(mode)}
-        emit_report("verify", parameters, "matrix_report", matrix_to_dict(report))
+        parameters = {"campaign": "prop3", "n": n, "mode": mode}
+        emit_report("verify", parameters, "matrix_report", report)
         bad = report.discrepancies
         print(
             f"prop3 n={n}: {len(report.cells)} cells, {len(bad)} discrepancies",
@@ -525,15 +450,9 @@ def _cmd_verify(args) -> int:
         return 0 if not bad else 1
     n = args.n if args.n is not None else 4
     report = independence_report(n, jobs=jobs, witness_cap=cap)
-    emit_report(
-        "verify",
-        {"campaign": "independence", "n": n},
-        "independence_report",
-        independence_to_dict(report),
-    )
-    bad = report["discrepancies"]
-    print(f"independence n={n}: {len(bad)} discrepancies", file=sys.stderr)
-    return 0 if not bad else 1
+    emit_report("verify", {"campaign": "independence", "n": n}, "independence_report", report)
+    print(f"independence n={n}: {report.discrepancy_count} discrepancies", file=sys.stderr)
+    return 0 if not report.discrepancy_count else 1
 
 
 def _cmd_enumerate(args) -> int:

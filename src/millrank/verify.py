@@ -9,17 +9,24 @@ All outputs are deterministic for fixed inputs. Ranking batches may be
 checked by a pool of worker processes; partial tallies merge by addition
 and witnesses carry their stream index, so the number of workers never
 changes a report.
+
+Every report is a frozen dataclass. Its JSON form holds its fields,
+except those whose metadata is :data:`NOT_REPORTED`, plus the derived
+properties named in its ``DERIVED`` tuple.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import permutations
 from multiprocessing import get_context
+from typing import ClassVar
 
 from .axioms import (
     AXIOMS,
     VIOLATED,
+    Status,
     Witness,
     judge_slide,
     lookup_axiom,
@@ -35,6 +42,9 @@ from .transforms import SlideMove, apply_slide
 _CHUNK = 2048
 THEOREM_AXIOMS = ("STAG", "SI", "DMON")
 
+# Field metadata of an execution detail that reports never print.
+NOT_REPORTED = {"reported": False}
+
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -46,6 +56,8 @@ class SweepReport:
     informational only and never serialized.
     """
 
+    DERIVED: ClassVar = ("verdict",)
+
     rule: str
     axiom: str
     n: int
@@ -55,10 +67,10 @@ class SweepReport:
     violations: int
     witness_cap: int
     witnesses: tuple[Witness, ...]
-    wall_time: float
+    wall_time: float = field(metadata=NOT_REPORTED)
 
     @property
-    def verdict(self) -> str:
+    def verdict(self) -> Status:
         if self.violations:
             return "violated"
         return "satisfied" if self.premises_found else "inapplicable"
@@ -175,6 +187,38 @@ def find_violation(rule: str, axiom: str, n: int, mode=EXHAUSTIVE, *, universe=N
     return None
 
 
+@dataclass(frozen=True)
+class Difference:
+    """First ranking of a stream where a rule and plurality select apart."""
+
+    ranking: CoalitionalRanking
+    selection: tuple[int, ...]
+    plurality_selection: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Theorem1Report:
+    """Outcome of probing one rule against the characterization of plurality.
+
+    An equivalent rule carries the STAG, SI and DMON sweeps; a differing
+    one carries the first difference and the first axiom violation.
+    """
+
+    DERIVED: ClassVar = ("equivalent",)
+
+    rule: str
+    n: int
+    mode: object
+    rankings_compared: int
+    difference: Difference | None
+    witness: Witness | None
+    sweeps: tuple[SweepReport, ...] | None
+
+    @property
+    def equivalent(self) -> bool:
+        return self.difference is None
+
+
 def theorem1_probe(
     rule: str,
     n: int = 3,
@@ -183,7 +227,7 @@ def theorem1_probe(
     universe: Universe | None = None,
     jobs: int = 1,
     witness_cap: int = 10,
-) -> dict:
+) -> Theorem1Report:
     """Probe a rule against the characterization by the three axioms.
 
     Either certifies that the rule agrees with plurality on every
@@ -203,32 +247,18 @@ def theorem1_probe(
         mine = rule_fn(ranking)
         ref = plurality(ranking)
         if mine != ref:
-            difference = {"ranking": ranking, "selection": mine, "plurality_selection": ref}
+            difference = Difference(ranking, mine, ref)
             break
-    report = {
-        "rule": rule,
-        "n": n,
-        "mode": mode,
-        "equivalent": difference is None,
-        "rankings_compared": compared,
-        "difference": difference,
-        "witness": None,
-        "sweeps": None,
-    }
     if difference is None:
-        report["sweeps"] = tuple(
+        sweeps = tuple(
             sweep(rule, axiom, n, mode, universe=universe, jobs=jobs, witness_cap=witness_cap)
             for axiom in THEOREM_AXIOMS
         )
-        return report
+        return Theorem1Report(rule, n, mode, compared, None, None, sweeps)
     checks = [AXIOMS[a] for a in THEOREM_AXIOMS]
-    for ranking in RankingStream(universe, mode):
-        for axiom, check in zip(THEOREM_AXIOMS, checks):
-            verdict = check(ranking, rule_fn)
-            if verdict.status == VIOLATED:
-                report["witness"] = verdict.witness
-                return report
-    return report
+    verdicts = (check(r, rule_fn) for r in RankingStream(universe, mode) for check in checks)
+    witness = next((v.witness for v in verdicts if v.status == VIOLATED), None)
+    return Theorem1Report(rule, n, mode, compared, difference, witness, None)
 
 
 def _relative_lemma_chunk(payload):
@@ -270,7 +300,47 @@ def relative_construction(x: int, y: int, universe: Universe) -> CoalitionalRank
     return CoalitionalRanking._trusted(universe, tuple(tuple(b) for b in buckets))
 
 
-def prop1_report(n: int = 3, *, jobs: int = 1, witness_cap: int = 10) -> dict:
+@dataclass(frozen=True)
+class Construction:
+    """The four-level ranking of one ordered pair (x, y) and what it forces."""
+
+    x: int
+    y: int
+    ranking: CoalitionalRanking
+    rdf_premise_holds: bool
+    rdf_forces: tuple[int, ...] | None
+    concomitant: tuple[int, ...]
+    jointly_unsatisfiable: bool
+
+
+@dataclass(frozen=True)
+class RelativeLemma:
+    """Tallies of the exhaustive check that RDF and RJAD premises induce RAG."""
+
+    rankings_checked: int
+    rdf_premises: int
+    rjad_premises: int
+    counterexamples: int
+
+
+@dataclass(frozen=True)
+class Prop1Report:
+    """Evidence that the relative readings cannot be held together."""
+
+    DERIVED: ClassVar = ("incompatibility_certified",)
+
+    n: int
+    constructions: tuple[Construction, ...]
+    lemma: RelativeLemma | None
+    wrag_sweep: SweepReport | None
+    cv_sweep: SweepReport | None
+
+    @property
+    def incompatibility_certified(self) -> bool:
+        return all(c.jointly_unsatisfiable for c in self.constructions)
+
+
+def prop1_report(n: int = 3, *, jobs: int = 1, witness_cap: int = 10) -> Prop1Report:
     """Evidence that the relative readings cannot be held together.
 
     Three parts: (a) for every ordered pair (x, y), the four-level
@@ -286,53 +356,37 @@ def prop1_report(n: int = 3, *, jobs: int = 1, witness_cap: int = 10) -> dict:
         raise ValueError("prop1_report needs n >= 3")
     universe = Universe(n)
     constructions = []
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            ranking = relative_construction(x, y, universe)
-            s0 = 1 << y
-            premises = rdf_premises(ranking)
-            forced = {(s0, x)} <= set(premises)
-            conclusion_unique = all(px == x for _, px in premises)
-            c_set = concomitant_set(ranking)
-            constructions.append(
-                {
-                    "x": x,
-                    "y": y,
-                    "ranking": ranking,
-                    "rdf_premise_holds": forced,
-                    "rdf_forces": (x,) if forced and conclusion_unique else None,
-                    "concomitant": c_set,
-                    "jointly_unsatisfiable": forced and conclusion_unique and y in c_set,
-                }
-            )
-    report = {
-        "n": n,
-        "constructions": constructions,
-        "incompatibility_certified": all(c["jointly_unsatisfiable"] for c in constructions),
-        "lemma": None,
-        "wrag_sweep": None,
-        "cv_sweep": None,
-    }
-    if n == 3:
-        parts = _run_chunks(
-            universe,
-            EXHAUSTIVE,
-            _relative_lemma_chunk,
-            lambda start, chunk: (n, universe.names, start, chunk),
-            jobs,
+    for x, y in permutations(range(n), 2):
+        ranking = relative_construction(x, y, universe)
+        premises = rdf_premises(ranking)
+        forced = (1 << y, x) in premises
+        unique = forced and all(px == x for _, px in premises)
+        c_set = concomitant_set(ranking)
+        constructions.append(
+            Construction(x, y, ranking, forced, (x,) if unique else None, c_set, unique and y in c_set)
         )
-        counterexamples = [c for p in parts for c in p[2]]
-        report["lemma"] = {
-            "rankings_checked": fubini(universe.full_mask),
-            "rdf_premises": sum(p[0] for p in parts),
-            "rjad_premises": sum(p[1] for p in parts),
-            "counterexamples": len(counterexamples),
-        }
-        report["wrag_sweep"] = sweep("const_x", "WRAG", n, jobs=jobs, witness_cap=witness_cap)
-        report["cv_sweep"] = sweep("const_x", "CV", n, jobs=jobs, witness_cap=witness_cap)
-    return report
+    if n != 3:
+        return Prop1Report(n, tuple(constructions), None, None, None)
+    parts = _run_chunks(
+        universe,
+        EXHAUSTIVE,
+        _relative_lemma_chunk,
+        lambda start, chunk: (n, universe.names, start, chunk),
+        jobs,
+    )
+    lemma = RelativeLemma(
+        rankings_checked=fubini(universe.full_mask),
+        rdf_premises=sum(p[0] for p in parts),
+        rjad_premises=sum(p[1] for p in parts),
+        counterexamples=sum(len(p[2]) for p in parts),
+    )
+    return Prop1Report(
+        n,
+        tuple(constructions),
+        lemma,
+        sweep("const_x", "WRAG", n, jobs=jobs, witness_cap=witness_cap),
+        sweep("const_x", "CV", n, jobs=jobs, witness_cap=witness_cap),
+    )
 
 
 MATRIX_RULES = ("plurality", "les", "obi")
@@ -365,9 +419,9 @@ OBI_CV_PROOF = "satisfied"
 class MatrixCell:
     rule: str
     axiom: str
-    expected: str
-    expected_alt: str | None
-    verdict: str
+    expected: Status
+    expected_alt: Status | None
+    verdict: Status
     confirmed: bool
     discrepancy: bool
     sweep: SweepReport
@@ -462,7 +516,46 @@ INDEPENDENCE_EXPECTED = (
 )
 
 
-def independence_report(n: int = 4, *, jobs: int = 1, witness_cap: int = 10) -> dict:
+@dataclass(frozen=True)
+class Claim:
+    """One expected verdict of a rule on an axiom, with its evidence."""
+
+    DERIVED: ClassVar = ("discrepancy",)
+
+    rule: str
+    axiom: str
+    expected: Status
+    verdict: Status
+    evidence_kind: str
+    sweep: SweepReport | None
+    witness: Witness | None
+
+    @property
+    def discrepancy(self) -> bool:
+        return self.verdict != self.expected
+
+
+@dataclass(frozen=True)
+class IndependenceReport:
+    """Evidence that none of the three characterizing axioms is redundant."""
+
+    DERIVED: ClassVar = ("discrepancy_count",)
+
+    n: int
+    claims: tuple[Claim, ...]
+
+    @property
+    def discrepancies(self) -> tuple[Claim, ...]:
+        return tuple(c for c in self.claims if c.discrepancy)
+
+    @property
+    def discrepancy_count(self) -> int:
+        return len(self.discrepancies)
+
+
+def independence_report(
+    n: int = 4, *, jobs: int = 1, witness_cap: int = 10
+) -> IndependenceReport:
     """Evidence that none of the three characterizing axioms is redundant.
 
     For each alternative rule, sweeps the two axioms it is expected to
@@ -477,18 +570,7 @@ def independence_report(n: int = 4, *, jobs: int = 1, witness_cap: int = 10) -> 
     claims = []
 
     def add_claim(rule, axiom, expected, evidence_kind, verdict, witness, report=None):
-        claims.append(
-            {
-                "rule": rule,
-                "axiom": axiom,
-                "expected": expected,
-                "verdict": verdict,
-                "discrepancy": verdict != expected,
-                "evidence_kind": evidence_kind,
-                "sweep": report,
-                "witness": witness,
-            }
-        )
+        claims.append(Claim(rule, axiom, expected, verdict, evidence_kind, report, witness))
 
     def add_sweep_claim(rule, axiom):
         report = sweep(rule, axiom, 3, jobs=jobs, witness_cap=witness_cap)
@@ -514,8 +596,4 @@ def independence_report(n: int = 4, *, jobs: int = 1, witness_cap: int = 10) -> 
     verdict = check_single("les", "STAG", les_stag_instance())
     add_claim("les", "STAG", "violated", "instance", verdict.status, verdict.witness)
 
-    return {
-        "n": n,
-        "claims": claims,
-        "discrepancies": [c for c in claims if c["discrepancy"]],
-    }
+    return IndependenceReport(n, tuple(claims))

@@ -8,6 +8,7 @@ report carries the same fact as a flagged discrepancy with a witness.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -51,7 +52,7 @@ def test_criterion_1_enumeration_counts():
 
 
 def test_criterion_2_characterization_if_direction(plurality_probe_n3):
-    sweeps = plurality_probe_n3["sweeps"]
+    sweeps = plurality_probe_n3.sweeps
     total_time = sum(s.wall_time for s in sweeps)
     clean = all(s.violations == 0 and s.rankings_checked == 47293 for s in sweeps)
     premised = all(s.premises_found > 0 for s in sweeps)
@@ -67,12 +68,12 @@ def test_criterion_3_characterization_only_if_probe():
     for rule_id in ("les", "obi", "split_plurality", "f_star", "const_x"):
         probe = mr.theorem1_probe(rule_id, 3)
         rule = mr.lookup_rule(rule_id)
-        difference = probe["difference"]
-        witness = probe["witness"]
+        difference = probe.difference
+        witness = probe.witness
         good = (
-            not probe["equivalent"]
+            not probe.equivalent
             and difference is not None
-            and rule(difference["ranking"]) != mr.plurality(difference["ranking"])
+            and rule(difference.ranking) != mr.plurality(difference.ranking)
             and witness is not None
             and witness.axiom in ("STAG", "SI", "DMON")
             and mr.replay(witness, rule).status == mr.VIOLATED
@@ -124,16 +125,16 @@ def test_criterion_4_satisfaction_matrix(matrix_n3):
 
 
 def test_criterion_5a_f_star_keeps_stag_and_si_loses_dmon(independence_n4):
-    claims = {(c["rule"], c["axiom"]): c for c in independence_n4["claims"]}
-    stag_clean = claims[("f_star", "STAG")]["verdict"] == "satisfied"
-    dmon_broken = claims[("f_star", "DMON")]["verdict"] == "violated"
-    dmon_witness = claims[("f_star", "DMON")]["witness"]
+    claims = {(c.rule, c.axiom): c for c in independence_n4.claims}
+    stag_clean = claims[("f_star", "STAG")].verdict == "satisfied"
+    dmon_broken = claims[("f_star", "DMON")].verdict == "violated"
+    dmon_witness = claims[("f_star", "DMON")].witness
     dmon_replay = (
         dmon_witness is not None
         and mr.replay(dmon_witness, mr.f_star).status == mr.VIOLATED
     )
     si_claim = claims[("f_star", "SI")]
-    si_clean = si_claim["verdict"] == "satisfied"
+    si_clean = si_claim.verdict == "satisfied"
     ok = stag_clean and dmon_broken and dmon_replay and si_clean
     detail = (
         f"STAG clean: {stag_clean}, DMON violated with witness: {dmon_broken and dmon_replay}, "
@@ -141,7 +142,7 @@ def test_criterion_5a_f_star_keeps_stag_and_si_loses_dmon(independence_n4):
         + (
             ""
             if si_clean
-            else f" ({si_claim['sweep'].violations} violating rankings; the expectation is refuted)"
+            else f" ({si_claim.sweep.violations} violating rankings; the expectation is refuted)"
         )
     )
     report_line("5a", "f_star keeps STAG and SI, loses DMON", ok, detail)
@@ -149,23 +150,23 @@ def test_criterion_5a_f_star_keeps_stag_and_si_loses_dmon(independence_n4):
     assert dmon_broken and dmon_replay
     assert si_clean, (
         "f_star was expected to keep slide independence exhaustively at n=3, but "
-        f"{si_claim['sweep'].violations} rankings violate it; first witness: "
-        f"{si_claim['sweep'].witnesses[0].ranking!r} with move "
-        f"{si_claim['sweep'].witnesses[0].premise['move']}"
+        f"{si_claim.sweep.violations} rankings violate it; first witness: "
+        f"{si_claim.sweep.witnesses[0].ranking!r} with move "
+        f"{si_claim.sweep.witnesses[0].premise['move']}"
     )
 
 
 def test_criterion_5b_split_plurality_keeps_stag_dmon_loses_si(independence_n4):
-    claims = {(c["rule"], c["axiom"]): c for c in independence_n4["claims"]}
-    stag_clean = claims[("split_plurality", "STAG")]["verdict"] == "satisfied"
-    dmon_clean = claims[("split_plurality", "DMON")]["verdict"] == "satisfied"
+    claims = {(c.rule, c.axiom): c for c in independence_n4.claims}
+    stag_clean = claims[("split_plurality", "STAG")].verdict == "satisfied"
+    dmon_clean = claims[("split_plurality", "DMON")].verdict == "satisfied"
     base, move, slid = mr.split_plurality_slide_instance(4)
     instance_ok = (
         base == rk("1 2 23 14 / rest", n=4)
         and set(move.gamma) == {cmask("14"), cmask("2")}
         and mr.split_plurality(base) == sel("12")
         and mr.split_plurality(slid) == sel("1")
-        and claims[("split_plurality", "SI")]["verdict"] == "violated"
+        and claims[("split_plurality", "SI")].verdict == "violated"
     )
     ok = stag_clean and dmon_clean and instance_ok
     report_line("5b", "split_plurality keeps STAG and DMON, loses SI on the pinned slide", ok,
@@ -174,13 +175,13 @@ def test_criterion_5b_split_plurality_keeps_stag_dmon_loses_si(independence_n4):
 
 
 def test_criterion_5c_les_keeps_si_dmon_loses_stag(independence_n4):
-    claims = {(c["rule"], c["axiom"]): c for c in independence_n4["claims"]}
-    si_clean = claims[("les", "SI")]["verdict"] == "satisfied"
-    dmon_clean = claims[("les", "DMON")]["verdict"] == "satisfied"
+    claims = {(c.rule, c.axiom): c for c in independence_n4.claims}
+    si_clean = claims[("les", "SI")].verdict == "satisfied"
+    dmon_clean = claims[("les", "DMON")].verdict == "satisfied"
     instance = mr.les_stag_instance()
     stag_broken = (
         instance == rk("12 / 1 / rest")
-        and claims[("les", "STAG")]["verdict"] == "violated"
+        and claims[("les", "STAG")].verdict == "violated"
         and mr.check_single("les", "STAG", instance).status == mr.VIOLATED
     )
     ok = si_clean and dmon_clean and stag_broken
@@ -190,22 +191,22 @@ def test_criterion_5c_les_keeps_si_dmon_loses_stag(independence_n4):
 
 
 def test_criterion_6_relative_reading_incompatibility(prop1_n3):
-    construction_ok = prop1_n3["incompatibility_certified"]
+    construction_ok = prop1_n3.incompatibility_certified
     pinned = next(
-        c for c in prop1_n3["constructions"] if (c["x"], c["y"]) == (0, 1)
+        c for c in prop1_n3.constructions if (c.x, c.y) == (0, 1)
     )
     pinned_ok = (
-        pinned["ranking"] == rk("12 123 / 1 13 / 2 23 / 3")
-        and (cmask("2"), 0) in mr.axioms.rdf_premises(pinned["ranking"])
-        and pinned["rdf_forces"] == sel("1")
-        and sel("2")[0] in pinned["concomitant"]
+        pinned.ranking == rk("12 123 / 1 13 / 2 23 / 3")
+        and (cmask("2"), 0) in mr.axioms.rdf_premises(pinned.ranking)
+        and pinned.rdf_forces == sel("1")
+        and sel("2")[0] in pinned.concomitant
     )
-    lemma = prop1_n3["lemma"]
-    lemma_ok = lemma["rankings_checked"] == 47293 and lemma["counterexamples"] == 0
+    lemma = prop1_n3.lemma
+    lemma_ok = lemma.rankings_checked == 47293 and lemma.counterexamples == 0
     const_ok = (
-        prop1_n3["wrag_sweep"].violations == 0
-        and prop1_n3["cv_sweep"].violations == 0
-        and prop1_n3["wrag_sweep"].premises_found > 0
+        prop1_n3.wrag_sweep.violations == 0
+        and prop1_n3.cv_sweep.violations == 0
+        and prop1_n3.wrag_sweep.premises_found > 0
     )
     ok = construction_ok and pinned_ok and lemma_ok and const_ok
     report_line(
@@ -213,7 +214,7 @@ def test_criterion_6_relative_reading_incompatibility(prop1_n3):
         "relative difference forces {1} while 2 is concomitant; agreement lemma; const rule",
         ok,
         f"constructions: {construction_ok}, pinned: {pinned_ok}, "
-        f"lemma 0/{lemma['rdf_premises']}+{lemma['rjad_premises']}: {lemma_ok}, const_x: {const_ok}",
+        f"lemma 0/{lemma.rdf_premises}+{lemma.rjad_premises}: {lemma_ok}, const_x: {const_ok}",
     )
     assert construction_ok and pinned_ok and lemma_ok and const_ok
 
@@ -289,11 +290,15 @@ def test_criterion_7_structural_properties(all_n3):
 
 
 def _run_cli(*argv):
+    # the child imports millrank from the source tree, as the test process does
+    src = os.path.dirname(os.path.dirname(mr.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "millrank.cli", *argv],
         capture_output=True,
         text=True,
         check=False,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout
 

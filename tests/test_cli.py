@@ -1,10 +1,16 @@
+import copy
+import hashlib
+import io
 import json
 from argparse import Namespace
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from millrank.cli import REPORT_SCHEMA, _resolve_jobs, main
+from millrank.cli import REPORT_SCHEMA, _resolve_jobs, emit_report, main
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "reports.json"
 
 EX2_DOC = """\
 universe: 1 2 3
@@ -140,6 +146,37 @@ class TestSweep:
         assert exc.value.code == 2
         assert "at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, floor",
+        [
+            (["sweep", "--rule", "les", "--axiom", "STAG", "--n", "2", "--witness-cap", "-1"], 0),
+            (["verify", "prop3", "--n", "3", "--sample", "5", "--witness-cap", "-4"], 0),
+            (["sample", "--n", "3", "--seed", "1", "--count", "0"], 1),
+            (["sample", "--n", "3", "--seed", "1", "--count", "-2"], 1),
+            (["sweep", "--rule", "les", "--axiom", "STAG", "--n", "2", "--sample", "x"], None),
+        ],
+    )
+    def test_counts_below_their_floor_are_usage_errors(self, capsys, argv, floor):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"at least {floor}" if floor is not None else "invalid") in captured.err
+
+    def test_zero_witness_cap_counts_but_keeps_no_witness(self, capsys):
+        code, doc, _ = run(
+            capsys, "sweep", "--rule", "les", "--axiom", "STAG", "--n", "2", "--witness-cap", "0"
+        )
+        assert code == 1
+        report = doc["result"]["sweep_report"]
+        assert (report["violations"], report["witnesses"]) == (2, [])
+
+    def test_seed_without_sample_is_rejected(self, capsys):
+        code, doc, err = run(capsys, "sweep", "--rule", "les", "--axiom", "STAG", "--n", "2", "--seed", "3")
+        assert (code, doc) == (2, None)
+        assert "--sample" in err
+
     def test_env_var_overrides_jobs(self, capsys, monkeypatch):
         monkeypatch.setenv("MILLRANK_JOBS", "2")
         code = main(["sweep", "--rule", "plurality", "--axiom", "STAG", "--n", "2", "--jobs", "1"])
@@ -184,13 +221,63 @@ class TestVerifyCommands:
         assert report["lemma"]["counterexamples"] == 0
         assert len(report["constructions"]) == 6
 
-    def test_independence_flags_refuted_claim(self, capsys):
-        code, doc, _ = run(capsys, "verify", "independence", "--n", "4")
+    def test_independence_flags_refuted_claim(self, capsys, monkeypatch, independence_n4):
+        # the session fixture is the report this command builds; reuse it
+        calls = []
+
+        def built(*args, **kwargs):
+            calls.append((args, kwargs))
+            return independence_n4
+
+        monkeypatch.setattr("millrank.cli.independence_report", built)
+        code = main(["verify", "independence", "--n", "4"])
+        out = capsys.readouterr().out
+        assert calls == [((4,), {"jobs": 1, "witness_cap": 10})]
+        golden = json.loads(GOLDEN_PATH.read_text())["verify independence --n 4"]
+        assert hashlib.sha256(out.encode()).hexdigest() == golden["stdout_sha256"]
+        assert code == golden["exit_code"]
+        doc = json.loads(out)
+        jsonschema.validate(doc, REPORT_SCHEMA)
         assert code == 1
         report = doc["result"]["independence_report"]
         assert report["discrepancy_count"] == 1
         flagged = [c for c in report["claims"] if c["discrepancy"]]
         assert [(c["rule"], c["axiom"]) for c in flagged] == [("f_star", "SI")]
+
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "prop1", "--n", "3", "--sample", "5"], "--sample"),
+            (["verify", "prop1", "--n", "3", "--seed", "2"], "--seed"),
+            (["verify", "prop1", "--rule", "les"], "--rule"),
+            (["verify", "independence", "--sample", "5", "--seed", "1"], "--sample"),
+            (["verify", "independence", "--seed", "1"], "--seed"),
+            (["verify", "independence", "--rule", "les"], "--rule"),
+            (["verify", "prop3", "--n", "3", "--rule", "les"], "--rule"),
+            (["verify", "prop3", "--n", "3", "--seed", "4"], "--sample"),
+            (["verify", "theorem1", "--rule", "les", "--n", "2", "--seed", "4"], "--sample"),
+        ],
+    )
+    def test_flags_a_campaign_does_not_read_are_rejected(self, capsys, argv, flag):
+        code, doc, err = run(capsys, *argv)
+        assert (code, doc) == (2, None)
+        assert flag in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "theorem1", "--rule", "plurality", "--n", "4", "--sample", "30"],
+            ["verify", "prop3", "--n", "3", "--sample", "60"],
+        ],
+    )
+    def test_sample_seed_defaults_to_zero(self, capsys, argv):
+        outs = []
+        for extra in ([], ["--seed", "0"]):
+            main(argv + extra)
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert '"seed": 0' in outs[0]
 
 
 class TestEnumerateAndSample:
@@ -231,6 +318,44 @@ def test_schema_accepts_every_emitted_document(capsys, ex2_file):
     code, doc, _ = run(capsys, "solve", "--rule", "f_star", "--input", ex2_file)
     assert code == 0
     assert set(doc) == {"schema_version", "command", "parameters", "result"}
+
+
+@pytest.fixture()
+def campaign_reports(capsys, independence_n4):
+    """One emitted document of each campaign report kind."""
+    documents = {}
+    for argv in (
+        ["verify", "theorem1", "--rule", "les", "--n", "2"],
+        ["verify", "prop1", "--n", "4"],
+        ["verify", "prop3", "--n", "3", "--sample", "60", "--seed", "1"],
+    ):
+        _, doc, _ = run(capsys, *argv)
+        (key,) = doc["result"]
+        documents[key] = doc
+    out = io.StringIO()
+    emit_report("verify", {"campaign": "independence", "n": 4}, "independence_report",
+                independence_n4, out=out)
+    documents["independence_report"] = json.loads(out.getvalue())
+    return documents
+
+
+@pytest.mark.parametrize(
+    "kind", ["theorem1_report", "prop1_report", "matrix_report", "independence_report"]
+)
+def test_campaign_report_schemas_are_closed(campaign_reports, kind):
+    document = campaign_reports[kind]
+    jsonschema.validate(document, REPORT_SCHEMA)
+    report = document["result"][kind]
+    assert sorted(report) == REPORT_SCHEMA["properties"]["result"]["properties"][kind]["required"]
+    for key in report:
+        broken = copy.deepcopy(document)
+        del broken["result"][kind][key]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(broken, REPORT_SCHEMA)
+    extended = copy.deepcopy(document)
+    extended["result"][kind]["unexpected"] = 0
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(extended, REPORT_SCHEMA)
 
 
 class TestResolveJobs:

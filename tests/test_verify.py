@@ -18,13 +18,13 @@ from millrank import (
     sweep,
     theorem1_probe,
 )
-from millrank.cli import sweep_to_dict
+from millrank.cli import to_json
 from helpers import cmask, rk, sel
 
 
 class TestSweep:
     def test_plurality_strong_agreement_clean(self, plurality_probe_n3):
-        report = next(s for s in plurality_probe_n3["sweeps"] if s.axiom == "STAG")
+        report = next(s for s in plurality_probe_n3.sweeps if s.axiom == "STAG")
         assert report.rankings_checked == 47293
         assert report.violations == 0
         assert report.verdict == "satisfied"
@@ -61,28 +61,28 @@ class TestSweep:
     def test_jobs_do_not_change_reports(self):
         one = sweep("obi", "TAG", 2, jobs=1)
         two = sweep("obi", "TAG", 2, jobs=2)
-        assert json.dumps(sweep_to_dict(one), sort_keys=True) == json.dumps(
-            sweep_to_dict(two), sort_keys=True
+        assert json.dumps(to_json(one), sort_keys=True) == json.dumps(
+            to_json(two), sort_keys=True
         )
 
 
 class TestTheorem1Probe:
     def test_plurality_certified(self, plurality_probe_n3):
         report = plurality_probe_n3
-        assert report["equivalent"] is True
-        assert report["rankings_compared"] == 47293
-        assert [s.violations for s in report["sweeps"]] == [0, 0, 0]
-        assert [s.axiom for s in report["sweeps"]] == ["STAG", "SI", "DMON"]
+        assert report.equivalent is True
+        assert report.rankings_compared == 47293
+        assert [s.violations for s in report.sweeps] == [0, 0, 0]
+        assert [s.axiom for s in report.sweeps] == ["STAG", "SI", "DMON"]
 
     @pytest.mark.parametrize("rule_id", ["les", "obi", "split_plurality", "f_star", "const_x"])
     def test_other_rules_differ_with_replayable_witness(self, rule_id):
         report = theorem1_probe(rule_id, 3)
-        assert report["equivalent"] is False
-        difference = report["difference"]
+        assert report.equivalent is False
+        difference = report.difference
         rule = lookup_rule(rule_id)
-        assert rule(difference["ranking"]) == difference["selection"]
-        assert difference["selection"] != difference["plurality_selection"]
-        witness = report["witness"]
+        assert rule(difference.ranking) == difference.selection
+        assert difference.selection != difference.plurality_selection
+        witness = report.witness
         assert witness is not None and witness.axiom in ("STAG", "SI", "DMON")
         assert replay(witness, rule).status == VIOLATED
 
@@ -98,25 +98,25 @@ class TestTheorem1Probe:
 
 class TestProp1:
     def test_constructions_certified(self, prop1_n3):
-        assert prop1_n3["incompatibility_certified"] is True
-        assert len(prop1_n3["constructions"]) == 6
+        assert prop1_n3.incompatibility_certified is True
+        assert len(prop1_n3.constructions) == 6
         first = next(
-            c for c in prop1_n3["constructions"] if (c["x"], c["y"]) == (0, 1)
+            c for c in prop1_n3.constructions if (c.x, c.y) == (0, 1)
         )
-        assert first["ranking"] == rk("12 123 / 1 13 / 2 23 / 3")
-        assert first["rdf_forces"] == sel("1")
-        assert sel("2")[0] in first["concomitant"]
+        assert first.ranking == rk("12 123 / 1 13 / 2 23 / 3")
+        assert first.rdf_forces == sel("1")
+        assert sel("2")[0] in first.concomitant
 
     def test_lemma_holds_exhaustively(self, prop1_n3):
-        lemma = prop1_n3["lemma"]
-        assert lemma["rankings_checked"] == 47293
-        assert lemma["counterexamples"] == 0
-        assert lemma["rdf_premises"] > 0
-        assert lemma["rjad_premises"] > 0
+        lemma = prop1_n3.lemma
+        assert lemma.rankings_checked == 47293
+        assert lemma.counterexamples == 0
+        assert lemma.rdf_premises > 0
+        assert lemma.rjad_premises > 0
 
     def test_constant_rule_keeps_both_weak_axioms(self, prop1_n3):
-        assert prop1_n3["wrag_sweep"].violations == 0
-        assert prop1_n3["cv_sweep"].violations == 0
+        assert prop1_n3.wrag_sweep.violations == 0
+        assert prop1_n3.cv_sweep.violations == 0
 
     def test_small_universes_rejected(self):
         with pytest.raises(ValueError):
@@ -184,29 +184,29 @@ class TestIndependence:
         assert les_stag_instance() == rk("12 / 1 / rest")
 
     def test_claim_grid(self, independence_n4):
-        claims = {(c["rule"], c["axiom"]): c for c in independence_n4["claims"]}
-        assert claims[("f_star", "STAG")]["verdict"] == "satisfied"
-        assert claims[("f_star", "DMON")]["verdict"] == "violated"
-        assert claims[("split_plurality", "STAG")]["verdict"] == "satisfied"
-        assert claims[("split_plurality", "DMON")]["verdict"] == "satisfied"
-        assert claims[("split_plurality", "SI")]["verdict"] == "violated"
-        assert claims[("les", "SI")]["verdict"] == "satisfied"
-        assert claims[("les", "DMON")]["verdict"] == "satisfied"
-        assert claims[("les", "STAG")]["verdict"] == "violated"
+        claims = {(c.rule, c.axiom): c for c in independence_n4.claims}
+        assert claims[("f_star", "STAG")].verdict == "satisfied"
+        assert claims[("f_star", "DMON")].verdict == "violated"
+        assert claims[("split_plurality", "STAG")].verdict == "satisfied"
+        assert claims[("split_plurality", "DMON")].verdict == "satisfied"
+        assert claims[("split_plurality", "SI")].verdict == "violated"
+        assert claims[("les", "SI")].verdict == "satisfied"
+        assert claims[("les", "DMON")].verdict == "satisfied"
+        assert claims[("les", "STAG")].verdict == "violated"
 
     def test_f_star_slide_claim_is_refuted_and_flagged(self, independence_n4):
         # the recorded expectation says f_star keeps SI, the exhaustive
         # sweep proves otherwise; the report must surface that honestly
         claim = next(
             c
-            for c in independence_n4["claims"]
-            if (c["rule"], c["axiom"]) == ("f_star", "SI")
+            for c in independence_n4.claims
+            if (c.rule, c.axiom) == ("f_star", "SI")
         )
-        assert claim["expected"] == "satisfied"
-        assert claim["verdict"] == "violated"
-        assert claim["discrepancy"] is True
-        assert claim["sweep"].violations > 0
-        assert independence_n4["discrepancies"] == [claim]
+        assert claim.expected == "satisfied"
+        assert claim.verdict == "violated"
+        assert claim.discrepancy is True
+        assert claim.sweep.violations > 0
+        assert independence_n4.discrepancies == (claim,)
 
     def test_f_star_slide_counterexample_instance(self):
         # sliding {2} down from the best class turns the whole-universe
@@ -224,8 +224,8 @@ class TestIndependence:
         assert replay(witness, f_star).status == VIOLATED
 
     def test_witnesses_replay(self, independence_n4):
-        for claim in independence_n4["claims"]:
-            if claim["verdict"] == "violated":
-                witness = claim["witness"]
+        for claim in independence_n4.claims:
+            if claim.verdict == "violated":
+                witness = claim.witness
                 assert witness is not None
-                assert replay(witness, lookup_rule(claim["rule"])).status == VIOLATED
+                assert replay(witness, lookup_rule(claim.rule)).status == VIOLATED
