@@ -24,8 +24,8 @@ tuples, e.g. the entries of :data:`millrank.solutions.RULES`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
 from functools import partial
+from typing import Literal
 
 from .core import CoalitionalRanking, concomitant_set, mask_members, top_intersection
 from .errors import UnknownAxiomError

@@ -20,9 +20,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, is_dataclass
-from functools import cache
-from typing import Literal, get_args, get_origin, get_type_hints
+from dataclasses import is_dataclass
+from typing import Literal, get_args, get_origin
 
 import jsonschema
 
@@ -53,6 +52,7 @@ from .verify import (
     Theorem1Report,
     check_single,
     independence_report,
+    report_fields,
     prop1_report,
     prop3_matrix,
     sweep,
@@ -103,20 +103,6 @@ KEYED = {
         _NAMES,
     ),
 }
-
-
-@cache
-def report_fields(cls) -> dict:
-    """JSON key -> type hint of a report dataclass.
-
-    The keys are its fields, less those marked ``NOT_REPORTED``, plus
-    the properties its ``DERIVED`` tuple names.
-    """
-    hints = get_type_hints(cls)
-    keys = {f.name: hints[f.name] for f in fields(cls) if f.metadata.get("reported", True)}
-    for name in getattr(cls, "DERIVED", ()):
-        keys[name] = get_type_hints(getattr(cls, name).fget)["return"]
-    return keys
 
 
 def to_json(value, universe=None):
@@ -218,6 +204,16 @@ _MODE_SCHEMA = {
     ]
 }
 
+# Result keys of the report dataclasses, each with a schema in "$defs".
+_RESULT_KINDS = {
+    "verdict": Verdict,
+    "sweep_report": SweepReport,
+    "matrix_report": MatrixReport,
+    "theorem1_report": Theorem1Report,
+    "prop1_report": Prop1Report,
+    "independence_report": IndependenceReport,
+}
+
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -232,12 +228,7 @@ REPORT_SCHEMA = {
             "maxProperties": 1,
             "properties": {
                 "selection": {"type": "array", "items": {"type": "string"}},
-                "verdict": {"$ref": "#/$defs/verdict"},
-                "sweep_report": {"$ref": "#/$defs/sweep_report"},
-                "matrix_report": _object_schema(MatrixReport),
-                "theorem1_report": _object_schema(Theorem1Report),
-                "prop1_report": _object_schema(Prop1Report),
-                "independence_report": _object_schema(IndependenceReport),
+                **{key: {"$ref": f"#/$defs/{key}"} for key in _RESULT_KINDS},
                 "rankings": {"type": "array", "items": {"type": "string"}},
                 "count": {"type": "integer", "minimum": 0},
             },
@@ -247,9 +238,8 @@ REPORT_SCHEMA = {
     "additionalProperties": False,
     "$defs": {
         "witness": _object_schema(Witness),
-        "verdict": _object_schema(Verdict),
         "mode": _MODE_SCHEMA,
-        "sweep_report": _object_schema(SweepReport),
+        **{key: _object_schema(cls) for key, cls in _RESULT_KINDS.items()},
     },
 }
 
@@ -325,7 +315,7 @@ def _build_parser():
     sweep_cmd.add_argument("--n", required=True, type=int)
 
     verify_cmd = sub.add_parser("verify", parents=[streamed], help="run a verification campaign")
-    verify_cmd.add_argument("campaign", choices=list(_CAMPAIGN_FLAGS))
+    verify_cmd.add_argument("campaign", choices=list(_CAMPAIGNS))
     verify_cmd.add_argument("--rule", choices=sorted(RULES), help="theorem1 only")
     verify_cmd.add_argument("--n", type=int)
 
@@ -394,25 +384,27 @@ def _cmd_sweep(args) -> int:
     return 1 if report.violations else 0
 
 
-# The flags each campaign reads beyond --n, --witness-cap and --jobs.
-_CAMPAIGN_FLAGS = {
-    "theorem1": ("rule", "sample", "seed"),
-    "prop1": (),
-    "prop3": ("sample", "seed"),
-    "independence": (),
+# Campaign -> (default --n, the flags it reads beyond --n, --witness-cap
+# and --jobs).
+_CAMPAIGNS = {
+    "theorem1": (3, ("rule", "sample", "seed")),
+    "prop1": (3, ()),
+    "prop3": (3, ("sample", "seed")),
+    "independence": (4, ()),
 }
 
 
 def _cmd_verify(args) -> int:
+    default_n, reads = _CAMPAIGNS[args.campaign]
     for flag in ("rule", "sample", "seed"):
-        if getattr(args, flag) is not None and flag not in _CAMPAIGN_FLAGS[args.campaign]:
+        if getattr(args, flag) is not None and flag not in reads:
             raise MillrankError(f"verify {args.campaign} does not take --{flag}")
+    n = args.n if args.n is not None else default_n
     jobs = _resolve_jobs(args)
     cap = args.witness_cap
     if args.campaign == "theorem1":
         if not args.rule:
             raise MillrankError("verify theorem1 needs --rule")
-        n = args.n if args.n is not None else 3
         mode = _mode_from_args(args)
         if mode == EXHAUSTIVE and n > 4:
             raise UniverseTooLargeError("exhaustive probes support n <= 4; pass --sample COUNT")
@@ -423,7 +415,6 @@ def _cmd_verify(args) -> int:
         print(f"theorem1 {args.rule} n={n}: {outcome}", file=sys.stderr)
         return 0 if report.equivalent else 1
     if args.campaign == "prop1":
-        n = args.n if args.n is not None else 3
         report = prop1_report(n, jobs=jobs, witness_cap=cap)
         emit_report("verify", {"campaign": "prop1", "n": n}, "prop1_report", report)
         clean = (
@@ -435,7 +426,6 @@ def _cmd_verify(args) -> int:
         print(f"prop1 n={n}: {'certified' if clean else 'FAILED'}", file=sys.stderr)
         return 0 if clean else 1
     if args.campaign == "prop3":
-        n = args.n if args.n is not None else 3
         mode = _mode_from_args(args)
         if mode == EXHAUSTIVE and n > 3:
             raise UniverseTooLargeError("exhaustive matrices support n <= 3; pass --sample COUNT")
@@ -448,7 +438,6 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 0 if not bad else 1
-    n = args.n if args.n is not None else 4
     report = independence_report(n, jobs=jobs, witness_cap=cap)
     emit_report("verify", {"campaign": "independence", "n": n}, "independence_report", report)
     print(f"independence n={n}: {report.discrepancy_count} discrepancies", file=sys.stderr)

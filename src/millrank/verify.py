@@ -10,18 +10,18 @@ checked by a pool of worker processes; partial tallies merge by addition
 and witnesses carry their stream index, so the number of workers never
 changes a report.
 
-Every report is a frozen dataclass. Its JSON form holds its fields,
-except those whose metadata is :data:`NOT_REPORTED`, plus the derived
-properties named in its ``DERIVED`` tuple.
+Every report is a frozen dataclass; :func:`report_fields` names the
+keys of its JSON form.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
 from itertools import permutations
 from multiprocessing import get_context
-from typing import ClassVar
+from typing import ClassVar, get_type_hints
 
 from .axioms import (
     AXIOMS,
@@ -44,6 +44,20 @@ THEOREM_AXIOMS = ("STAG", "SI", "DMON")
 
 # Field metadata of an execution detail that reports never print.
 NOT_REPORTED = {"reported": False}
+
+
+@cache
+def report_fields(cls) -> dict:
+    """JSON key -> type hint of a report dataclass.
+
+    The keys are its fields, less those marked ``NOT_REPORTED``, plus
+    the properties its ``DERIVED`` tuple names.
+    """
+    hints = get_type_hints(cls)
+    keys = {f.name: hints[f.name] for f in fields(cls) if f.metadata != NOT_REPORTED}
+    for name in getattr(cls, "DERIVED", ()):
+        keys[name] = get_type_hints(getattr(cls, name).fget)["return"]
+    return keys
 
 
 @dataclass(frozen=True)
@@ -501,19 +515,6 @@ def les_stag_instance(universe: Universe | None = None) -> CoalitionalRanking:
     second = members_mask([0], universe)
     rest = tuple(m for m in range(1, universe.full_mask + 1) if m not in (top, second))
     return CoalitionalRanking._trusted(universe, ((top,), (second,), rest))
-
-
-INDEPENDENCE_EXPECTED = (
-    ("f_star", "STAG", "satisfied"),
-    ("f_star", "SI", "satisfied"),
-    ("f_star", "DMON", "violated"),
-    ("split_plurality", "STAG", "satisfied"),
-    ("split_plurality", "DMON", "satisfied"),
-    ("split_plurality", "SI", "violated"),
-    ("les", "SI", "satisfied"),
-    ("les", "DMON", "satisfied"),
-    ("les", "STAG", "violated"),
-)
 
 
 @dataclass(frozen=True)
