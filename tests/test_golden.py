@@ -6,7 +6,9 @@ known-good tree. The cells are every rule x axiom ``sweep`` in three
 settings (exhaustive at n = 2, sampled at n = 3 and at n = 4 under
 fixed seeds), every rule x axiom ``check`` and every rule's ``solve``
 on the pinned instances of ``test_verify.py``, the ``verify`` campaigns
-at small sizes, and the ``enumerate`` and ``sample`` listings. The
+at small sizes, two sampled ``DMON`` sweeps split into three chunks
+and run through a two-worker pool, and the ``enumerate`` and
+``sample`` listings. The
 ``verify independence --n 4`` cell takes about a minute to build, so
 ``test_cli.py`` checks it against the session fixture instead of
 running it here. A mismatch is fixed in the code, never by recording
@@ -61,6 +63,12 @@ FIXED_CELLS = {
         ("enumerate", "--n", "2"),
         ("enumerate", "--n", "3", "--count-only"),
         ("sample", "--n", "4", "--seed", "3", "--count", "5"),
+    ),
+    # Three chunks each through a two-worker pool: pins witness order across chunks.
+    "sweep-pooled": tuple(
+        ("sweep", "--rule", rule, "--axiom", "DMON", "--n", "3", "--sample", "5000", "--seed", "4",
+         "--witness-cap", "50", "--jobs", "2")
+        for rule in ("f_star", "obi")
     ),
 }
 
