@@ -372,43 +372,37 @@ def check_downward_monotonicity(ranking, rule) -> Verdict:
     For every selected x, every nonempty coalition s avoiding x, and
     every ranking obtained by moving s weakly down, x must stay selected.
     Premises are scanned by x, then by s (ascending mask), then by
-    placement; each transformed ranking is evaluated once.
+    placement. One pass over s and its placements evaluates each
+    transformed ranking once and keeps each x's first violation; the
+    witness is that of the smallest x.
     """
     base = rule(ranking)
     if not base:
         return Verdict(INAPPLICABLE, 0)
-    full = ranking.universe.full_mask
-    outcomes = {}
-    for s in range(1, full + 1):
-        if all(s >> x & 1 for x in base):
-            continue
-        specs = list(enumerate_deterioration_specs(ranking, s))
-        results = []
-        for spec in specs:
-            after = apply_deterioration(ranking, spec)
-            results.append((spec, after, set(rule(after))))
-        outcomes[s] = results
     premises = 0
-    witness = None
-    for x in base:
-        for s in sorted(outcomes):
-            if s >> x & 1:
-                continue
-            for spec, after, selected in outcomes[s]:
-                premises += 1
-                if x not in selected and witness is None:
-                    witness = Witness(
-                        axiom="DMON",
-                        ranking=ranking,
-                        premise={
-                            "x": x,
-                            "s": s,
-                            "placement": spec,
-                            "ranking_after": after,
-                        },
-                        expected=f"{ranking.universe.names[x]} stays selected after the deterioration",
-                        actual={"selection_after": tuple(sorted(selected))},
-                    )
+    first = {}
+    for s in range(1, ranking.universe.full_mask + 1):
+        kept = [x for x in base if not s >> x & 1]
+        if not kept:
+            continue
+        for spec in enumerate_deterioration_specs(ranking, s):
+            after = apply_deterioration(ranking, spec)
+            selected = set(rule(after))
+            premises += len(kept)
+            for x in kept:
+                if x not in selected and x not in first:
+                    first[x] = (s, spec, after, selected)
+    if not first:
+        return _verdict(premises, None)
+    x = min(first)
+    s, spec, after, selected = first[x]
+    witness = Witness(
+        axiom="DMON",
+        ranking=ranking,
+        premise={"x": x, "s": s, "placement": spec, "ranking_after": after},
+        expected=f"{ranking.universe.names[x]} stays selected after the deterioration",
+        actual={"selection_after": tuple(sorted(selected))},
+    )
     return _verdict(premises, witness)
 
 

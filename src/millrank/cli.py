@@ -355,10 +355,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     mode = _mode_from_args(args)
-    if mode == EXHAUSTIVE and args.n > 4:
-        raise UniverseTooLargeError(
-            f"exhaustive sweeps support n <= 4; pass --sample COUNT for n={args.n}"
-        )
     report = sweep(
         args.rule,
         args.axiom,
@@ -406,8 +402,6 @@ def _cmd_verify(args) -> int:
         if not args.rule:
             raise MillrankError("verify theorem1 needs --rule")
         mode = _mode_from_args(args)
-        if mode == EXHAUSTIVE and n > 4:
-            raise UniverseTooLargeError("exhaustive probes support n <= 4; pass --sample COUNT")
         report = theorem1_probe(args.rule, n, mode, jobs=jobs, witness_cap=cap)
         parameters = {"campaign": "theorem1", "rule": args.rule, "n": n, "mode": mode}
         emit_report("verify", parameters, "theorem1_report", report)
@@ -427,8 +421,6 @@ def _cmd_verify(args) -> int:
         return 0 if clean else 1
     if args.campaign == "prop3":
         mode = _mode_from_args(args)
-        if mode == EXHAUSTIVE and n > 3:
-            raise UniverseTooLargeError("exhaustive matrices support n <= 3; pass --sample COUNT")
         report = prop3_matrix(n, mode, jobs=jobs, witness_cap=cap)
         parameters = {"campaign": "prop3", "n": n, "mode": mode}
         emit_report("verify", parameters, "matrix_report", report)

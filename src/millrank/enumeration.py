@@ -3,7 +3,8 @@
 A coalitional ranking over n individuals is an ordered set partition of
 the ``2**n - 1`` nonempty coalitions, so exhaustive streams contain
 ``fubini(2**n - 1)`` rankings. Exhaustive enumeration is guarded at
-n <= 4; beyond that, use uniform sampling.
+n <= 3 (n = 4 has about 2.3e14 rankings); beyond that, use uniform
+sampling.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import comb
 from .core import CoalitionalRanking, Universe
 from .errors import UniverseTooLargeError
 
-MAX_EXHAUSTIVE_N = 4
+MAX_EXHAUSTIVE_N = 3
 
 
 @lru_cache(maxsize=None)
@@ -86,8 +87,8 @@ class RankingStream:
     def __init__(self, universe: Universe, mode=EXHAUSTIVE):
         if mode == EXHAUSTIVE and universe.n > MAX_EXHAUSTIVE_N:
             raise UniverseTooLargeError(
-                f"exhaustive enumeration supports n <= {MAX_EXHAUSTIVE_N}; "
-                f"got n={universe.n} - use sampling instead"
+                f"exhaustive enumeration supports n <= {MAX_EXHAUSTIVE_N}, got n={universe.n};"
+                " pass --sample COUNT or use the sample command"
             )
         self.universe = universe
         self.mode = mode
@@ -100,7 +101,7 @@ class RankingStream:
                 yield CoalitionalRanking._trusted(universe, classes)
         else:
             for i in range(self.mode.count):
-                yield sample_ranking(self.universe.n, _derive_seed(self.mode.seed, i))
+                yield sample_ranking(self.universe.n, _derive_seed(self.mode.seed, i), self.universe)
 
     def __len__(self):
         if self.mode == EXHAUSTIVE:
@@ -112,7 +113,7 @@ def enumerate_rankings(n: int, universe: Universe | None = None) -> RankingStrea
     """Every valid ranking over n individuals, exactly once.
 
     The total equals ``fubini(2**n - 1)``. Raises UniverseTooLargeError
-    above n = 4.
+    above n = 3.
     """
     return RankingStream(universe or Universe(n), EXHAUSTIVE)
 

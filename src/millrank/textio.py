@@ -119,7 +119,7 @@ def parse_ranking_json(document) -> CoalitionalRanking:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise RankingSyntaxError(f"invalid JSON: {exc}") from None
     if not isinstance(document, dict) or "universe" not in document or "classes" not in document:
         raise RankingSyntaxError("JSON ranking needs 'universe' and 'classes' keys")

@@ -7,8 +7,8 @@ the satisfaction matrix and the independence report.
 
 All outputs are deterministic for fixed inputs. Ranking batches may be
 checked by a pool of worker processes; partial tallies merge by addition
-and witnesses carry their stream index, so the number of workers never
-changes a report.
+and chunk results come back in stream order, so witnesses concatenate in
+stream order and the number of workers never changes a report.
 
 Every report is a frozen dataclass; :func:`report_fields` names the
 keys of its JSON form.
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from functools import cache
-from itertools import permutations
+from functools import cache, partial
+from itertools import islice, permutations
 from multiprocessing import get_context
 from typing import ClassVar, get_type_hints
 
@@ -90,47 +90,33 @@ class SweepReport:
         return "satisfied" if self.premises_found else "inapplicable"
 
 
-def _sweep_chunk(payload):
-    rule_id, axiom_id, n, names, cap, start, chunk = payload
-    universe = Universe(n, names)
+def _sweep_chunk(rule_id, axiom_id, cap, universe, chunk):
     rule = lookup_rule(rule_id)
     check = AXIOMS[axiom_id]
     premises = violations = 0
     witnesses = []
-    for offset, classes in enumerate(chunk):
-        ranking = CoalitionalRanking._trusted(universe, classes)
-        verdict = check(ranking, rule)
+    for classes in chunk:
+        verdict = check(CoalitionalRanking._trusted(universe, classes), rule)
         premises += verdict.premises_checked
         if verdict.status == VIOLATED:
             violations += 1
             if len(witnesses) < cap:
-                witnesses.append((start + offset, verdict.witness))
+                witnesses.append(verdict.witness)
     return len(chunk), premises, violations, witnesses
 
 
-def _run_chunks(universe, mode, worker, payload_fn, jobs):
-    """Feed stream chunks to a worker, inline or through a fork pool."""
-    stream = RankingStream(universe, mode)
-    results = []
+def _run_chunks(universe, mode, worker, jobs):
+    """Run ``worker(universe, chunk)`` on each stream chunk, inline or in a fork pool.
 
-    def payloads():
-        start = 0
-        chunk = []
-        for ranking in stream:
-            chunk.append(ranking.classes)
-            if len(chunk) == _CHUNK:
-                yield payload_fn(start, tuple(chunk))
-                start += len(chunk)
-                chunk = []
-        if chunk:
-            yield payload_fn(start, tuple(chunk))
-
-    if jobs and jobs > 1:
+    Both ways return the results in stream order.
+    """
+    classes = (ranking.classes for ranking in RankingStream(universe, mode))
+    chunks = iter(lambda: tuple(islice(classes, _CHUNK)), ())
+    work = partial(worker, universe)
+    if jobs > 1:
         with get_context("fork").Pool(jobs) as pool:
-            results = list(pool.imap(worker, payloads()))
-    else:
-        results = [worker(p) for p in payloads()]
-    return results
+            return list(pool.imap(work, chunks))
+    return list(map(work, chunks))
 
 
 def sweep(
@@ -146,7 +132,7 @@ def sweep(
     """Check one axiom against one rule over a whole ranking stream.
 
     Exhaustive mode covers every ranking of the universe (guarded at
-    n <= 4); sample mode draws ``mode.count`` uniform rankings from
+    n <= 3); sample mode draws ``mode.count`` uniform rankings from
     ``mode.seed``. The report is identical for any ``jobs`` value.
     """
     lookup_axiom(axiom)
@@ -154,18 +140,9 @@ def sweep(
     lookup_rule(rule)
     universe = universe or Universe(n)
     started = time.perf_counter()
-    parts = _run_chunks(
-        universe,
-        mode,
-        _sweep_chunk,
-        lambda start, chunk: (rule, axiom, n, universe.names, witness_cap, start, chunk),
-        jobs,
-    )
-    checked = sum(p[0] for p in parts)
-    premises = sum(p[1] for p in parts)
-    violations = sum(p[2] for p in parts)
-    tagged = sorted((t for p in parts for t in p[3]), key=lambda t: t[0])
-    witnesses = tuple(w for _, w in tagged[:witness_cap])
+    parts = _run_chunks(universe, mode, partial(_sweep_chunk, rule, axiom, witness_cap), jobs)
+    checked, premises, violations = (sum(p[i] for p in parts) for i in range(3))
+    witnesses = tuple(w for p in parts for w in p[3])[:witness_cap]
     if mode == EXHAUSTIVE:
         expected = fubini(universe.full_mask)
         if checked != expected:
@@ -173,7 +150,7 @@ def sweep(
     return SweepReport(
         rule=rule,
         axiom=axiom,
-        n=n,
+        n=universe.n,
         mode=mode,
         rankings_checked=checked,
         premises_found=premises,
@@ -275,24 +252,17 @@ def theorem1_probe(
     return Theorem1Report(rule, n, mode, compared, difference, witness, None)
 
 
-def _relative_lemma_chunk(payload):
-    n, names, start, chunk = payload
-    universe = Universe(n, names)
-    rdf_total = rjad_total = 0
-    counterexamples = []
-    for offset, classes in enumerate(chunk):
+def _relative_lemma_chunk(universe, chunk):
+    rdf_total = rjad_total = counterexamples = 0
+    for classes in chunk:
         ranking = CoalitionalRanking._trusted(universe, classes)
         rdf, rjad = rdf_premises(ranking), rjad_premises(ranking)
         rdf_total += len(rdf)
         rjad_total += len(rjad)
-        if not (rdf or rjad):
-            continue
-        agreement = set(rag_premises(ranking))
-        for kind, pairs in (("RDF", rdf), ("RJAD", rjad)):
-            counterexamples.extend(
-                (start + offset, kind, s0, x) for s0, x in pairs if (s0, x) not in agreement
-            )
-    return rdf_total, rjad_total, counterexamples[:5]
+        if rdf or rjad:
+            agreement = set(rag_premises(ranking))
+            counterexamples += sum(premise not in agreement for premise in rdf + rjad)
+    return rdf_total, rjad_total, counterexamples
 
 
 def relative_construction(x: int, y: int, universe: Universe) -> CoalitionalRanking:
@@ -381,19 +351,8 @@ def prop1_report(n: int = 3, *, jobs: int = 1, witness_cap: int = 10) -> Prop1Re
         )
     if n != 3:
         return Prop1Report(n, tuple(constructions), None, None, None)
-    parts = _run_chunks(
-        universe,
-        EXHAUSTIVE,
-        _relative_lemma_chunk,
-        lambda start, chunk: (n, universe.names, start, chunk),
-        jobs,
-    )
-    lemma = RelativeLemma(
-        rankings_checked=fubini(universe.full_mask),
-        rdf_premises=sum(p[0] for p in parts),
-        rjad_premises=sum(p[1] for p in parts),
-        counterexamples=sum(len(p[2]) for p in parts),
-    )
+    parts = _run_chunks(universe, EXHAUSTIVE, _relative_lemma_chunk, jobs)
+    lemma = RelativeLemma(fubini(universe.full_mask), *(sum(p[i] for p in parts) for i in range(3)))
     return Prop1Report(
         n,
         tuple(constructions),

@@ -4,11 +4,13 @@ from hypothesis import strategies as st
 
 from millrank import (
     AXIOMS,
+    DeteriorationSpec,
     INAPPLICABLE,
     SATISFIED,
     VIOLATED,
     RULES,
     UnknownAxiomError,
+    apply_deterioration,
     apply_slide,
     check_concomitant,
     check_downward_monotonicity,
@@ -21,6 +23,7 @@ from millrank import (
     check_top_joint,
     concomitant_set,
     const_x,
+    enumerate_deterioration_specs,
     f_star,
     les,
     lookup_axiom,
@@ -203,6 +206,32 @@ class TestDownwardMonotonicity:
     def test_constant_rule_always_satisfies(self):
         for ranking in (EX2, PROP1_RANKING, rk("1 2 12 / 3 / rest")):
             assert check_downward_monotonicity(ranking, const_x).status == SATISFIED
+
+    @pytest.mark.parametrize(
+        "shorthand, rule, premises, placement",
+        [
+            ("1 2 12 3 13 / 23 / 123", f_star, 51, DeteriorationSpec(cmask("3"), "join", 1)),
+            ("1 / 2 / 12 / 3 / 13 / 23 / 123", obi, 79, DeteriorationSpec(cmask("3"), "join", 4)),
+        ],
+    )
+    def test_witness_is_individual_major(self, shorthand, rule, premises, placement):
+        ranking = rk(shorthand)
+        verdict = check_downward_monotonicity(ranking, rule)
+        assert verdict.premises_checked == premises
+        premise = verdict.witness.premise
+        assert (premise["x"], premise["s"], premise["placement"]) == (
+            sel("2")[0], cmask("3"), placement
+        )
+        # Individual 3 is dropped earlier in (s, placement) order, yet the
+        # witness names individual 2: the scan takes x first.
+        (three,) = sel("3")
+        earlier = [
+            apply_deterioration(ranking, spec)
+            for s in range(1, cmask("3"))
+            if not s >> three & 1
+            for spec in enumerate_deterioration_specs(ranking, s)
+        ]
+        assert any(three not in rule(after) for after in earlier)
 
 
 class TestRegistryAndReplay:

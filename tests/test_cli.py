@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from millrank import enumeration
 from millrank.cli import REPORT_SCHEMA, _resolve_jobs, emit_report, main
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "reports.json"
@@ -61,6 +62,14 @@ class TestSolve:
         code, doc, _ = run(capsys, "solve", "--rule", "les", "--input", str(path))
         assert code == 0
         assert doc["result"]["selection"] == ["a"]
+
+    def test_deeply_nested_json_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, doc, err = run(capsys, "solve", "--rule", "plurality", "--input", str(path))
+        assert code == 2
+        assert doc is None
+        assert "invalid JSON" in err
 
     def test_missing_file(self, capsys):
         code, doc, err = run(capsys, "solve", "--rule", "les", "--input", "/nonexistent.rank")
@@ -278,6 +287,39 @@ class TestVerifyCommands:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
         assert '"seed": 0' in outs[0]
+
+
+class TestExhaustiveGuard:
+    """Exhaustive runs stop at n = 3: n = 4 has about 2.3e14 rankings."""
+
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch):
+        # A regression fails here instead of starting the walk.
+        def refuse(elements):
+            raise AssertionError("exhaustive enumeration started")
+
+        monkeypatch.setattr(enumeration, "_ordered_partitions", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--rule", "plurality", "--axiom", "STAG", "--n", "4"),
+            ("verify", "theorem1", "--rule", "plurality", "--n", "4"),
+            ("verify", "prop3", "--n", "4"),
+            ("enumerate", "--n", "4"),
+        ],
+    )
+    def test_n4_without_sample_is_refused(self, capsys, argv):
+        code, doc, err = run(capsys, *argv)
+        assert code == 2
+        assert doc is None
+        assert "--sample COUNT" in err
+        assert "sample command" in err
+
+    def test_n4_count_still_works(self, capsys):
+        code, doc, _ = run(capsys, "enumerate", "--n", "4", "--count-only")
+        assert code == 0
+        assert doc["result"]["count"] == 230283190977853
 
 
 class TestEnumerateAndSample:

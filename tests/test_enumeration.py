@@ -108,6 +108,12 @@ class TestSampleRanking:
         again = list(RankingStream(Universe(3), Sample(5, 99)))
         assert stream == again
 
+    def test_stream_keeps_its_universe(self):
+        universe = Universe(3, ("a", "b", "c"))
+        (ranking,) = RankingStream(universe, Sample(1, 0))
+        assert ranking.universe == universe
+        assert ranking.universe.names == ("a", "b", "c")
+
 
 def test_golden_first_rankings_n2(all_n2):
     assert all_n2[0] == rk("1 / 2 / 12", n=2)

@@ -1,7 +1,9 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from millrank import (
@@ -15,6 +17,7 @@ from millrank import (
     render_ranking,
     sample_ranking,
 )
+from millrank.cli import main
 from helpers import rk
 
 EXAMPLE_DOC = """\
@@ -115,6 +118,7 @@ class TestJsonMirror:
             {"universe": ["1"]},
             "null",
             '"universe"',
+            pytest.param("[" * 100_000, id="nested-too-deep"),
         ],
     )
     def test_rejects_malformed_structure(self, document):
@@ -175,3 +179,39 @@ def test_arbitrary_json_raises_only_domain_errors(document):
 def test_parse_render_round_trip_on_samples(seed, n):
     ranking = sample_ranking(n, seed)
     assert parse_ranking(render_ranking(ranking)) == ranking
+
+
+# Documents mixing arbitrary lines with universe and class lines over a
+# small alphabet, so that some of them parse and most get far into it.
+_ALPHABET = "12ab{},# \t"
+_lines = (
+    st.text(max_size=12)
+    | st.text(_ALPHABET, max_size=8).map("universe:".__add__)
+    | st.text(_ALPHABET, max_size=20).map("class:".__add__)
+)
+_texts = st.lists(_lines, max_size=6).map("\n".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_texts)
+def test_arbitrary_text_raises_only_domain_errors(text):
+    try:
+        parse_ranking(text)
+    except MillrankError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=st.binary(max_size=64) | _texts.map(str.encode), suffix=st.sampled_from([".rank", ".json"]))
+@example(content=b"[" * 100_000, suffix=".json")
+def test_solve_on_arbitrary_files_exits_zero_or_two(input_dir, content, suffix):
+    path = input_dir / ("input" + suffix)
+    path.write_bytes(content)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["solve", "--rule", "plurality", "--input", str(path)])
+    assert code in (0, 2)

@@ -18,6 +18,7 @@ from millrank import (
     sweep,
     theorem1_probe,
 )
+from millrank import verify
 from millrank.cli import to_json
 from helpers import cmask, rk, sel
 
@@ -117,6 +118,13 @@ class TestProp1:
     def test_constant_rule_keeps_both_weak_axioms(self, prop1_n3):
         assert prop1_n3.wrag_sweep.violations == 0
         assert prop1_n3.cv_sweep.violations == 0
+
+    def test_lemma_counts_every_counterexample(self, monkeypatch):
+        # With no agreement premise, every RDF and RJAD premise is a counterexample.
+        monkeypatch.setattr(verify, "rag_premises", lambda ranking: [])
+        lemma = verify.prop1_report(3).lemma
+        assert (lemma.rdf_premises, lemma.rjad_premises) == (4050, 4050)
+        assert lemma.counterexamples == 8100
 
     def test_small_universes_rejected(self):
         with pytest.raises(ValueError):
