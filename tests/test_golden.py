@@ -6,8 +6,9 @@ known-good tree. The cells are every rule x axiom ``sweep`` in three
 settings (exhaustive at n = 2, sampled at n = 3 and at n = 4 under
 fixed seeds), every rule x axiom ``check`` and every rule's ``solve``
 on the pinned instances of ``test_verify.py``, the ``verify`` campaigns
-at small sizes, two sampled ``DMON`` sweeps split into three chunks
-and run through a two-worker pool, and the ``enumerate`` and
+at small sizes, the exhaustive n = 3 ``prop3`` (also with ``--jobs 2``)
+and ``prop1`` campaigns, two sampled ``DMON`` sweeps split into three
+chunks and run through a two-worker pool, and the ``enumerate`` and
 ``sample`` listings. The
 ``verify independence --n 4`` cell takes about a minute to build, so
 ``test_cli.py`` checks it against the session fixture instead of
@@ -63,6 +64,12 @@ FIXED_CELLS = {
         ("enumerate", "--n", "2"),
         ("enumerate", "--n", "3", "--count-only"),
         ("sample", "--n", "4", "--seed", "3", "--count", "5"),
+    ),
+    # The exhaustive n = 3 premise campaigns, one of them through a two-worker pool.
+    "campaigns-exhaustive": (
+        ("verify", "prop3", "--n", "3"),
+        ("verify", "prop3", "--n", "3", "--jobs", "2"),
+        ("verify", "prop1", "--n", "3"),
     ),
     # Three chunks each through a two-worker pool: pins witness order across chunks.
     "sweep-pooled": tuple(
