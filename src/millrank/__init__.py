@@ -99,6 +99,7 @@ from .verify import (
     relative_construction,
     split_plurality_slide_instance,
     sweep,
+    sweep_cells,
     theorem1_probe,
 )
 

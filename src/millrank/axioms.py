@@ -5,7 +5,9 @@ selection. The nine premise-only axioms (TAG, STAG, TDF, TJAD, CV, RAG,
 WRAG, RDF, RJAD) are one table, :data:`PREMISE_AXIOMS`: a premise lister
 that returns every premise instance of a ranking in the documented scan
 order, and a conclusion (the selection equals the forced individuals,
-or contains them). One function, :func:`judge`, builds their verdicts.
+or contains them). One function, :func:`judge_selection`, builds their
+verdicts from the listed instances and the rule's selection;
+:func:`judge` lists and selects, then calls it.
 The two transformation axioms, slide independence (SI) and downward
 monotonicity (DMON), evaluate the rule on transformed rankings as well
 and keep their own scans.
@@ -252,15 +254,24 @@ PREMISE_AXIOMS = {
 def judge(axiom: str, ranking, rule) -> Verdict:
     """Verdict of one premise-only axiom on one ranking.
 
-    Counts every premise instance, evaluates the rule once and only when
-    an instance exists, and records the first instance whose conclusion
-    fails as the witness.
+    Lists every premise instance and evaluates the rule once, and only
+    when an instance exists.
     """
-    premises, keys, contains, expected = PREMISE_AXIOMS[axiom]
-    instances = premises(ranking)
+    instances = PREMISE_AXIOMS[axiom][0](ranking)
     if not instances:
         return Verdict(INAPPLICABLE, 0)
-    actual = tuple(rule(ranking))
+    return judge_selection(axiom, ranking, instances, tuple(rule(ranking)))
+
+
+def judge_selection(axiom: str, ranking, instances, actual: tuple) -> Verdict:
+    """Verdict of a selection against the premise instances listed on a ranking.
+
+    ``instances`` is the nonempty list the axiom's lister returned on
+    ``ranking`` and ``actual`` the rule's selection there. Counts every
+    instance and records the first one whose conclusion fails as the
+    witness.
+    """
+    _, keys, contains, expected = PREMISE_AXIOMS[axiom]
     chosen = set(actual)
     held = None
     for instance in instances:

@@ -214,13 +214,67 @@ _RESULT_KINDS = {
     "independence_report": IndependenceReport,
 }
 
+_INTEGER = {"type": "integer"}
+_STRING = {"type": "string"}
+_PARAMETER_SCHEMAS = {
+    "rule": _STRING,
+    "axiom": _STRING,
+    "input": _STRING,
+    "n": _INTEGER,
+    "seed": _INTEGER,
+    "count": _TYPE_SCHEMAS[int],
+    "witness_cap": _TYPE_SCHEMAS[int],
+    "count_only": _TYPE_SCHEMAS[bool],
+    "mode": _KEY_SCHEMAS["mode"],
+}
+
+# Envelope parameter keys of each command, and of each verify campaign
+# beside its "campaign" key.
+PARAMETERS = {
+    "solve": ("rule", "input"),
+    "check": ("rule", "axiom", "input"),
+    "sweep": ("rule", "axiom", "n", "mode", "witness_cap"),
+    "enumerate": ("n", "count_only"),
+    "sample": ("n", "seed", "count"),
+}
+CAMPAIGN_PARAMETERS = {
+    "theorem1": ("rule", "n", "mode"),
+    "prop1": ("n",),
+    "prop3": ("n", "mode"),
+    "independence": ("n",),
+}
+
+
+def _parameters_schema(keys, **fixed):
+    """Closed schema of one parameters object: every key required, no other allowed."""
+    properties = {key: _PARAMETER_SCHEMAS[key] for key in keys}
+    properties.update({key: {"const": value} for key, value in fixed.items()})
+    return {
+        "type": "object",
+        "required": sorted(properties),
+        "properties": properties,
+        "additionalProperties": False,
+    }
+
+
+_PARAMETERS_DEFS = {
+    **{command: _parameters_schema(keys) for command, keys in PARAMETERS.items()},
+    "verify": {
+        "oneOf": [
+            _parameters_schema(keys, campaign=campaign)
+            for campaign, keys in CAMPAIGN_PARAMETERS.items()
+        ]
+    },
+}
+
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
     "required": ["schema_version", "command", "parameters", "result"],
+    "allOf": [{"$ref": "#/$defs/command_parameters"}],
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
-        "command": {"type": "string"},
+        "command": {"enum": list(_PARAMETERS_DEFS)},
         "parameters": {"type": "object"},
         "result": {
             "type": "object",
@@ -237,6 +291,18 @@ REPORT_SCHEMA = {
     },
     "additionalProperties": False,
     "$defs": {
+        # Kept out of "properties": the draft-07 metaschema, which validation
+        # checks the schema against first, does not descend into "$defs".
+        "command_parameters": {
+            "allOf": [
+                {
+                    "if": {"properties": {"command": {"const": command}}},
+                    "then": {"properties": {"parameters": {"$ref": f"#/$defs/parameters/{command}"}}},
+                }
+                for command in _PARAMETERS_DEFS
+            ]
+        },
+        "parameters": _PARAMETERS_DEFS,
         "witness": _object_schema(Witness),
         "mode": _MODE_SCHEMA,
         **{key: _object_schema(cls) for key, cls in _RESULT_KINDS.items()},

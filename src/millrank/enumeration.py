@@ -20,21 +20,33 @@ from .errors import UniverseTooLargeError
 MAX_EXHAUSTIVE_N = 3
 
 
-@lru_cache(maxsize=None)
 def fubini(m: int) -> int:
     """Number of weak orders on m labeled elements (exact big integer).
 
     fubini(0) = 1; fubini(m) sums over the size k of the top class:
-    C(m, k) * fubini(m - k). Smaller values are cached bottom-up first,
-    so no call nests more than two deep whatever the size of m.
+    C(m, k) * fubini(m - k).
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        return 1
-    for smaller in range(m):
-        fubini(smaller)
-    return sum(comb(m, k) * fubini(m - k) for k in range(1, m + 1))
+    return _fubini_table(m)[m]
+
+
+@lru_cache(maxsize=None)
+def _fubini_table(m: int) -> tuple[int, ...]:
+    """fubini(0), ..., fubini(m), as row sums of the ordered-partition triangle.
+
+    T(j, k), the number of ordered partitions of j elements into k
+    blocks (OEIS A019538), is k * (T(j - 1, k - 1) + T(j - 1, k)): the
+    last element opens a block of its own or joins one. Each row takes
+    additions and small multiples only, where the binomial recurrence
+    needs C(m, k) for every k <= m (10 s of big binomials at m = 1023).
+    """
+    values, row = [1], [1]
+    for j in range(1, m + 1):
+        row.append(0)
+        row = [0, *(k * (row[k - 1] + row[k]) for k in range(1, j + 1))]
+        values.append(sum(row))
+    return tuple(values)
 
 
 def _ordered_partitions(elements: tuple[int, ...]):
@@ -131,16 +143,16 @@ def sample_ranking(n: int, rng_seed: int, universe: Universe | None = None) -> C
     determined by the integer seed.
     """
     universe = universe or Universe(n)
+    weak_orders = _fubini_table(universe.full_mask)
     rng = random.Random(rng_seed)
     remaining = list(range(1, universe.full_mask + 1))
     classes = []
     while remaining:
         m = len(remaining)
-        total = fubini(m)
-        ticket = rng.randrange(total)
+        ticket = rng.randrange(weak_orders[m])
         acc = 0
         for k in range(1, m + 1):
-            acc += comb(m, k) * fubini(m - k)
+            acc += comb(m, k) * weak_orders[m - k]
             if ticket < acc:
                 break
         chosen = sorted(rng.sample(remaining, k))

@@ -1,13 +1,17 @@
 """Verification campaigns: axiom sweeps and the standing result reports.
 
-A sweep applies one axiom checker to every ranking of a stream and
-aggregates the verdicts. Campaign functions bundle sweeps and pinned
-instances into the characterization probe, the incompatibility report,
-the satisfaction matrix and the independence report.
+A sweep judges one or more (rule, axiom) cells on every ranking of a
+stream, in one pass, and aggregates each cell's verdicts. Per ranking
+it builds the ranking once, lists each premise-only axiom's instances
+once for all cells, and evaluates each rule at most once, only when one
+of its cells has an instance; the ``SI`` and ``DMON`` cells run their
+checkers. Campaign functions bundle one such pass and pinned instances
+into the characterization probe, the incompatibility report, the
+satisfaction matrix and the independence report.
 
 All outputs are deterministic for fixed inputs. Ranking batches may be
 checked by a pool of worker processes; partial tallies merge by addition
-and chunk results come back in stream order, so witnesses concatenate in
+as chunk results come back in stream order, so witnesses concatenate in
 stream order and the number of workers never changes a report.
 
 Every report is a frozen dataclass; :func:`report_fields` names the
@@ -25,9 +29,11 @@ from typing import ClassVar, get_type_hints
 
 from .axioms import (
     AXIOMS,
+    PREMISE_AXIOMS,
     VIOLATED,
     Status,
     Witness,
+    judge_selection,
     judge_slide,
     lookup_axiom,
     rag_premises,
@@ -67,6 +73,7 @@ class SweepReport:
     ``violations`` counts rankings whose verdict was violated (each
     contributes exactly one witness before capping); ``witnesses`` keeps
     the first ``witness_cap`` of them in stream order. ``wall_time`` is
+    the time of the whole pass that swept this cell with others; it is
     informational only and never serialized.
     """
 
@@ -90,33 +97,129 @@ class SweepReport:
         return "satisfied" if self.premises_found else "inapplicable"
 
 
-def _sweep_chunk(rule_id, axiom_id, cap, universe, chunk):
-    rule = lookup_rule(rule_id)
-    check = AXIOMS[axiom_id]
-    premises = violations = 0
-    witnesses = []
+def _sweep_chunk(cells, tally, cap, universe, chunk):
+    """Per-cell [premises, violations, witnesses] of one chunk, and its ``tally`` totals.
+
+    Each ranking is built once, and each premise lister runs on it at
+    most once, whichever cells and ``tally`` ask for its instances. A
+    rule is evaluated at most once per ranking, and only when one of its
+    premise-only cells has an instance there; ``SI`` and ``DMON`` cells
+    run their own checkers.
+    """
+    rules = {rule: lookup_rule(rule) for rule, _ in cells}
+    plans = [
+        (rule, axiom, PREMISE_AXIOMS[axiom][0] if axiom in PREMISE_AXIOMS else AXIOMS[axiom])
+        for rule, axiom in cells
+    ]  # a premise-only axiom's lister, else the axiom's checker
+    results = [[0, 0, []] for _ in cells]
+    tallies = []
     for classes in chunk:
-        verdict = check(CoalitionalRanking._trusted(universe, classes), rule)
-        premises += verdict.premises_checked
-        if verdict.status == VIOLATED:
-            violations += 1
-            if len(witnesses) < cap:
-                witnesses.append(verdict.witness)
-    return len(chunk), premises, violations, witnesses
+        ranking = CoalitionalRanking._trusted(universe, classes)
+        listed, selected = {}, {}
+
+        def instances(lister):
+            if lister not in listed:
+                listed[lister] = lister(ranking)
+            return listed[lister]
+
+        for (rule, axiom, fn), result in zip(plans, results):
+            if axiom in PREMISE_AXIOMS:
+                found = instances(fn)
+                if not found:
+                    continue
+                if rule not in selected:
+                    selected[rule] = tuple(rules[rule](ranking))
+                verdict = judge_selection(axiom, ranking, found, selected[rule])
+            else:
+                verdict = fn(ranking, rules[rule])
+            result[0] += verdict.premises_checked
+            if verdict.status == VIOLATED:
+                result[1] += 1
+                if len(result[2]) < cap:
+                    result[2].append(verdict.witness)
+        if tally is not None:
+            tallies.append(tally(instances))
+    return len(chunk), results, tuple(map(sum, zip(*tallies)))
 
 
 def _run_chunks(universe, mode, worker, jobs):
-    """Run ``worker(universe, chunk)`` on each stream chunk, inline or in a fork pool.
+    """Yield ``worker(universe, chunk)`` for each stream chunk, inline or from a fork pool.
 
-    Both ways return the results in stream order.
+    Both ways yield the results in stream order.
     """
     classes = (ranking.classes for ranking in RankingStream(universe, mode))
     chunks = iter(lambda: tuple(islice(classes, _CHUNK)), ())
     work = partial(worker, universe)
     if jobs > 1:
         with get_context("fork").Pool(jobs) as pool:
-            return list(pool.imap(work, chunks))
-    return list(map(work, chunks))
+            yield from pool.imap(work, chunks)
+    else:
+        yield from map(work, chunks)
+
+
+def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None):
+    """Sweep reports of every (rule, axiom) cell from one pass over the stream.
+
+    ``tally(instances)``, when given, runs on every ranking with its
+    memoized premise listing and returns a tuple of counts; the second
+    return value is their sum over the stream (empty without ``tally``).
+    """
+    cells = [(rule, axiom.upper()) for rule, axiom in cells]
+    for rule, axiom in cells:
+        lookup_rule(rule)
+        lookup_axiom(axiom)
+    started = time.perf_counter()
+    checked, tallies = 0, []
+    merged = [[0, 0, []] for _ in cells]
+    worker = partial(_sweep_chunk, cells, tally, witness_cap)
+    for count, results, counts in _run_chunks(universe, mode, worker, jobs):
+        checked += count
+        tallies.append(counts)
+        for cell, (premises, violations, witnesses) in zip(merged, results):
+            cell[0] += premises
+            cell[1] += violations
+            cell[2].extend(witnesses[: witness_cap - len(cell[2])])
+    if mode == EXHAUSTIVE:
+        expected = fubini(universe.full_mask)
+        if checked != expected:
+            raise AssertionError(f"exhaustive sweep covered {checked} of {expected} rankings")
+    wall_time = time.perf_counter() - started
+    reports = tuple(
+        SweepReport(
+            rule=rule,
+            axiom=axiom,
+            n=universe.n,
+            mode=mode,
+            rankings_checked=checked,
+            premises_found=premises,
+            violations=violations,
+            witness_cap=witness_cap,
+            witnesses=tuple(witnesses),
+            wall_time=wall_time,
+        )
+        for (rule, axiom), (premises, violations, witnesses) in zip(cells, merged)
+    )
+    return reports, tuple(map(sum, zip(*tallies)))
+
+
+def sweep_cells(
+    cells,
+    n: int,
+    mode=EXHAUSTIVE,
+    *,
+    universe: Universe | None = None,
+    jobs: int = 1,
+    witness_cap: int = 10,
+) -> tuple[SweepReport, ...]:
+    """Check several (rule, axiom) cells in one pass over a ranking stream.
+
+    Returns one report per cell, in the order of ``cells``, each equal
+    to what :func:`sweep` reports for that cell alone. Exhaustive mode
+    covers every ranking of the universe (guarded at n <= 3); sample
+    mode draws ``mode.count`` uniform rankings from ``mode.seed``. The
+    reports are identical for any ``jobs`` value.
+    """
+    return _sweep_pass(cells, universe or Universe(n), mode, jobs, witness_cap)[0]
 
 
 def sweep(
@@ -129,36 +232,11 @@ def sweep(
     jobs: int = 1,
     witness_cap: int = 10,
 ) -> SweepReport:
-    """Check one axiom against one rule over a whole ranking stream.
-
-    Exhaustive mode covers every ranking of the universe (guarded at
-    n <= 3); sample mode draws ``mode.count`` uniform rankings from
-    ``mode.seed``. The report is identical for any ``jobs`` value.
-    """
-    lookup_axiom(axiom)
-    axiom = axiom.upper()
-    lookup_rule(rule)
-    universe = universe or Universe(n)
-    started = time.perf_counter()
-    parts = _run_chunks(universe, mode, partial(_sweep_chunk, rule, axiom, witness_cap), jobs)
-    checked, premises, violations = (sum(p[i] for p in parts) for i in range(3))
-    witnesses = tuple(w for p in parts for w in p[3])[:witness_cap]
-    if mode == EXHAUSTIVE:
-        expected = fubini(universe.full_mask)
-        if checked != expected:
-            raise AssertionError(f"exhaustive sweep covered {checked} of {expected} rankings")
-    return SweepReport(
-        rule=rule,
-        axiom=axiom,
-        n=universe.n,
-        mode=mode,
-        rankings_checked=checked,
-        premises_found=premises,
-        violations=violations,
-        witness_cap=witness_cap,
-        witnesses=witnesses,
-        wall_time=time.perf_counter() - started,
+    """Check one axiom against one rule over a whole ranking stream."""
+    (report,) = sweep_cells(
+        [(rule, axiom)], n, mode, universe=universe, jobs=jobs, witness_cap=witness_cap
     )
+    return report
 
 
 def check_single(rule: str, axiom: str, ranking: CoalitionalRanking):
@@ -241,9 +319,13 @@ def theorem1_probe(
             difference = Difference(ranking, mine, ref)
             break
     if difference is None:
-        sweeps = tuple(
-            sweep(rule, axiom, n, mode, universe=universe, jobs=jobs, witness_cap=witness_cap)
-            for axiom in THEOREM_AXIOMS
+        sweeps = sweep_cells(
+            [(rule, axiom) for axiom in THEOREM_AXIOMS],
+            n,
+            mode,
+            universe=universe,
+            jobs=jobs,
+            witness_cap=witness_cap,
         )
         return Theorem1Report(rule, n, mode, compared, None, None, sweeps)
     checks = [AXIOMS[a] for a in THEOREM_AXIOMS]
@@ -252,17 +334,14 @@ def theorem1_probe(
     return Theorem1Report(rule, n, mode, compared, difference, witness, None)
 
 
-def _relative_lemma_chunk(universe, chunk):
-    rdf_total = rjad_total = counterexamples = 0
-    for classes in chunk:
-        ranking = CoalitionalRanking._trusted(universe, classes)
-        rdf, rjad = rdf_premises(ranking), rjad_premises(ranking)
-        rdf_total += len(rdf)
-        rjad_total += len(rjad)
-        if rdf or rjad:
-            agreement = set(rag_premises(ranking))
-            counterexamples += sum(premise not in agreement for premise in rdf + rjad)
-    return rdf_total, rjad_total, counterexamples
+def _relative_lemma_counts(instances):
+    """RDF and RJAD premises of one ranking, and how many are not RAG premises."""
+    rdf, rjad = instances(rdf_premises), instances(rjad_premises)
+    counterexamples = 0
+    if rdf or rjad:
+        agreement = set(instances(rag_premises))
+        counterexamples = sum(premise not in agreement for premise in rdf + rjad)
+    return len(rdf), len(rjad), counterexamples
 
 
 def relative_construction(x: int, y: int, universe: Universe) -> CoalitionalRanking:
@@ -351,15 +430,12 @@ def prop1_report(n: int = 3, *, jobs: int = 1, witness_cap: int = 10) -> Prop1Re
         )
     if n != 3:
         return Prop1Report(n, tuple(constructions), None, None, None)
-    parts = _run_chunks(universe, EXHAUSTIVE, _relative_lemma_chunk, jobs)
-    lemma = RelativeLemma(fubini(universe.full_mask), *(sum(p[i] for p in parts) for i in range(3)))
-    return Prop1Report(
-        n,
-        tuple(constructions),
-        lemma,
-        sweep("const_x", "WRAG", n, jobs=jobs, witness_cap=witness_cap),
-        sweep("const_x", "CV", n, jobs=jobs, witness_cap=witness_cap),
+    cells = [("const_x", "WRAG"), ("const_x", "CV")]
+    (wrag, cv), counts = _sweep_pass(
+        cells, universe, EXHAUSTIVE, jobs, witness_cap, _relative_lemma_counts
     )
+    lemma = RelativeLemma(wrag.rankings_checked, *counts)
+    return Prop1Report(n, tuple(constructions), lemma, wrag, cv)
 
 
 MATRIX_RULES = ("plurality", "les", "obi")
@@ -423,20 +499,20 @@ def prop3_matrix(
     discrepancy flag (set only when the evidence is conclusive: any
     violation, or an exhaustive clean pass where one was expected).
     """
+    grid = [(rule, axiom) for rule in MATRIX_RULES for axiom in MATRIX_AXIOMS]
     cells = []
-    for rule in MATRIX_RULES:
-        for axiom in MATRIX_AXIOMS:
-            report = sweep(rule, axiom, n, mode, jobs=jobs, witness_cap=witness_cap)
-            if (rule, axiom) == ("obi", "CV"):
-                expected, expected_alt = OBI_CV_PROOF, OBI_CV_STATEMENT
-            else:
-                expected, expected_alt = MATRIX_EXPECTED[(rule, axiom)], None
-            verdict = report.verdict
-            confirmed = mode == EXHAUSTIVE or verdict == "violated"
-            discrepancy = confirmed and verdict != expected
-            cells.append(
-                MatrixCell(rule, axiom, expected, expected_alt, verdict, confirmed, discrepancy, report)
-            )
+    for report in sweep_cells(grid, n, mode, jobs=jobs, witness_cap=witness_cap):
+        rule, axiom = report.rule, report.axiom
+        if (rule, axiom) == ("obi", "CV"):
+            expected, expected_alt = OBI_CV_PROOF, OBI_CV_STATEMENT
+        else:
+            expected, expected_alt = MATRIX_EXPECTED[(rule, axiom)], None
+        verdict = report.verdict
+        confirmed = mode == EXHAUSTIVE or verdict == "violated"
+        discrepancy = confirmed and verdict != expected
+        cells.append(
+            MatrixCell(rule, axiom, expected, expected_alt, verdict, confirmed, discrepancy, report)
+        )
     return MatrixReport(n, mode, MATRIX_RULES, MATRIX_AXIOMS, tuple(cells))
 
 
@@ -513,6 +589,17 @@ class IndependenceReport:
         return len(self.discrepancies)
 
 
+# The (rule, axiom) cells each rule is expected to keep, swept exhaustively at n = 3.
+INDEPENDENCE_SWEEPS = (
+    ("f_star", "STAG"),
+    ("f_star", "SI"),
+    ("split_plurality", "STAG"),
+    ("split_plurality", "DMON"),
+    ("les", "SI"),
+    ("les", "DMON"),
+)
+
+
 def independence_report(
     n: int = 4, *, jobs: int = 1, witness_cap: int = 10
 ) -> IndependenceReport:
@@ -528,12 +615,18 @@ def independence_report(
     if n < 4:
         raise ValueError("independence_report needs n >= 4 for the slide instance")
     claims = []
+    reports = dict(
+        zip(
+            INDEPENDENCE_SWEEPS,
+            sweep_cells(INDEPENDENCE_SWEEPS, 3, jobs=jobs, witness_cap=witness_cap),
+        )
+    )
 
     def add_claim(rule, axiom, expected, evidence_kind, verdict, witness, report=None):
         claims.append(Claim(rule, axiom, expected, verdict, evidence_kind, report, witness))
 
     def add_sweep_claim(rule, axiom):
-        report = sweep(rule, axiom, 3, jobs=jobs, witness_cap=witness_cap)
+        report = reports[rule, axiom]
         witness = report.witnesses[0] if report.witnesses else None
         add_claim(rule, axiom, "satisfied", "sweep", report.verdict, witness, report)
 

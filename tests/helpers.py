@@ -2,13 +2,28 @@
 
 The oracles recompute everything from frozenset-of-ints first principles
 (itertools over member lists, no bitmasks), so they exercise none of the
-code paths they are used to check.
+code paths they are used to check. Two declared oracles are instead the
+direct loops that faster code replaced: :func:`oracle_sweep` and
+:func:`oracle_sample_classes`.
 """
 
+import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from math import comb
 
-from millrank import CoalitionalRanking, Universe, validate_ranking
+from millrank import (
+    AXIOMS,
+    EXHAUSTIVE,
+    VIOLATED,
+    CoalitionalRanking,
+    RankingStream,
+    SweepReport,
+    Universe,
+    lookup_rule,
+    validate_ranking,
+)
 
 
 def rk(shorthand: str, n: int = 3) -> CoalitionalRanking:
@@ -194,3 +209,55 @@ def oracle_rjad_premises(ranking):
             continue
         out.extend((s0, x) for s0 in ranking.classes[j])
     return out
+
+
+def oracle_sweep(rule, axiom, n, mode=EXHAUSTIVE, witness_cap=10):
+    """One rule x axiom cell swept directly: the axiom's checker on every ranking.
+
+    Each ranking of the stream goes through ``AXIOMS[axiom]`` on its
+    own, with no premise listing or rule evaluation shared across cells
+    or chunks. ``wall_time`` is 0.
+    """
+    check, rule_fn = AXIOMS[axiom], lookup_rule(rule)
+    checked = premises = violations = 0
+    witnesses = []
+    for ranking in RankingStream(Universe(n), mode):
+        verdict = check(ranking, rule_fn)
+        checked += 1
+        premises += verdict.premises_checked
+        if verdict.status == VIOLATED:
+            violations += 1
+            if len(witnesses) < witness_cap:
+                witnesses.append(verdict.witness)
+    return SweepReport(
+        rule, axiom, n, mode, checked, premises, violations, witness_cap, tuple(witnesses), 0.0
+    )
+
+
+@cache
+def _weak_orders(m):
+    return oracle_weak_order_count(m)
+
+
+def oracle_sample_classes(n, rng_seed):
+    """Classes of ``sample_ranking(n, rng_seed)``, drawn by the direct loop.
+
+    The top-class size k is the first whose running sum of
+    C(m, k) * weak_orders(m - k) exceeds a ticket drawn below
+    weak_orders(m), with every count taken from the Stirling oracle.
+    """
+    rng = random.Random(rng_seed)
+    remaining = list(range(1, (1 << n)))
+    classes = []
+    while remaining:
+        m = len(remaining)
+        ticket = rng.randrange(_weak_orders(m))
+        acc = 0
+        for k in range(1, m + 1):
+            acc += comb(m, k) * _weak_orders(m - k)
+            if ticket < acc:
+                break
+        chosen = sorted(rng.sample(remaining, k))
+        classes.append(tuple(chosen))
+        remaining = [e for e in remaining if e not in chosen]
+    return tuple(classes)

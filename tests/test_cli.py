@@ -400,6 +400,55 @@ def test_campaign_report_schemas_are_closed(campaign_reports, kind):
         jsonschema.validate(extended, REPORT_SCHEMA)
 
 
+@pytest.fixture()
+def command_reports(capsys, ex2_file, campaign_reports):
+    """One emitted document of each command, and of each verify campaign."""
+    documents = dict(campaign_reports)
+    for argv in (
+        ["solve", "--rule", "plurality", "--input", ex2_file],
+        ["check", "--rule", "plurality", "--axiom", "STAG", "--input", ex2_file],
+        ["sweep", "--rule", "les", "--axiom", "STAG", "--n", "2"],
+        ["enumerate", "--n", "1"],
+        ["sample", "--n", "2", "--seed", "1"],
+    ):
+        _, doc, _ = run(capsys, *argv)
+        documents[argv[0]] = doc
+    return documents
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "solve",
+        "check",
+        "sweep",
+        "enumerate",
+        "sample",
+        "theorem1_report",
+        "prop1_report",
+        "matrix_report",
+        "independence_report",
+    ],
+)
+def test_parameters_schemas_are_closed(command_reports, name):
+    document = command_reports[name]
+    jsonschema.validate(document, REPORT_SCHEMA)
+    for key in document["parameters"]:
+        broken = copy.deepcopy(document)
+        del broken["parameters"][key]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(broken, REPORT_SCHEMA)
+    extended = copy.deepcopy(document)
+    extended["parameters"]["unexpected"] = 0
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(extended, REPORT_SCHEMA)
+    # Another command's parameters do not fit.
+    other = "sweep" if document["command"] != "sweep" else "check"
+    swapped = {**document, "parameters": command_reports[other]["parameters"]}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(swapped, REPORT_SCHEMA)
+
+
 class TestResolveJobs:
     def test_clamped_to_the_cpu_count(self, monkeypatch):
         monkeypatch.delenv("MILLRANK_JOBS", raising=False)

@@ -13,7 +13,7 @@ from millrank import (
     sample_ranking,
     validate_ranking,
 )
-from helpers import oracle_weak_order_count, rk
+from helpers import oracle_sample_classes, oracle_weak_order_count, rk
 
 
 class TestFubini:
@@ -107,6 +107,11 @@ class TestSampleRanking:
         stream = list(RankingStream(Universe(3), Sample(5, 99)))
         again = list(RankingStream(Universe(3), Sample(5, 99)))
         assert stream == again
+
+    def test_draws_match_the_direct_loop(self):
+        for n in range(3, 7):
+            for seed in range(50):
+                assert sample_ranking(n, seed).classes == oracle_sample_classes(n, seed)
 
     def test_stream_keeps_its_universe(self):
         universe = Universe(3, ("a", "b", "c"))

@@ -3,8 +3,12 @@ import json
 import pytest
 
 from millrank import (
+    AXIOMS,
+    EXHAUSTIVE,
+    RULES,
     Sample,
     UniverseTooLargeError,
+    UnknownAxiomError,
     VIOLATED,
     check_single,
     f_star,
@@ -16,11 +20,14 @@ from millrank import (
     split_plurality,
     split_plurality_slide_instance,
     sweep,
+    sweep_cells,
     theorem1_probe,
 )
 from millrank import verify
 from millrank.cli import to_json
-from helpers import cmask, rk, sel
+from helpers import cmask, oracle_sweep, rk, sel
+
+ALL_CELLS = [(rule, axiom) for rule in RULES for axiom in AXIOMS]
 
 
 class TestSweep:
@@ -65,6 +72,34 @@ class TestSweep:
         assert json.dumps(to_json(one), sort_keys=True) == json.dumps(
             to_json(two), sort_keys=True
         )
+
+
+class TestSweepCells:
+    """One multi-cell pass against each cell swept on its own by the direct loop."""
+
+    @staticmethod
+    def assert_matches_oracle(cells, n, mode, **kwargs):
+        cap = kwargs.get("witness_cap", 10)
+        reports = sweep_cells(cells, n, mode, **kwargs)
+        expected = [oracle_sweep(rule, axiom, n, mode, cap) for rule, axiom in cells]
+        assert [to_json(r) for r in reports] == [to_json(r) for r in expected]
+
+    def test_every_cell_exhaustive_n2(self):
+        self.assert_matches_oracle(ALL_CELLS, 2, EXHAUSTIVE)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_multi_chunk_sample_n4(self, jobs, monkeypatch):
+        monkeypatch.setattr(verify, "_CHUNK", 16)  # three chunks
+        self.assert_matches_oracle(ALL_CELLS, 4, Sample(40, 7), jobs=jobs)
+
+    @pytest.mark.parametrize("cap", [0, 1, 3])
+    def test_witness_cap_across_chunks(self, cap, monkeypatch):
+        monkeypatch.setattr(verify, "_CHUNK", 32)  # four chunks
+        self.assert_matches_oracle(ALL_CELLS, 3, Sample(120, 5), witness_cap=cap)
+
+    def test_unknown_cell_is_refused(self):
+        with pytest.raises(UnknownAxiomError):
+            sweep_cells([("plurality", "STAG"), ("plurality", "NOPE")], 2)
 
 
 class TestTheorem1Probe:
