@@ -214,16 +214,12 @@ _RESULT_KINDS = {
     "independence_report": IndependenceReport,
 }
 
-_INTEGER = {"type": "integer"}
-_STRING = {"type": "string"}
+# Schemas of the envelope parameters. "n" and "seed" have no lower
+# bound: `enumerate --n 0 --count-only` reports n = 0.
 _PARAMETER_SCHEMAS = {
-    "rule": _STRING,
-    "axiom": _STRING,
-    "input": _STRING,
-    "n": _INTEGER,
-    "seed": _INTEGER,
-    "count": _TYPE_SCHEMAS[int],
-    "witness_cap": _TYPE_SCHEMAS[int],
+    **dict.fromkeys(("rule", "axiom", "input"), _TYPE_SCHEMAS[str]),
+    **dict.fromkeys(("n", "seed"), {"type": "integer"}),
+    **dict.fromkeys(("count", "witness_cap"), _TYPE_SCHEMAS[int]),
     "count_only": _TYPE_SCHEMAS[bool],
     "mode": _KEY_SCHEMAS["mode"],
 }

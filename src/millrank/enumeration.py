@@ -39,7 +39,7 @@ def _fubini_table(m: int) -> tuple[int, ...]:
     blocks (OEIS A019538), is k * (T(j - 1, k - 1) + T(j - 1, k)): the
     last element opens a block of its own or joins one. Each row takes
     additions and small multiples only, where the binomial recurrence
-    needs C(m, k) for every k <= m (10 s of big binomials at m = 1023).
+    computes a big C(m, k) for every k <= m of every m.
     """
     values, row = [1], [1]
     for j in range(1, m + 1):

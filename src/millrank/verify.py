@@ -107,10 +107,11 @@ def _sweep_chunk(cells, tally, cap, universe, chunk):
     run their own checkers.
     """
     rules = {rule: lookup_rule(rule) for rule, _ in cells}
+    # Per cell: a premise-only axiom's lister, else the axiom's checker.
     plans = [
         (rule, axiom, PREMISE_AXIOMS[axiom][0] if axiom in PREMISE_AXIOMS else AXIOMS[axiom])
         for rule, axiom in cells
-    ]  # a premise-only axiom's lister, else the axiom's checker
+    ]
     results = [[0, 0, []] for _ in cells]
     tallies = []
     for classes in chunk:
@@ -214,7 +215,8 @@ def sweep_cells(
     """Check several (rule, axiom) cells in one pass over a ranking stream.
 
     Returns one report per cell, in the order of ``cells``, each equal
-    to what :func:`sweep` reports for that cell alone. Exhaustive mode
+    to what :func:`sweep` reports for that cell alone (``wall_time``
+    aside, which is the time of the whole pass). Exhaustive mode
     covers every ranking of the universe (guarded at n <= 3); sample
     mode draws ``mode.count`` uniform rankings from ``mode.seed``. The
     reports are identical for any ``jobs`` value.
