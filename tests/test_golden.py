@@ -6,11 +6,11 @@ known-good tree. The cells are every rule x axiom ``sweep`` in three
 settings (exhaustive at n = 2, sampled at n = 3 and at n = 4 under
 fixed seeds), every rule x axiom ``check`` and every rule's ``solve``
 on the pinned instances of ``test_verify.py``, the ``verify`` campaigns
-at small sizes, the exhaustive n = 3 ``prop3`` (also with ``--jobs 2``)
-and ``prop1`` campaigns, two sampled ``DMON`` sweeps split into three
-chunks and run through a two-worker pool, and the ``enumerate`` and
-``sample`` listings. The
-``verify independence --n 4`` cell takes about a minute to build, so
+at small sizes, the exhaustive n = 3 ``prop3``, ``prop1`` and plurality
+``theorem1`` campaigns (``prop3`` and ``theorem1`` also with ``--jobs
+2``), two sampled ``DMON`` sweeps split into three chunks and run
+through a two-worker pool, and the ``enumerate`` and ``sample``
+listings. The ``verify independence --n 4`` cell takes about a minute to build, so
 ``test_cli.py`` checks it against the session fixture instead of
 running it here. A mismatch is fixed in the code, never by recording
 the file again.
@@ -70,6 +70,11 @@ FIXED_CELLS = {
         ("verify", "prop3", "--n", "3"),
         ("verify", "prop3", "--n", "3", "--jobs", "2"),
         ("verify", "prop1", "--n", "3"),
+    ),
+    # The exhaustive n = 3 SI and DMON campaign, inline and through a two-worker pool.
+    "theorem1-exhaustive": (
+        ("verify", "theorem1", "--rule", "plurality", "--n", "3"),
+        ("verify", "theorem1", "--rule", "plurality", "--n", "3", "--jobs", "2"),
     ),
     # Three chunks each through a two-worker pool: pins witness order across chunks.
     "sweep-pooled": tuple(
