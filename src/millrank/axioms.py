@@ -10,7 +10,10 @@ verdicts from the listed instances and the rule's selection;
 :func:`judge` lists and selects, then calls it.
 The two transformation axioms, slide independence (SI) and downward
 monotonicity (DMON), evaluate the rule on transformed rankings as well
-and keep their own scans.
+and keep their own scans. They hold classes as bitsets over coalitions,
+derive each transformed ranking as such bitsets, and read the rule's
+selection there from one selector; up to MAX_EXHAUSTIVE_N individuals
+it keeps each rule's selections in a table indexed by stream index.
 
 A verdict is one of three statuses: ``inapplicable`` (no premise
 instance exists), ``satisfied`` (every instance met its forced
@@ -19,8 +22,10 @@ failing instance recorded as a replayable witness).
 ``premises_checked`` always counts every instance found, so sweep
 statistics distinguish vacuous passes from real evidence.
 
-Checkers are pure. A rule is any callable from rankings to ascending id
-tuples, e.g. the entries of :data:`millrank.solutions.RULES`.
+Checkers are pure. A rule is any pure callable from rankings to
+ascending id tuples, e.g. the entries of :data:`millrank.solutions.RULES`:
+the SI and DMON selector evaluates it at most once per ranking in a
+process.
 """
 
 from __future__ import annotations
@@ -28,15 +33,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Literal
+from weakref import WeakKeyDictionary
 
-from .core import CoalitionalRanking, concomitant_set, mask_members, top_intersection
+from .core import (
+    CoalitionalRanking,
+    bits_classes,
+    class_bits,
+    concomitant_set,
+    mask_members,
+    top_intersection,
+)
+from .enumeration import MAX_EXHAUSTIVE_N, fubini, stream_index
 from .errors import UnknownAxiomError
 from .transforms import (
     SlideMove,
     apply_deterioration,
     apply_slide,
+    deterioration_bits,
     enumerate_deterioration_specs,
-    slide_gammas,
+    membership_bits,
+    slide_bits,
+    slide_gamma_bits,
 )
 
 Status = Literal["inapplicable", "satisfied", "violated"]
@@ -339,6 +356,49 @@ def judge_slide(ranking, move, slid, before, after, pairs):
     return premises, witness
 
 
+# Per rule and universe of at most MAX_EXHAUSTIVE_N individuals: the
+# rule's selections as id bitmasks, indexed by stream index, 0xFF where
+# not yet evaluated in this process.
+_SELECTIONS = WeakKeyDictionary()
+_UNKNOWN = 0xFF
+
+
+def _selector(rule, universe):
+    """The rule's selection, as an id bitmask, on a ranking given by class bitsets.
+
+    Up to MAX_EXHAUSTIVE_N individuals each selection is looked up by
+    stream index and evaluated on first request, so the rule runs at
+    most once per distinct ranking in a process; beyond, every request
+    calls the rule. Either way the rule must be pure.
+    """
+
+    def evaluate(bits):
+        selected = 0
+        for i in rule(CoalitionalRanking._trusted(universe, bits_classes(bits))):
+            selected |= 1 << i
+        return selected
+
+    n = universe.n
+    if n > MAX_EXHAUSTIVE_N:
+        return evaluate
+    try:
+        tables = _SELECTIONS.setdefault(rule, {})
+    except TypeError:  # the rule cannot be weakly referenced: keep its table for this call
+        tables = {}
+    table = tables.get(universe)
+    if table is None:
+        table = tables[universe] = bytearray([_UNKNOWN]) * fubini(universe.full_mask)
+
+    def select(bits):
+        index = stream_index(bits, n)
+        selected = table[index]
+        if selected == _UNKNOWN:
+            selected = table[index] = evaluate(bits)
+        return selected
+
+    return select
+
+
 def check_slide_independence(ranking, rule) -> Verdict:
     """Stability of pairwise selection under balanced slides.
 
@@ -346,34 +406,54 @@ def check_slide_independence(ranking, rule) -> Verdict:
     y, a premise fires when both the original and the slid selection meet
     {x, y}; the two intersections must then coincide. Premises are
     scanned by source class, gamma bit pattern, destination class, then
-    pair; the witness is the first violation in that order.
+    pair; the witness is the first violation in that order. Classes and
+    gammas are bitsets over coalitions, and the selections come from
+    one selector; rankings are built for the witness only.
     """
-    base = set(rule(ranking))
-    n = ranking.universe.n
-    relevant = [
-        (x, y)
+    universe = ranking.universe
+    n = universe.n
+    select = _selector(rule, universe)
+    bits = class_bits(ranking.classes)
+    base = select(bits)
+    members = membership_bits(n)
+    # Per relevant pair: x, y, the pair as an id bitmask, and the
+    # coalitions containing x and containing y; a gamma is balanced
+    # when it holds as many of each.
+    pairs = [
+        (x, y, 1 << x | 1 << y, members[x], members[y])
         for x in range(n)
         for y in range(x + 1, n)
-        if x in base or y in base
+        if base >> x & 1 or base >> y & 1
     ]
-    classes = ranking.classes
-    if not relevant or len(classes) < 2:
+    if not pairs or len(bits) < 2:
         return Verdict(INAPPLICABLE, 0)
     premises = 0
     witness = None
-    for k1, cls in enumerate(classes):
-        for gamma, counts in slide_gammas(cls, n):
-            balanced = [(x, y) for x, y in relevant if counts[x] == counts[y]]
+    for k1, cls in enumerate(bits):
+        for gamma in slide_gamma_bits(cls):
+            balanced = [
+                p for p in pairs if (gamma & p[3]).bit_count() == (gamma & p[4]).bit_count()
+            ]
             if not balanced:
                 continue
-            for k2 in range(len(classes)):
+            for k2 in range(len(bits)):
                 if k2 == k1:
                     continue
-                move = SlideMove(k1, k2, gamma)
-                slid = apply_slide(ranking, move)
-                found, first = judge_slide(ranking, move, slid, base, set(rule(slid)), balanced)
-                premises += found
-                witness = witness or first
+                after = select(slide_bits(bits, k1, k2, gamma))
+                for x, y, pair, _, _ in balanced:
+                    before_pair, after_pair = base & pair, after & pair
+                    if before_pair and after_pair:
+                        premises += 1
+                        if before_pair != after_pair and witness is None:
+                            move = SlideMove(k1, k2, bits_classes((gamma,))[0])
+                            _, witness = judge_slide(
+                                ranking,
+                                move,
+                                apply_slide(ranking, move),
+                                set(mask_members(base, n)),
+                                set(mask_members(after, n)),
+                                [(x, y)],
+                            )
     return _verdict(premises, witness)
 
 
@@ -383,36 +463,47 @@ def check_downward_monotonicity(ranking, rule) -> Verdict:
     For every selected x, every nonempty coalition s avoiding x, and
     every ranking obtained by moving s weakly down, x must stay selected.
     Premises are scanned by x, then by s (ascending mask), then by
-    placement. One pass over s and its placements evaluates each
+    placement. One pass over s and its placements judges each
     transformed ranking once and keeps each x's first violation; the
-    witness is that of the smallest x.
+    witness is that of the smallest x. Classes are bitsets over
+    coalitions, and the selections come from one selector; rankings are
+    built for the witness only.
     """
-    base = rule(ranking)
+    universe = ranking.universe
+    select = _selector(rule, universe)
+    bits = class_bits(ranking.classes)
+    base = select(bits)
     if not base:
         return Verdict(INAPPLICABLE, 0)
     premises = 0
     first = {}
-    for s in range(1, ranking.universe.full_mask + 1):
-        kept = [x for x in base if not s >> x & 1]
+    for s in range(1, universe.full_mask + 1):
+        kept = base & ~s
         if not kept:
             continue
+        j, count = ranking.class_of[s], kept.bit_count()
         for spec in enumerate_deterioration_specs(ranking, s):
-            after = apply_deterioration(ranking, spec)
-            selected = set(rule(after))
-            premises += len(kept)
-            for x in kept:
-                if x not in selected and x not in first:
-                    first[x] = (s, spec, after, selected)
+            premises += count
+            if spec.kind == "stay":
+                continue  # the ranking itself, so nothing is dropped
+            selected = select(deterioration_bits(bits, j, spec))
+            for x in mask_members(kept & ~selected, universe.n):
+                first.setdefault(x, (s, spec, selected))
     if not first:
         return _verdict(premises, None)
     x = min(first)
-    s, spec, after, selected = first[x]
+    s, spec, selected = first[x]
     witness = Witness(
         axiom="DMON",
         ranking=ranking,
-        premise={"x": x, "s": s, "placement": spec, "ranking_after": after},
-        expected=f"{ranking.universe.names[x]} stays selected after the deterioration",
-        actual={"selection_after": tuple(sorted(selected))},
+        premise={
+            "x": x,
+            "s": s,
+            "placement": spec,
+            "ranking_after": apply_deterioration(ranking, spec),
+        },
+        expected=f"{universe.names[x]} stays selected after the deterioration",
+        actual={"selection_after": mask_members(selected, universe.n)},
     )
     return _verdict(premises, witness)
 

@@ -85,6 +85,24 @@ def members_mask(members, universe: Universe) -> int:
     return mask
 
 
+def class_bits(classes) -> tuple[int, ...]:
+    """Each class as a bitset over coalitions: coalition m is bit m - 1."""
+    return tuple(sum(1 << (mask - 1) for mask in cls) for cls in classes)
+
+
+def bits_classes(bits) -> tuple[tuple[int, ...], ...]:
+    """The canonical classes of class bitsets, the inverse of :func:`class_bits`."""
+    classes = []
+    for cls in bits:
+        masks = []
+        while cls:
+            low = cls & -cls
+            masks.append(low.bit_length())
+            cls ^= low
+        classes.append(tuple(masks))
+    return tuple(classes)
+
+
 class CoalitionalRanking:
     """An ordered partition of all nonempty coalitions, best class first.
 

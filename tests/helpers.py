@@ -2,9 +2,12 @@
 
 The oracles recompute everything from frozenset-of-ints first principles
 (itertools over member lists, no bitmasks), so they exercise none of the
-code paths they are used to check. Two declared oracles are instead the
-direct loops that faster code replaced: :func:`oracle_sweep` and
-:func:`oracle_sample_classes`.
+code paths they are used to check. Five declared oracles are instead
+the direct loops that faster code replaced: :func:`oracle_sweep`,
+:func:`oracle_sample_classes`, :func:`slide_gammas`, and the slide
+independence and downward monotonicity checkers that build every
+transformed ranking and call the rule on it,
+:func:`oracle_slide_independence` and :func:`oracle_downward_monotonicity`.
 """
 
 import random
@@ -16,13 +19,23 @@ from math import comb
 from millrank import (
     AXIOMS,
     EXHAUSTIVE,
+    INAPPLICABLE,
     VIOLATED,
     CoalitionalRanking,
     RankingStream,
     SweepReport,
     Universe,
+    Verdict,
+    Witness,
     lookup_rule,
     validate_ranking,
+)
+from millrank.axioms import _verdict, judge_slide
+from millrank.transforms import (
+    SlideMove,
+    apply_deterioration,
+    apply_slide,
+    enumerate_deterioration_specs,
 )
 
 
@@ -261,3 +274,103 @@ def oracle_sample_classes(n, rng_seed):
         classes.append(tuple(chosen))
         remaining = [e for e in remaining if e not in chosen]
     return tuple(classes)
+
+
+def slide_gammas(cls, n: int):
+    """Yield every gamma a slide can move out of one class, from its mask tuple.
+
+    Gammas are the nonempty proper subsets of ``cls``, taken in order of
+    their bit pattern over the mask-sorted class. Each comes as
+    ``(gamma, counts)``: gamma as an ascending mask tuple, and
+    ``counts[i]`` the number of its coalitions that contain individual i.
+    """
+    for bits in range(1, (1 << len(cls)) - 1):
+        counts = [0] * n
+        members = []
+        rest = bits
+        while rest:
+            low = rest & -rest
+            mask = cls[low.bit_length() - 1]
+            members.append(mask)
+            for i in range(n):
+                counts[i] += mask >> i & 1
+            rest ^= low
+        yield tuple(members), counts
+
+
+def oracle_slide_independence(ranking, rule) -> Verdict:
+    """Stability of pairwise selection under balanced slides, slide by slide.
+
+    For each pair {x, y} and each slide of a gamma balanced between x and
+    y, a premise fires when both the original and the slid selection meet
+    {x, y}; the two intersections must then coincide. Premises are
+    scanned by source class, gamma bit pattern, destination class, then
+    pair; the witness is the first violation in that order.
+    """
+    base = set(rule(ranking))
+    n = ranking.universe.n
+    relevant = [
+        (x, y)
+        for x in range(n)
+        for y in range(x + 1, n)
+        if x in base or y in base
+    ]
+    classes = ranking.classes
+    if not relevant or len(classes) < 2:
+        return Verdict(INAPPLICABLE, 0)
+    premises = 0
+    witness = None
+    for k1, cls in enumerate(classes):
+        for gamma, counts in slide_gammas(cls, n):
+            balanced = [(x, y) for x, y in relevant if counts[x] == counts[y]]
+            if not balanced:
+                continue
+            for k2 in range(len(classes)):
+                if k2 == k1:
+                    continue
+                move = SlideMove(k1, k2, gamma)
+                slid = apply_slide(ranking, move)
+                found, first = judge_slide(ranking, move, slid, base, set(rule(slid)), balanced)
+                premises += found
+                witness = witness or first
+    return _verdict(premises, witness)
+
+
+def oracle_downward_monotonicity(ranking, rule) -> Verdict:
+    """Selected individuals survive deteriorations, placement by placement.
+
+    For every selected x, every nonempty coalition s avoiding x, and
+    every ranking obtained by moving s weakly down, x must stay selected.
+    Premises are scanned by x, then by s (ascending mask), then by
+    placement. One pass over s and its placements evaluates each
+    transformed ranking once and keeps each x's first violation; the
+    witness is that of the smallest x.
+    """
+    base = rule(ranking)
+    if not base:
+        return Verdict(INAPPLICABLE, 0)
+    premises = 0
+    first = {}
+    for s in range(1, ranking.universe.full_mask + 1):
+        kept = [x for x in base if not s >> x & 1]
+        if not kept:
+            continue
+        for spec in enumerate_deterioration_specs(ranking, s):
+            after = apply_deterioration(ranking, spec)
+            selected = set(rule(after))
+            premises += len(kept)
+            for x in kept:
+                if x not in selected and x not in first:
+                    first[x] = (s, spec, after, selected)
+    if not first:
+        return _verdict(premises, None)
+    x = min(first)
+    s, spec, after, selected = first[x]
+    witness = Witness(
+        axiom="DMON",
+        ranking=ranking,
+        premise={"x": x, "s": s, "placement": spec, "ranking_after": after},
+        expected=f"{ranking.universe.names[x]} stays selected after the deterioration",
+        actual={"selection_after": tuple(sorted(selected))},
+    )
+    return _verdict(premises, witness)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,9 @@ from millrank import (
     SATISFIED,
     VIOLATED,
     RULES,
+    RankingStream,
+    Sample,
+    Universe,
     UnknownAxiomError,
     apply_deterioration,
     apply_slide,
@@ -34,7 +39,15 @@ from millrank import (
     split_plurality,
 )
 from millrank.axioms import rdf_premises, rjad_premises
-from helpers import cmask, oracle_rjad_premises, rk, sel
+from millrank.cli import to_json
+from helpers import (
+    cmask,
+    oracle_downward_monotonicity,
+    oracle_rjad_premises,
+    oracle_slide_independence,
+    rk,
+    sel,
+)
 
 EX2 = rk("123 12 13 / rest")
 TIE3 = rk("rest")
@@ -324,3 +337,55 @@ def test_relative_joint_premises_on_membership_family():
     ranking = rk("1 12 13 123 / rest")
     assert rjad_premises(ranking) == oracle_rjad_premises(ranking)
     assert [x for _, x in rjad_premises(ranking)] == [0, 0, 0]
+
+
+class TestTransformationCheckers:
+    """SI and DMON judged from class bitsets and selection tables, against the direct loops."""
+
+    CHECKERS = {
+        "SI": (check_slide_independence, oracle_slide_independence),
+        "DMON": (check_downward_monotonicity, oracle_downward_monotonicity),
+    }
+
+    @pytest.fixture(scope="class")
+    def rankings(self, all_n2):
+        # Exhaustive n = 2, a seeded n = 3 sample through the selection
+        # tables, and a seeded n = 4 sample through direct rule calls.
+        return [
+            *all_n2,
+            *RankingStream(Universe(3), Sample(150, 31)),
+            *RankingStream(Universe(4), Sample(8, 32)),
+        ]
+
+    @pytest.mark.parametrize("axiom", CHECKERS)
+    @pytest.mark.parametrize("rule_id", RULES)
+    def test_match_the_oracles(self, rankings, axiom, rule_id):
+        check, oracle = self.CHECKERS[axiom]
+        rule = RULES[rule_id]
+        for ranking in rankings:
+            assert to_json(check(ranking, rule)) == to_json(oracle(ranking, rule))
+
+    def test_rule_runs_once_per_distinct_ranking(self, rankings):
+        calls = Counter()
+
+        def counting(ranking):
+            calls[ranking.universe.n, ranking.classes] += 1
+            return plurality(ranking)
+
+        small = [ranking for ranking in rankings if ranking.universe.n <= 3]
+        for ranking in small:
+            check_slide_independence(ranking, counting)
+            check_downward_monotonicity(ranking, counting)
+        assert max(calls.values()) == 1
+        assert sum(n == 2 for n, _ in calls) == 13  # every n = 2 ranking is reached
+
+    def test_rule_without_weak_references(self):
+        class Slotted:
+            __slots__ = ()
+
+            def __call__(self, ranking):
+                return f_star(ranking)
+
+        ranking = rk("1 2 12 / 3 / rest")
+        for check, oracle in self.CHECKERS.values():
+            assert to_json(check(ranking, Slotted())) == to_json(oracle(ranking, f_star))

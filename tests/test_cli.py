@@ -2,6 +2,9 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from argparse import Namespace
 from pathlib import Path
 
@@ -320,6 +323,44 @@ class TestExhaustiveGuard:
         code, doc, _ = run(capsys, "enumerate", "--n", "4", "--count-only")
         assert code == 0
         assert doc["result"]["count"] == 230283190977853
+
+
+class TestSampledGuard:
+    """Sampled sweeps and campaigns stop at n = 8, sampling itself at n = 10."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        # A regression fails here instead of drawing a ranking that takes hours to check.
+        def refuse(*args):
+            raise AssertionError("a ranking was drawn")
+
+        monkeypatch.setattr(enumeration, "sample_ranking", refuse)
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (("sweep", "--rule", "plurality", "--axiom", "STAG", "--n", "9", "--sample", "1"), 8),
+            (("verify", "theorem1", "--rule", "les", "--n", "9", "--sample", "1"), 8),
+            (("verify", "prop3", "--n", "12", "--sample", "1"), 8),
+            (("sample", "--n", "11", "--seed", "0"), 10),
+            (("sample", "--n", "12", "--seed", "0", "--count", "3"), 10),
+        ],
+    )
+    def test_refused_beyond_the_bound(self, capsys, argv, bound):
+        code, doc, err = run(capsys, *argv)
+        assert code == 2
+        assert doc is None
+        assert f"n <= {bound}" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-m", "millrank", "enumerate", "--n", "2", "--count-only"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"]["count"] == 13
 
 
 class TestEnumerateAndSample:

@@ -13,6 +13,8 @@ from millrank import (
     sample_ranking,
     validate_ranking,
 )
+from millrank.core import bits_classes, class_bits
+from millrank.enumeration import MAX_SAMPLED_N, stream_index
 from helpers import oracle_sample_classes, oracle_weak_order_count, rk
 
 
@@ -68,6 +70,27 @@ class TestEnumerateRankings:
         assert len(RankingStream(Universe(5), Sample(10, 0))) == 10
 
 
+class TestStreamIndex:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_inverts_the_stream(self, n):
+        for i, classes in enumerate(RankingStream(Universe(n)).classes()):
+            assert stream_index(class_bits(classes), n) == i
+
+    def test_classes_come_without_building(self, all_n3):
+        stream = RankingStream(Universe(3))
+        assert list(stream.classes()) == [ranking.classes for ranking in all_n3]
+
+    def test_bitsets_round_trip(self, all_n3):
+        for ranking in all_n3[::97]:
+            bits = class_bits(ranking.classes)
+            assert sum(bits) == (1 << 7) - 1
+            assert bits_classes(bits) == ranking.classes
+
+    def test_refuses_universes_without_an_exhaustive_stream(self):
+        with pytest.raises(UniverseTooLargeError):
+            stream_index(class_bits(sample_ranking(4, 0).classes), 4)
+
+
 class TestSampleRanking:
     def test_deterministic(self):
         for n in (2, 3, 4, 5):
@@ -112,6 +135,12 @@ class TestSampleRanking:
         for n in range(3, 7):
             for seed in range(50):
                 assert sample_ranking(n, seed).classes == oracle_sample_classes(n, seed)
+
+    def test_stream_refuses_universes_beyond_the_bound(self):
+        assert MAX_SAMPLED_N == 10
+        RankingStream(Universe(MAX_SAMPLED_N), Sample(1, 0))
+        with pytest.raises(UniverseTooLargeError):
+            RankingStream(Universe(MAX_SAMPLED_N + 1), Sample(1, 0))
 
     def test_stream_keeps_its_universe(self):
         universe = Universe(3, ("a", "b", "c"))

@@ -3,17 +3,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from millrank import (
+    DeteriorationSpec,
     InvalidMoveError,
+    RankingStream,
+    Sample,
     SlideMove,
+    Universe,
     UniverseMismatchError,
+    apply_deterioration,
     apply_slide,
+    enumerate_deterioration_specs,
     enumerate_deteriorations,
     enumerate_slides,
     is_deterioration,
     sample_ranking,
     validate_ranking,
 )
-from helpers import all_placements, cmask, rk
+from millrank.core import bits_classes, class_bits
+from millrank.transforms import deterioration_bits, slide_bits, slide_gamma_bits
+from helpers import all_placements, cmask, rk, slide_gammas
 
 EX2 = rk("123 12 13 / rest")
 
@@ -155,3 +163,53 @@ class TestIsDeterioration:
         generated = set(enumerate_deteriorations(ranking, subject))
         for candidate in all_placements(ranking, subject):
             assert is_deterioration(ranking, candidate, subject) == (candidate in generated)
+
+
+def _bitset_cases(all_n2):
+    """Exhaustive n = 2, plus seeded samples at n = 3 and n = 4."""
+    return [
+        *all_n2,
+        *RankingStream(Universe(3), Sample(60, 21)),
+        *RankingStream(Universe(4), Sample(6, 22)),
+    ]
+
+
+class TestBitsetTargets:
+    """The bitset transforms the SI and DMON checkers use, against the ranking ones."""
+
+    def test_slides_match_apply_slide_in_scan_order(self, all_n2):
+        for ranking in _bitset_cases(all_n2):
+            n, bits = ranking.universe.n, class_bits(ranking.classes)
+            got, want = [], []
+            for k1, cls in enumerate(ranking.classes):
+                for gamma, _ in slide_gammas(cls, n):
+                    for k2 in range(ranking.num_classes):
+                        if k2 != k1:
+                            slid = apply_slide(ranking, SlideMove(k1, k2, gamma))
+                            want.append((k1, k2, slid.classes))
+                for gamma in slide_gamma_bits(bits[k1]):
+                    for k2 in range(len(bits)):
+                        if k2 != k1:
+                            got.append((k1, k2, bits_classes(slide_bits(bits, k1, k2, gamma))))
+            assert got == want
+
+    def test_gamma_bits_follow_slide_gammas(self, all_n2):
+        for ranking in _bitset_cases(all_n2):
+            for cls in ranking.classes:
+                (bits,) = class_bits((cls,))
+                gammas = [bits_classes((gamma,))[0] for gamma in slide_gamma_bits(bits)]
+                assert gammas == [gamma for gamma, _ in slide_gammas(cls, ranking.universe.n)]
+
+    def test_deteriorations_match_apply_deterioration_in_scan_order(self, all_n2):
+        for ranking in _bitset_cases(all_n2):
+            bits = class_bits(ranking.classes)
+            for subject in range(1, ranking.universe.full_mask + 1):
+                j = ranking.index_of(subject)
+                specs = list(enumerate_deterioration_specs(ranking, subject))
+                assert [bits_classes(deterioration_bits(bits, j, spec)) for spec in specs] == [
+                    apply_deterioration(ranking, spec).classes for spec in specs
+                ]
+
+    def test_unknown_placement_kind_rejected(self):
+        with pytest.raises(ValueError):
+            deterioration_bits(class_bits(EX2.classes), 0, DeteriorationSpec(1, "above", 0))
