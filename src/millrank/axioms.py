@@ -358,7 +358,9 @@ def judge_slide(ranking, move, slid, before, after, pairs):
 
 # Per rule and universe of at most MAX_EXHAUSTIVE_N individuals: the
 # rule's selections as id bitmasks, indexed by stream index, 0xFF where
-# not yet evaluated in this process.
+# not yet evaluated in this process. The tables outlive checker calls,
+# whose signature takes only a ranking and a rule; keyed weakly, they go
+# with the rule.
 _SELECTIONS = WeakKeyDictionary()
 _UNKNOWN = 0xFF
 
@@ -446,14 +448,9 @@ def check_slide_independence(ranking, rule) -> Verdict:
                         premises += 1
                         if before_pair != after_pair and witness is None:
                             move = SlideMove(k1, k2, bits_classes((gamma,))[0])
-                            _, witness = judge_slide(
-                                ranking,
-                                move,
-                                apply_slide(ranking, move),
-                                set(mask_members(base, n)),
-                                set(mask_members(after, n)),
-                                [(x, y)],
-                            )
+                            slid = apply_slide(ranking, move)
+                            selections = set(mask_members(base, n)), set(mask_members(after, n))
+                            _, witness = judge_slide(ranking, move, slid, *selections, [(x, y)])
     return _verdict(premises, witness)
 
 
