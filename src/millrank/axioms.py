@@ -10,10 +10,13 @@ verdicts from the listed instances and the rule's selection;
 :func:`judge` lists and selects, then calls it.
 The two transformation axioms, slide independence (SI) and downward
 monotonicity (DMON), evaluate the rule on transformed rankings as well
-and keep their own scans. They hold classes as bitsets over coalitions,
-derive each transformed ranking as such bitsets, and read the rule's
-selection there from one selector; up to MAX_EXHAUSTIVE_N individuals
-it keeps each rule's selections in a table indexed by stream index.
+and keep their own scans. They hold classes as bitsets over coalitions
+and read the rule's selection on each transformed ranking from one
+selector: up to MAX_EXHAUSTIVE_N individuals it keeps each rule's
+selections in a table indexed by stream index, and each target's index
+is ranked from the source's running index sums; the target's bitsets
+are derived only when the table lacks its selection, or beyond
+MAX_EXHAUSTIVE_N, where the rule is called on every target.
 
 A verdict is one of three statuses: ``inapplicable`` (no premise
 instance exists), ``satisfied`` (every instance met its forced
@@ -43,17 +46,20 @@ from .core import (
     mask_members,
     top_intersection,
 )
-from .enumeration import MAX_EXHAUSTIVE_N, fubini, stream_index
+from .enumeration import MAX_EXHAUSTIVE_N, fubini, stream_index, stream_prefix
 from .errors import UnknownAxiomError
 from .transforms import (
     SlideMove,
     apply_deterioration,
     apply_slide,
     deterioration_bits,
+    deterioration_indices,
+    deterioration_placements,
     enumerate_deterioration_specs,
     membership_bits,
     slide_bits,
     slide_gamma_bits,
+    slide_indices,
 )
 
 Status = Literal["inapplicable", "satisfied", "violated"]
@@ -365,40 +371,63 @@ _SELECTIONS = WeakKeyDictionary()
 _UNKNOWN = 0xFF
 
 
-def _selector(rule, universe):
-    """The rule's selection, as an id bitmask, on a ranking given by class bitsets.
+def _tables(rule, universe):
+    """(table, fill): the rule's selections on the universe's rankings, and how to add one.
 
-    Up to MAX_EXHAUSTIVE_N individuals each selection is looked up by
-    stream index and evaluated on first request, so the rule runs at
-    most once per distinct ranking in a process; beyond, every request
-    calls the rule. Either way the rule must be pure.
+    Up to MAX_EXHAUSTIVE_N individuals ``table[index]`` is the rule's
+    selection, as an id bitmask, on the ranking of that stream index,
+    or _UNKNOWN until ``fill(index, ranking)`` evaluates the rule there
+    and stores it, so the rule runs at most once per distinct ranking in
+    a process. Beyond, there is no stream index: ``table`` is None and
+    ``fill(None, ranking)`` calls the rule on every request. Either way
+    the rule must be pure.
     """
+    table = None
+    if universe.n <= MAX_EXHAUSTIVE_N:
+        try:
+            tables = _SELECTIONS.setdefault(rule, {})
+        except TypeError:  # the rule cannot be weakly referenced: keep its table for this call
+            tables = {}
+        table = tables.get(universe)
+        if table is None:
+            table = tables[universe] = bytearray([_UNKNOWN]) * fubini(universe.full_mask)
 
-    def evaluate(bits):
+    def fill(index, ranking):
         selected = 0
-        for i in rule(CoalitionalRanking._trusted(universe, bits_classes(bits))):
+        for i in rule(ranking):
             selected |= 1 << i
+        if index is not None:
+            table[index] = selected
         return selected
 
-    n = universe.n
-    if n > MAX_EXHAUSTIVE_N:
-        return evaluate
-    try:
-        tables = _SELECTIONS.setdefault(rule, {})
-    except TypeError:  # the rule cannot be weakly referenced: keep its table for this call
-        tables = {}
-    table = tables.get(universe)
-    if table is None:
-        table = tables[universe] = bytearray([_UNKNOWN]) * fubini(universe.full_mask)
+    return table, fill
 
-    def select(bits):
-        index = stream_index(bits, n)
-        selected = table[index]
-        if selected == _UNKNOWN:
-            selected = table[index] = evaluate(bits)
-        return selected
+
+def _select(table, fill, index, ranking) -> int:
+    selected = _UNKNOWN if index is None else table[index]
+    return fill(index, ranking) if selected == _UNKNOWN else selected
+
+
+def selector(rule, universe):
+    """The rule's selections on rankings of the universe, as id bitmasks, through its table.
+
+    Returns ``select(ranking, index=None)``. ``index`` is the ranking's
+    stream index when the caller knows it; otherwise it is computed
+    where the universe has a table (up to MAX_EXHAUSTIVE_N individuals).
+    The checkers of SI and DMON read and fill the same tables.
+    """
+    table, fill = _tables(rule, universe)
+
+    def select(ranking, index=None):
+        if index is None and table is not None:
+            index = stream_index(class_bits(ranking.classes), universe.n)
+        return _select(table, fill, index, ranking)
 
     return select
+
+
+def _decode(universe, bits):
+    return CoalitionalRanking._trusted(universe, bits_classes(bits))
 
 
 def check_slide_independence(ranking, rule) -> Verdict:
@@ -409,14 +438,18 @@ def check_slide_independence(ranking, rule) -> Verdict:
     {x, y}; the two intersections must then coincide. Premises are
     scanned by source class, gamma bit pattern, destination class, then
     pair; the witness is the first violation in that order. Classes and
-    gammas are bitsets over coalitions, and the selections come from
-    one selector; rankings are built for the witness only.
+    gammas are bitsets over coalitions. Each slid ranking's selection is
+    read from the rule's selection table at its stream index, ranked from
+    the source's running index sums; its bitsets are built only when the
+    table lacks it, or above MAX_EXHAUSTIVE_N where there is no table.
+    Rankings are built for the witness only.
     """
     universe = ranking.universe
     n = universe.n
-    select = _selector(rule, universe)
+    table, fill = _tables(rule, universe)
     bits = class_bits(ranking.classes)
-    base = select(bits)
+    prefix = None if table is None else stream_prefix(bits, n)
+    base = _select(table, fill, None if prefix is None else prefix.index, ranking)
     members = membership_bits(n)
     # Per relevant pair: x, y, the pair as an id bitmask, and the
     # coalitions containing x and containing y; a gamma is balanced
@@ -438,10 +471,12 @@ def check_slide_independence(ranking, rule) -> Verdict:
             ]
             if not balanced:
                 continue
-            for k2 in range(len(bits)):
+            for k2, index in enumerate(slide_indices(prefix, bits, k1, gamma)):
                 if k2 == k1:
                     continue
-                after = select(slide_bits(bits, k1, k2, gamma))
+                after = _UNKNOWN if index is None else table[index]
+                if after == _UNKNOWN:
+                    after = fill(index, _decode(universe, slide_bits(bits, k1, k2, gamma)))
                 for x, y, pair, _, _ in balanced:
                     before_pair, after_pair = base & pair, after & pair
                     if before_pair and after_pair:
@@ -460,16 +495,20 @@ def check_downward_monotonicity(ranking, rule) -> Verdict:
     For every selected x, every nonempty coalition s avoiding x, and
     every ranking obtained by moving s weakly down, x must stay selected.
     Premises are scanned by x, then by s (ascending mask), then by
-    placement. One pass over s and its placements judges each
-    transformed ranking once and keeps each x's first violation; the
-    witness is that of the smallest x. Classes are bitsets over
-    coalitions, and the selections come from one selector; rankings are
-    built for the witness only.
+    placement, so s adds the number of its kept individuals for each of
+    its placements. One pass over s and its placements judges each
+    deteriorated ranking once and keeps each x's first violation; the
+    witness is that of the smallest x. Each deteriorated ranking's
+    selection is read as in :func:`check_slide_independence`; the
+    identity placement is counted but not evaluated, and placements and
+    rankings are built for the witness only.
     """
     universe = ranking.universe
-    select = _selector(rule, universe)
+    n = universe.n
+    table, fill = _tables(rule, universe)
     bits = class_bits(ranking.classes)
-    base = select(bits)
+    prefix = None if table is None else stream_prefix(bits, n)
+    base = _select(table, fill, None if prefix is None else prefix.index, ranking)
     if not base:
         return Verdict(INAPPLICABLE, 0)
     premises = 0
@@ -478,18 +517,24 @@ def check_downward_monotonicity(ranking, rule) -> Verdict:
         kept = base & ~s
         if not kept:
             continue
-        j, count = ranking.class_of[s], kept.bit_count()
-        for spec in enumerate_deterioration_specs(ranking, s):
-            premises += count
-            if spec.kind == "stay":
-                continue  # the ranking itself, so nothing is dropped
-            selected = select(deterioration_bits(bits, j, spec))
-            for x in mask_members(kept & ~selected, universe.n):
-                first.setdefault(x, (s, spec, selected))
+        j = ranking.class_of[s]
+        placements = deterioration_placements(j, len(bits), bits[j] == 1 << (s - 1))
+        premises += kept.bit_count() * len(placements)
+        indices = deterioration_indices(prefix, bits, j, s, placements)
+        for position, index in enumerate(indices, 1):
+            selected = _UNKNOWN if index is None else table[index]
+            if selected == _UNKNOWN:
+                target = deterioration_bits(bits, j, s, *placements[position])
+                selected = fill(index, _decode(universe, target))
+            lost = kept & ~selected
+            if lost:
+                for x in mask_members(lost, n):
+                    first.setdefault(x, (s, position, selected))
     if not first:
         return _verdict(premises, None)
     x = min(first)
-    s, spec, selected = first[x]
+    s, position, selected = first[x]
+    spec = list(enumerate_deterioration_specs(ranking, s))[position]
     witness = Witness(
         axiom="DMON",
         ranking=ranking,
@@ -500,7 +545,7 @@ def check_downward_monotonicity(ranking, rule) -> Verdict:
             "ranking_after": apply_deterioration(ranking, spec),
         },
         expected=f"{universe.names[x]} stays selected after the deterioration",
-        actual={"selection_after": mask_members(selected, universe.n)},
+        actual={"selection_after": mask_members(selected, n)},
     )
     return _verdict(premises, witness)
 

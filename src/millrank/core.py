@@ -87,7 +87,13 @@ def members_mask(members, universe: Universe) -> int:
 
 def class_bits(classes) -> tuple[int, ...]:
     """Each class as a bitset over coalitions: coalition m is bit m - 1."""
-    return tuple(sum(1 << (mask - 1) for mask in cls) for cls in classes)
+    bits = []
+    for cls in classes:
+        acc = 0
+        for mask in cls:
+            acc |= 1 << (mask - 1)
+        bits.append(acc)
+    return tuple(bits)
 
 
 def bits_classes(bits) -> tuple[tuple[int, ...], ...]:

@@ -6,7 +6,8 @@ the ``2**n - 1`` nonempty coalitions, so exhaustive streams contain
 n <= 3 (n = 4 has about 2.3e14 rankings); beyond that, use uniform
 sampling, guarded at n <= 10. :func:`stream_index` inverts the
 exhaustive order: it maps a ranking, given as class bitsets, to its
-index in the stream.
+index in the stream, as the total of the running sums that
+:func:`stream_prefix` keeps per class.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .core import CoalitionalRanking, Universe
 from .errors import UniverseTooLargeError
@@ -118,6 +120,47 @@ def _rank_offsets(n: int) -> tuple[list[int], ...]:
     return tuple(offsets)
 
 
+class StreamPrefix(NamedTuple):
+    """The per-class terms of a ranking's stream index, as running sums.
+
+    For a ranking with L class bitsets: ``remaining[i]`` is the bitset of
+    the coalitions outside classes 0..i-1 (``remaining[L]`` is 0), and
+    class i adds the term ``offsets[remaining[i]][bits[i]]``. ``before[i]``
+    sums the terms of the classes before i and ``after[i]`` those of
+    class i on, so the index is ``before[L] == after[0]``. A ranking
+    that agrees with this one on classes 0..a-1 and, in the same order,
+    on the classes after class b has index ``before[a]``, plus the terms
+    of its own classes in between, plus ``after[b + 1]``.
+    """
+
+    offsets: tuple
+    remaining: list
+    before: list
+    after: list
+
+    @property
+    def index(self) -> int:
+        return self.before[-1]
+
+
+def stream_prefix(bits, n: int) -> StreamPrefix:
+    """The :class:`StreamPrefix` of the ranking with class bitsets ``bits``.
+
+    Defined for n <= MAX_EXHAUSTIVE_N; :func:`stream_index` reads its
+    total.
+    """
+    offsets = _rank_offsets(n)
+    left = (1 << ((1 << n) - 1)) - 1
+    total = 0
+    remaining, before = [left], [0]
+    for cls in bits:
+        total += offsets[left][cls]
+        left ^= cls
+        remaining.append(left)
+        before.append(total)
+    return StreamPrefix(offsets, remaining, before, [total - done for done in before])
+
+
 def stream_index(bits, n: int) -> int:
     """Index in the exhaustive stream of n individuals of the ranking with class bitsets ``bits``.
 
@@ -125,13 +168,7 @@ def stream_index(bits, n: int) -> int:
     of how many rankings of the coalitions not yet placed precede that
     class as their top class. Defined for n <= MAX_EXHAUSTIVE_N.
     """
-    offsets = _rank_offsets(n)
-    remaining = (1 << ((1 << n) - 1)) - 1
-    index = 0
-    for cls in bits:
-        index += offsets[remaining][cls]
-        remaining ^= cls
-    return index
+    return stream_prefix(bits, n).index
 
 
 @dataclass(frozen=True, slots=True)

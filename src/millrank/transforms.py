@@ -7,7 +7,10 @@ over coalitions (coalition m is bit m - 1, see
 :func:`millrank.core.class_bits`), and :func:`slide_bits` and
 :func:`deterioration_bits` return the transformed ranking's classes as
 bitsets, equal to those of :func:`apply_slide` and
-:func:`apply_deterioration`.
+:func:`apply_deterioration`. :func:`slide_indices` and
+:func:`deterioration_indices` rank the transformed rankings in the
+exhaustive stream from the source's running index sums, without
+building their bitsets.
 """
 
 from __future__ import annotations
@@ -83,6 +86,33 @@ def slide_bits(bits, k1: int, k2: int, gamma: int) -> list[int]:
     return slid
 
 
+def slide_indices(prefix, bits, k1: int, gamma: int) -> list:
+    """Stream index, per destination class k2, of the ranking after sliding gamma out of class k1.
+
+    ``prefix`` is the source's :class:`~millrank.enumeration.StreamPrefix`.
+    A slide changes only the classes from min(k1, k2) to max(k1, k2):
+    the two ends change content, and the classes between them see gamma
+    added to (downward) or taken from (upward) the coalitions not yet
+    placed. Each index is the unchanged prefix and suffix plus those
+    terms, summed as k2 moves one class away from k1. The entry at k1 is
+    None; every entry is None when ``prefix`` is None.
+    """
+    indices = [None] * len(bits)
+    if prefix is None:
+        return indices
+    offsets, remaining, before, after = prefix
+    through = before[k1] + offsets[remaining[k1]][bits[k1] ^ gamma]
+    for k2 in range(k1 + 1, len(bits)):
+        row = offsets[remaining[k2] | gamma]
+        indices[k2] = through + row[bits[k2] | gamma] + after[k2 + 1]
+        through += row[bits[k2]]
+    tail = offsets[remaining[k1] & ~gamma][bits[k1] ^ gamma] + after[k1 + 1]
+    for k2 in range(k1 - 1, -1, -1):
+        indices[k2] = before[k2] + offsets[remaining[k2]][bits[k2] | gamma] + tail
+        tail += offsets[remaining[k2] & ~gamma][bits[k2]]
+    return indices
+
+
 def enumerate_slides(ranking: CoalitionalRanking, x: int, y: int):
     """Yield every slide balanced between x and y, with its result.
 
@@ -148,22 +178,65 @@ def apply_deterioration(ranking: CoalitionalRanking, spec: DeteriorationSpec) ->
     )
 
 
-def deterioration_bits(bits, j: int, spec: DeteriorationSpec) -> list[int]:
-    """Class bitsets after placing the subject, of class j, per the spec."""
-    bit = 1 << (spec.subject - 1)
+def deterioration_bits(bits, j: int, subject: int, kind: str, k: int) -> list[int]:
+    """Class bitsets after placing the subject, of class j, at placement (kind, k)."""
+    bit = 1 << (subject - 1)
     after = list(bits)
-    if spec.kind == "stay":
+    if kind == "stay":
         return after
     after[j] ^= bit
-    if spec.kind == "join":
-        after[spec.k] |= bit
-    elif spec.kind == "below":
-        after.insert(spec.k + 1, bit)
+    if kind == "join":
+        after[k] |= bit
+    elif kind == "below":
+        after.insert(k + 1, bit)
     else:
-        raise ValueError(f"unknown placement kind {spec.kind!r}")
+        raise ValueError(f"unknown placement kind {kind!r}")
     if not after[j]:  # the subject was alone; every placement lies below class j
         del after[j]
     return after
+
+
+@cache
+def deterioration_placements(j: int, l: int, alone: bool) -> tuple[tuple[str, int], ...]:
+    """(kind, k) of every weakly-downward placement of a coalition of class j, in order.
+
+    ``l`` is the number of classes and ``alone`` whether the coalition
+    is alone in class j. The identity ``("stay", j)`` comes first, then
+    merging into each strictly lower class, then a singleton class
+    directly below each class from j down (from j + 1 when alone, where
+    below j is the identity).
+    """
+    return (
+        ("stay", j),
+        *(("join", k) for k in range(j + 1, l)),
+        *(("below", k) for k in range(j + 1 if alone else j, l)),
+    )
+
+
+def deterioration_indices(prefix, bits, j: int, subject: int, placements) -> list:
+    """Stream index of the ranking after each placement but the identity, in order.
+
+    ``prefix`` is the source's :class:`~millrank.enumeration.StreamPrefix`
+    and ``placements`` the subject's :func:`deterioration_placements`. A
+    placement at k changes only classes j..k: class j loses the subject
+    (or vanishes), the classes between see it among the coalitions not
+    yet placed, and class k gains it or gets it as a singleton below.
+    The terms are summed as k moves down one class at a time. Every
+    entry is None when ``prefix`` is None.
+    """
+    if prefix is None:
+        return [None] * (len(placements) - 1)
+    offsets, remaining, before, after = prefix
+    bit = 1 << (subject - 1)
+    through = before[j] + (0 if bits[j] == bit else offsets[remaining[j]][bits[j] ^ bit])
+    joined, below = [None] * len(bits), [None] * len(bits)
+    for k in range(j, len(bits)):
+        if k > j:
+            row = offsets[remaining[k] | bit]
+            joined[k] = through + row[bits[k] | bit] + after[k + 1]
+            through += row[bits[k]]
+        below[k] = through + offsets[remaining[k + 1] | bit][bit] + after[k + 1]
+    return [(joined if kind == "join" else below)[k] for kind, k in placements[1:]]
 
 
 def enumerate_deterioration_specs(ranking: CoalitionalRanking, subject: int):
@@ -174,17 +247,13 @@ def enumerate_deterioration_specs(ranking: CoalitionalRanking, subject: int):
     class, the other placements merge it into any strictly lower class or
     insert it as a singleton directly below any class from its own down.
     For a subject alone in its class, placements below its current
-    position are offset by the disappearance of its old class.
+    position are offset by the disappearance of its old class. The
+    order is that of :func:`deterioration_placements`.
     """
     j = ranking.index_of(subject)
-    l = len(ranking.classes)
     alone = len(ranking.classes[j]) == 1
-    yield DeteriorationSpec(subject, "stay", j)
-    for k in range(j + 1, l):
-        yield DeteriorationSpec(subject, "join", k)
-    start = j + 1 if alone else j
-    for k in range(start, l):
-        yield DeteriorationSpec(subject, "below", k)
+    for kind, k in deterioration_placements(j, len(ranking.classes), alone):
+        yield DeteriorationSpec(subject, kind, k)
 
 
 def enumerate_deteriorations(ranking: CoalitionalRanking, subject: int):
@@ -205,29 +274,18 @@ def is_deterioration(
     True when the two rankings order all other coalitions identically and
     the subject lost no strict superior and gained no former equal above
     it: coalitions tied with it may only stay tied or move strictly above,
-    and coalitions strictly above must remain strictly above.
+    and coalitions strictly above must remain strictly above. Both
+    rankings are compared as class bitsets with the subject removed.
     """
     if ranking.universe != ranking2.universe:
         raise UniverseMismatchError("rankings must share a universe")
     j = ranking.index_of(subject)
-    if _restricted(ranking, subject) != _restricted(ranking2, subject):
+    j2 = ranking2.class_of[subject]
+    bit = 1 << (subject - 1)
+    bits, bits2 = class_bits(ranking.classes), class_bits(ranking2.classes)
+    rest = [cls & ~bit for cls in bits if cls != bit]
+    if rest != [cls & ~bit for cls in bits2 if cls != bit]:
         return False
-    j2 = ranking2.index_of(subject)
-    class_of, class_of2 = ranking.class_of, ranking2.class_of
-    for mask in range(1, ranking.universe.full_mask + 1):
-        if mask == subject:
-            continue
-        k = class_of[mask]
-        if k == j and not class_of2[mask] <= j2:
-            return False
-        if k < j and not class_of2[mask] < j2:
-            return False
-    return True
-
-
-def _restricted(ranking: CoalitionalRanking, subject: int):
-    return tuple(
-        tuple(m for m in cls if m != subject)
-        for cls in ranking.classes
-        if cls != (subject,)
-    )
+    above, above2 = sum(bits[:j]), sum(bits2[:j2])  # classes are disjoint bitsets
+    tied, tied2 = bits[j] & ~bit, bits2[j2] & ~bit
+    return not (above & ~above2 or tied & ~(above2 | tied2))

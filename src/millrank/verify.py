@@ -39,8 +39,9 @@ from .axioms import (
     rag_premises,
     rdf_premises,
     rjad_premises,
+    selector,
 )
-from .core import CoalitionalRanking, Universe, concomitant_set, members_mask
+from .core import CoalitionalRanking, Universe, concomitant_set, mask_members, members_mask
 from .enumeration import EXHAUSTIVE, RankingStream, fubini
 from .errors import UniverseTooLargeError
 from .solutions import RULES, lookup_rule
@@ -329,12 +330,16 @@ def theorem1_probe(
     stream = _stream(universe, mode)
     difference = None
     compared = 0
-    for ranking in stream:
+    # The scan reads and fills the selection tables the SI and DMON
+    # checkers use, so a pool forked after it inherits them filled. For
+    # plurality itself both selectors share one table.
+    select_mine, select_ref = selector(rule_fn, universe), selector(plurality, universe)
+    for index, ranking in enumerate(stream):
         compared += 1
-        mine = rule_fn(ranking)
-        ref = plurality(ranking)
+        known = index if mode == EXHAUSTIVE else None
+        mine, ref = select_mine(ranking, known), select_ref(ranking, known)
         if mine != ref:
-            difference = Difference(ranking, mine, ref)
+            difference = Difference(ranking, *(mask_members(m, universe.n) for m in (mine, ref)))
             break
     if difference is None:
         sweeps = sweep_cells(
@@ -431,10 +436,14 @@ def prop1_report(n: int = 3, *, jobs: int = 1, witness_cap: int = 10) -> Prop1Re
     all rankings induces the relative-agreement premise with the same
     conclusion (zero counterexamples expected); (c) the constant rule
     passes weak relative agreement and concomitant variation in full.
-    Parts (b) and (c) run exhaustively and need n = 3.
+    Parts (b) and (c) run exhaustively and need n = 3. Part (a) prints
+    a ranking of all 2**n - 1 coalitions per ordered pair, so n stops
+    at MAX_CHECKED_N.
     """
     if n < 3:
         raise ValueError("prop1_report needs n >= 3")
+    if n > MAX_CHECKED_N:
+        raise UniverseTooLargeError(f"prop1 supports n <= {MAX_CHECKED_N}, got n={n}")
     universe = Universe(n)
     constructions = []
     for x, y in permutations(range(n), 2):

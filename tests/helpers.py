@@ -2,10 +2,11 @@
 
 The oracles recompute everything from frozenset-of-ints first principles
 (itertools over member lists, no bitmasks), so they exercise none of the
-code paths they are used to check. Five declared oracles are instead
+code paths they are used to check. Six declared oracles are instead
 the direct loops that faster code replaced: :func:`oracle_sweep`,
-:func:`oracle_sample_classes`, :func:`slide_gammas`, and the slide
-independence and downward monotonicity checkers that build every
+:func:`oracle_sample_classes`, :func:`slide_gammas`, the deterioration
+recognizer on class tuples :func:`oracle_is_deterioration`, and the
+slide independence and downward monotonicity checkers that build every
 transformed ranking and call the rule on it,
 :func:`oracle_slide_independence` and :func:`oracle_downward_monotonicity`.
 """
@@ -25,6 +26,7 @@ from millrank import (
     RankingStream,
     SweepReport,
     Universe,
+    UniverseMismatchError,
     Verdict,
     Witness,
     lookup_rule,
@@ -205,6 +207,38 @@ def all_placements(ranking, subject):
         inserted.insert(gap, [subject])
         out.append(validate_ranking(inserted, ranking.universe))
     return out
+
+
+def oracle_is_deterioration(ranking, ranking2, subject) -> bool:
+    """Whether ranking2 degrades only the subject, judged on class tuples.
+
+    The other coalitions must keep their classes once the subject is
+    removed from both rankings; coalitions tied with the subject may
+    only stay tied or move strictly above it, and coalitions strictly
+    above it must stay strictly above.
+    """
+    if ranking.universe != ranking2.universe:
+        raise UniverseMismatchError("rankings must share a universe")
+    j = ranking.index_of(subject)
+
+    def restricted(r):
+        return tuple(
+            tuple(m for m in cls if m != subject) for cls in r.classes if cls != (subject,)
+        )
+
+    if restricted(ranking) != restricted(ranking2):
+        return False
+    j2 = ranking2.index_of(subject)
+    class_of, class_of2 = ranking.class_of, ranking2.class_of
+    for mask in range(1, ranking.universe.full_mask + 1):
+        if mask == subject:
+            continue
+        k = class_of[mask]
+        if k == j and not class_of2[mask] <= j2:
+            return False
+        if k < j and not class_of2[mask] < j2:
+            return False
+    return True
 
 
 def oracle_rjad_premises(ranking):

@@ -38,7 +38,7 @@ from millrank import (
     sample_ranking,
     split_plurality,
 )
-from millrank.axioms import rdf_premises, rjad_premises
+from millrank.axioms import rdf_premises, rjad_premises, selector
 from millrank.cli import to_json
 from helpers import (
     cmask,
@@ -364,6 +364,24 @@ class TestTransformationCheckers:
         rule = RULES[rule_id]
         for ranking in rankings:
             assert to_json(check(ranking, rule)) == to_json(oracle(ranking, rule))
+
+    @pytest.mark.parametrize("axiom", CHECKERS)
+    @pytest.mark.parametrize("rule_id", RULES)
+    def test_match_the_oracles_from_filled_tables(self, all_n2, axiom, rule_id):
+        # A fresh rule object starts an empty table. Filled for every
+        # n = 2 ranking first, a wrongly ranked target would read the
+        # selection of another ranking.
+        check, oracle = self.CHECKERS[axiom]
+        rule = RULES[rule_id]
+
+        def fresh(ranking):
+            return rule(ranking)
+
+        select = selector(fresh, Universe(2))
+        for index, ranking in enumerate(all_n2):
+            select(ranking, index)
+        for ranking in all_n2:
+            assert to_json(check(ranking, fresh)) == to_json(oracle(ranking, rule))
 
     def test_rule_runs_once_per_distinct_ranking(self, rankings):
         calls = Counter()

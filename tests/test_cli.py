@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from millrank import enumeration
+from millrank import enumeration, verify
 from millrank.cli import REPORT_SCHEMA, _resolve_jobs, emit_report, main
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "reports.json"
@@ -351,6 +351,25 @@ class TestSampledGuard:
         assert code == 2
         assert doc is None
         assert f"n <= {bound}" in err
+
+
+class TestProp1Guard:
+    """verify prop1 prints a ranking of all 2^n - 1 coalitions per ordered pair: n stops at 8."""
+
+    @pytest.fixture(autouse=True)
+    def no_constructions(self, monkeypatch):
+        # A regression fails here instead of building rankings of 2^n - 1 coalitions.
+        def refuse(*args):
+            raise AssertionError("a construction was built")
+
+        monkeypatch.setattr(verify, "relative_construction", refuse)
+
+    @pytest.mark.parametrize("n", ["9", "14"])
+    def test_refused_beyond_the_bound(self, capsys, n):
+        code, doc, err = run(capsys, "verify", "prop1", "--n", n)
+        assert code == 2
+        assert doc is None
+        assert "n <= 8" in err
 
 
 def test_python_dash_m_runs_the_cli():

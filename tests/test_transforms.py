@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from millrank import (
-    DeteriorationSpec,
     InvalidMoveError,
     RankingStream,
     Sample,
@@ -20,8 +19,16 @@ from millrank import (
     validate_ranking,
 )
 from millrank.core import bits_classes, class_bits
-from millrank.transforms import deterioration_bits, slide_bits, slide_gamma_bits
-from helpers import all_placements, cmask, rk, slide_gammas
+from millrank.enumeration import stream_index, stream_prefix
+from millrank.transforms import (
+    deterioration_bits,
+    deterioration_indices,
+    deterioration_placements,
+    slide_bits,
+    slide_gamma_bits,
+    slide_indices,
+)
+from helpers import all_placements, cmask, oracle_is_deterioration, rk, slide_gammas
 
 EX2 = rk("123 12 13 / rest")
 
@@ -156,6 +163,15 @@ class TestIsDeterioration:
                         candidate in generated
                     )
 
+    def test_matches_the_class_tuple_oracle(self, all_n2):
+        cases = [*all_n2, *RankingStream(Universe(3), Sample(40, 23))]
+        for ranking in cases:
+            for subject in range(1, ranking.universe.full_mask + 1):
+                for candidate in all_placements(ranking, subject):
+                    assert is_deterioration(ranking, candidate, subject) == (
+                        oracle_is_deterioration(ranking, candidate, subject)
+                    )
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10**6), subject=st.integers(1, 7))
     def test_placement_family_cross_check_n3(self, seed, subject):
@@ -206,10 +222,41 @@ class TestBitsetTargets:
             for subject in range(1, ranking.universe.full_mask + 1):
                 j = ranking.index_of(subject)
                 specs = list(enumerate_deterioration_specs(ranking, subject))
-                assert [bits_classes(deterioration_bits(bits, j, spec)) for spec in specs] == [
-                    apply_deterioration(ranking, spec).classes for spec in specs
+                got = [
+                    bits_classes(deterioration_bits(bits, j, subject, spec.kind, spec.k))
+                    for spec in specs
                 ]
+                assert got == [apply_deterioration(ranking, spec).classes for spec in specs]
+
+    def test_indices_rank_the_targets(self, all_n2):
+        # Exhaustive n = 2 and a seeded n = 3 sample: every index ranked
+        # from the source's prefix equals stream_index of the target bits.
+        for ranking in [*all_n2, *RankingStream(Universe(3), Sample(60, 24))]:
+            n, bits = ranking.universe.n, class_bits(ranking.classes)
+            prefix = stream_prefix(bits, n)
+            assert prefix.index == stream_index(bits, n)
+            for k1, cls in enumerate(bits):
+                for gamma in slide_gamma_bits(cls):
+                    want = [
+                        None if k2 == k1 else stream_index(slide_bits(bits, k1, k2, gamma), n)
+                        for k2 in range(len(bits))
+                    ]
+                    assert slide_indices(prefix, bits, k1, gamma) == want
+            for subject in range(1, ranking.universe.full_mask + 1):
+                j = ranking.index_of(subject)
+                placements = deterioration_placements(j, len(bits), bits[j] == 1 << (subject - 1))
+                want = [
+                    stream_index(deterioration_bits(bits, j, subject, *placement), n)
+                    for placement in placements[1:]
+                ]
+                assert deterioration_indices(prefix, bits, j, subject, placements) == want
+
+    def test_indices_without_a_prefix_are_none(self):
+        bits = class_bits(EX2.classes)
+        assert slide_indices(None, bits, 0, bits[0] & -bits[0]) == [None, None]
+        placements = deterioration_placements(0, 2, False)
+        assert deterioration_indices(None, bits, 0, 1, placements) == [None] * 3
 
     def test_unknown_placement_kind_rejected(self):
         with pytest.raises(ValueError):
-            deterioration_bits(class_bits(EX2.classes), 0, DeteriorationSpec(1, "above", 0))
+            deterioration_bits(class_bits(EX2.classes), 0, 1, "above", 0)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -122,6 +123,24 @@ class TestTheorem1Probe:
         assert witness is not None and witness.axiom in ("STAG", "SI", "DMON")
         assert replay(witness, rule).status == VIOLATED
 
+    def test_difference_scan_fills_the_selection_table(self, monkeypatch):
+        # The scan evaluates plurality once per ranking, and SI and DMON
+        # then read every selection from the table; only STAG calls the
+        # rule again, once per ranking with a premise.
+        calls = Counter()
+        plurality = RULES["plurality"]
+
+        def counting(ranking):
+            calls[ranking.classes] += 1
+            return plurality(ranking)
+
+        monkeypatch.setitem(RULES, "plurality", counting)
+        report = theorem1_probe("plurality", 2)
+        assert report.equivalent is True
+        stag = report.sweeps[0]
+        assert sum(calls.values()) == 13 + stag.premises_found
+        assert max(calls.values()) == 2
+
     def test_les_difference_instance(self):
         ranking = rk("12 / 1 / rest")
         assert lookup_rule("les")(ranking) != lookup_rule("plurality")(ranking)
@@ -164,6 +183,14 @@ class TestProp1:
     def test_small_universes_rejected(self):
         with pytest.raises(ValueError):
             __import__("millrank").prop1_report(2)
+
+    def test_large_universes_refused_before_any_construction(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a construction was built")
+
+        monkeypatch.setattr(verify, "relative_construction", refuse)
+        with pytest.raises(UniverseTooLargeError, match="n <= 8"):
+            verify.prop1_report(9)
 
 
 class TestProp3Matrix:
