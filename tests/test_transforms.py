@@ -251,12 +251,6 @@ class TestBitsetTargets:
                 ]
                 assert deterioration_indices(prefix, bits, j, subject, placements) == want
 
-    def test_indices_without_a_prefix_are_none(self):
-        bits = class_bits(EX2.classes)
-        assert slide_indices(None, bits, 0, bits[0] & -bits[0]) == [None, None]
-        placements = deterioration_placements(0, 2, False)
-        assert deterioration_indices(None, bits, 0, 1, placements) == [None] * 3
-
     def test_unknown_placement_kind_rejected(self):
         with pytest.raises(ValueError):
             deterioration_bits(class_bits(EX2.classes), 0, 1, "above", 0)
