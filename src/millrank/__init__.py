@@ -83,7 +83,6 @@ from .transforms import (
     apply_slide,
     enumerate_deterioration_specs,
     enumerate_deteriorations,
-    enumerate_slides,
     is_deterioration,
 )
 from .verify import (

@@ -42,7 +42,7 @@ class UnknownAxiomError(MillrankError):
 
 
 class UniverseTooLargeError(MillrankError):
-    """Exhaustive enumeration was requested beyond the supported size."""
+    """A run was requested beyond the size its bound supports."""
 
 
 class RankingSyntaxError(MillrankError):

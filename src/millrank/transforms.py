@@ -1,16 +1,16 @@
 """Ranking transformations: balanced slides and single-coalition deteriorations.
 
 Class indices in this module are 0-based positions into
-``ranking.classes`` (0 is the best class). Each transformation also
-comes in a bitset form that the axiom checkers use: a class is a bitset
-over coalitions (coalition m is bit m - 1, see
-:func:`millrank.core.class_bits`), and :func:`slide_bits` and
-:func:`deterioration_bits` return the transformed ranking's classes as
-bitsets, equal to those of :func:`apply_slide` and
-:func:`apply_deterioration`. :func:`slide_indices` and
-:func:`deterioration_indices` rank the transformed rankings in the
-exhaustive stream from the source's running index sums, without
-building their bitsets.
+``ranking.classes`` (0 is the best class). Each transformation is
+implemented once, on class bitsets: a class is a bitset over coalitions
+(coalition m is bit m - 1, see :func:`millrank.core.class_bits`), and
+:func:`slide_bits` and :func:`deterioration_bits` return the transformed
+ranking's classes as bitsets. The axiom checkers use them directly;
+:func:`apply_slide`, :func:`apply_deterioration` and
+:func:`enumerate_deteriorations` check their move and decode the
+result. :func:`slide_indices` and :func:`deterioration_indices` rank the
+transformed rankings in the exhaustive stream from the source's running
+index sums, without building their bitsets.
 """
 
 from __future__ import annotations
@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from functools import cache
 
 from .core import CoalitionalRanking, bits_classes, class_bits
-from .errors import InvalidMoveError, OutOfUniverseError, UniverseMismatchError
+from .errors import InvalidMoveError, UniverseMismatchError
+
+
+def _decode(universe, bits) -> CoalitionalRanking:
+    """The ranking whose classes are the given class bitsets."""
+    return CoalitionalRanking._trusted(universe, bits_classes(bits))
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,10 +55,8 @@ def apply_slide(ranking: CoalitionalRanking, move: SlideMove) -> CoalitionalRank
     source = set(classes[move.k1])
     if not gamma < source:
         raise InvalidMoveError("gamma must be a proper subset of the source class")
-    new_classes = list(classes)
-    new_classes[move.k1] = tuple(m for m in classes[move.k1] if m not in gamma)
-    new_classes[move.k2] = tuple(sorted(classes[move.k2] + move.gamma))
-    return CoalitionalRanking._trusted(ranking.universe, tuple(new_classes))
+    bits, (gamma_bits,) = class_bits(classes), class_bits((gamma,))
+    return _decode(ranking.universe, slide_bits(bits, move.k1, move.k2, gamma_bits))
 
 
 @cache
@@ -113,36 +116,6 @@ def slide_indices(prefix, bits, k1: int, gamma: int) -> list:
     return indices
 
 
-def enumerate_slides(ranking: CoalitionalRanking, x: int, y: int):
-    """Yield every slide balanced between x and y, with its result.
-
-    A slide is balanced when gamma holds as many coalitions containing x
-    as containing y (possibly zero of each). Yields ``(move, ranking2)``
-    pairs ordered by source class, then destination class, then gamma as
-    a bit pattern over the mask-sorted source class. Empty gamma and
-    k1 == k2 are excluded as no-ops.
-    """
-    n = ranking.universe.n
-    if not (0 <= x < n and 0 <= y < n):
-        raise OutOfUniverseError(f"individual ids {x}, {y} must lie in 0..{n - 1}")
-    if x == y:
-        raise ValueError("x and y must be distinct individuals")
-    with_x, with_y = membership_bits(n)[x], membership_bits(n)[y]
-    classes = ranking.classes
-    for k1, cls in enumerate(class_bits(classes)):
-        balanced = [
-            bits_classes((gamma,))[0]
-            for gamma in slide_gamma_bits(cls)
-            if (gamma & with_x).bit_count() == (gamma & with_y).bit_count()
-        ]
-        for k2 in range(len(classes)):
-            if k2 == k1:
-                continue
-            for gamma in balanced:
-                move = SlideMove(k1, k2, gamma)
-                yield move, apply_slide(ranking, move)
-
-
 @dataclass(frozen=True, slots=True)
 class DeteriorationSpec:
     """Where a single coalition is moved, weakly downward.
@@ -159,23 +132,18 @@ class DeteriorationSpec:
 
 
 def apply_deterioration(ranking: CoalitionalRanking, spec: DeteriorationSpec) -> CoalitionalRanking:
-    """Rebuild a ranking with the subject coalition placed per the spec."""
-    j = ranking.index_of(spec.subject)
-    classes = [list(c) for c in ranking.classes]
-    classes[j].remove(spec.subject)
-    if spec.kind == "stay":
-        classes[j].append(spec.subject)
-        classes[j].sort()
-    elif spec.kind == "join":
-        classes[spec.k].append(spec.subject)
-        classes[spec.k].sort()
-    elif spec.kind == "below":
-        classes.insert(spec.k + 1, [spec.subject])
-    else:
-        raise ValueError(f"unknown placement kind {spec.kind!r}")
-    return CoalitionalRanking._trusted(
-        ranking.universe, tuple(tuple(c) for c in classes if c)
-    )
+    """Place the subject coalition per the spec, one of its :func:`deterioration_placements`.
+
+    Raises InvalidMoveError for any other spec: an upward move, an index
+    out of range, an unknown kind, or a "stay" away from the subject's
+    class.
+    """
+    bits, j, placements = _placements(ranking, spec.subject)
+    if (spec.kind, spec.k) not in placements:
+        raise InvalidMoveError(
+            f"({spec.kind!r}, {spec.k}) is not a downward placement of coalition {spec.subject}"
+        )
+    return _decode(ranking.universe, deterioration_bits(bits, j, spec.subject, spec.kind, spec.k))
 
 
 def deterioration_bits(bits, j: int, subject: int, kind: str, k: int) -> list[int]:
@@ -211,6 +179,13 @@ def deterioration_placements(j: int, l: int, alone: bool) -> tuple[tuple[str, in
         *(("join", k) for k in range(j + 1, l)),
         *(("below", k) for k in range(j + 1 if alone else j, l)),
     )
+
+
+def _placements(ranking: CoalitionalRanking, subject: int):
+    """(class bitsets, class of the subject, the subject's deterioration placements)."""
+    j = ranking.index_of(subject)
+    bits = class_bits(ranking.classes)
+    return bits, j, deterioration_placements(j, len(bits), bits[j] == 1 << (subject - 1))
 
 
 def deterioration_indices(prefix, bits, j: int, subject: int, placements) -> list:
@@ -250,9 +225,7 @@ def enumerate_deterioration_specs(ranking: CoalitionalRanking, subject: int):
     position are offset by the disappearance of its old class. The
     order is that of :func:`deterioration_placements`.
     """
-    j = ranking.index_of(subject)
-    alone = len(ranking.classes[j]) == 1
-    for kind, k in deterioration_placements(j, len(ranking.classes), alone):
+    for kind, k in _placements(ranking, subject)[2]:
         yield DeteriorationSpec(subject, kind, k)
 
 
@@ -261,9 +234,11 @@ def enumerate_deteriorations(ranking: CoalitionalRanking, subject: int):
 
     The stream is duplicate-free, starts with the unchanged ranking, and
     every yield satisfies :func:`is_deterioration` against the input.
+    The order is that of :func:`deterioration_placements`.
     """
-    for spec in enumerate_deterioration_specs(ranking, subject):
-        yield apply_deterioration(ranking, spec)
+    bits, j, placements = _placements(ranking, subject)
+    for placement in placements:
+        yield _decode(ranking.universe, deterioration_bits(bits, j, subject, *placement))
 
 
 def is_deterioration(

@@ -667,7 +667,7 @@ def independence_report(
     add_sweep_claim("split_plurality", "DMON")
     base, move, slid = split_plurality_slide_instance(n)
     rule_fn = RULES["split_plurality"]
-    _, witness = judge_slide(base, move, slid, set(rule_fn(base)), set(rule_fn(slid)), [(0, 1)])
+    witness = judge_slide(base, move, slid, set(rule_fn(base)), set(rule_fn(slid)), 0, 1)
     verdict = "violated" if witness else "satisfied"
     add_claim("split_plurality", "SI", "violated", "instance", verdict, witness)
 

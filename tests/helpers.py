@@ -2,13 +2,15 @@
 
 The oracles recompute everything from frozenset-of-ints first principles
 (itertools over member lists, no bitmasks), so they exercise none of the
-code paths they are used to check. Six declared oracles are instead
+code paths they are used to check. Eight declared oracles are instead
 the direct loops that faster code replaced: :func:`oracle_sweep`,
-:func:`oracle_sample_classes`, :func:`slide_gammas`, the deterioration
-recognizer on class tuples :func:`oracle_is_deterioration`, and the
-slide independence and downward monotonicity checkers that build every
-transformed ranking and call the rule on it,
-:func:`oracle_slide_independence` and :func:`oracle_downward_monotonicity`.
+:func:`oracle_sample_classes`, :func:`slide_gammas`, the slide and
+deterioration applicators and the deterioration recognizer on class
+tuples :func:`oracle_apply_slide`, :func:`oracle_apply_deterioration`
+and :func:`oracle_is_deterioration`, and the slide independence and
+downward monotonicity checkers that build every transformed ranking and
+call the rule on it, :func:`oracle_slide_independence` and
+:func:`oracle_downward_monotonicity`.
 """
 
 import random
@@ -33,12 +35,7 @@ from millrank import (
     validate_ranking,
 )
 from millrank.axioms import _verdict, judge_slide
-from millrank.transforms import (
-    SlideMove,
-    apply_deterioration,
-    apply_slide,
-    enumerate_deterioration_specs,
-)
+from millrank.transforms import SlideMove, enumerate_deterioration_specs
 
 
 def rk(shorthand: str, n: int = 3) -> CoalitionalRanking:
@@ -209,6 +206,28 @@ def all_placements(ranking, subject):
     return out
 
 
+def oracle_apply_slide(ranking, move):
+    """The ranking after a valid slide move, rebuilt from class tuples."""
+    classes = list(ranking.classes)
+    classes[move.k1] = tuple(m for m in classes[move.k1] if m not in move.gamma)
+    classes[move.k2] = tuple(sorted(classes[move.k2] + move.gamma))
+    return CoalitionalRanking._trusted(ranking.universe, tuple(classes))
+
+
+def oracle_apply_deterioration(ranking, spec):
+    """The ranking after a valid deterioration spec, rebuilt from class tuples."""
+    j = ranking.index_of(spec.subject)
+    classes = [list(c) for c in ranking.classes]
+    classes[j].remove(spec.subject)
+    if spec.kind == "below":
+        classes.insert(spec.k + 1, [spec.subject])
+    else:
+        classes[j if spec.kind == "stay" else spec.k].append(spec.subject)
+    return CoalitionalRanking._trusted(
+        ranking.universe, tuple(tuple(sorted(c)) for c in classes if c)
+    )
+
+
 def oracle_is_deterioration(ranking, ranking2, subject) -> bool:
     """Whether ranking2 degrades only the subject, judged on class tuples.
 
@@ -363,10 +382,12 @@ def oracle_slide_independence(ranking, rule) -> Verdict:
                 if k2 == k1:
                     continue
                 move = SlideMove(k1, k2, gamma)
-                slid = apply_slide(ranking, move)
-                found, first = judge_slide(ranking, move, slid, base, set(rule(slid)), balanced)
-                premises += found
-                witness = witness or first
+                slid = oracle_apply_slide(ranking, move)
+                after = set(rule(slid))
+                for x, y in balanced:
+                    if base & {x, y} and after & {x, y}:
+                        premises += 1
+                        witness = witness or judge_slide(ranking, move, slid, base, after, x, y)
     return _verdict(premises, witness)
 
 
@@ -390,7 +411,7 @@ def oracle_downward_monotonicity(ranking, rule) -> Verdict:
         if not kept:
             continue
         for spec in enumerate_deterioration_specs(ranking, s):
-            after = apply_deterioration(ranking, spec)
+            after = oracle_apply_deterioration(ranking, spec)
             selected = set(rule(after))
             premises += len(kept)
             for x in kept:

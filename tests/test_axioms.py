@@ -14,6 +14,7 @@ from millrank import (
     RankingStream,
     Sample,
     Universe,
+    UniverseTooLargeError,
     UnknownAxiomError,
     apply_deterioration,
     apply_slide,
@@ -37,6 +38,7 @@ from millrank import (
     replay,
     sample_ranking,
     split_plurality,
+    validate_ranking,
 )
 from millrank.axioms import rdf_premises, rjad_premises, selector
 from millrank.cli import to_json
@@ -198,6 +200,15 @@ class TestSlideIndependence:
     def test_f_star_fails_at_three_individuals(self):
         verdict = check_slide_independence(rk("1 2 12 / 3 / rest"), f_star)
         assert verdict.status == VIOLATED
+
+    def test_too_many_slides_refused_before_the_rule_runs(self):
+        ranking = validate_ranking([list(range(1, 31)), [31]], Universe(5))
+
+        def rule(ranking):
+            raise AssertionError("the rule ran")
+
+        with pytest.raises(UniverseTooLargeError, match="slides"):
+            check_slide_independence(ranking, rule)
 
 
 class TestDownwardMonotonicity:

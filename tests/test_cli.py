@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from argparse import Namespace
 from pathlib import Path
 
@@ -370,6 +371,33 @@ class TestProp1Guard:
         assert code == 2
         assert doc is None
         assert "n <= 8" in err
+
+
+class TestSlideGuard:
+    """check refuses an SI scan of too many slides; two classes of 30 and 1 coalitions have 2^30 - 2."""
+
+    @pytest.fixture()
+    def wide_file(self, tmp_path):
+        names = "abcde"
+        coalitions = [[names[i] for i in range(5) if mask >> i & 1] for mask in range(1, 32)]
+        document = {"universe": list(names), "classes": [coalitions[:30], coalitions[30:]]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    def test_si_refused_within_a_second(self, capsys, wide_file):
+        start = time.perf_counter()
+        code, doc, err = run(capsys, "check", "--rule", "plurality", "--axiom", "SI", "--input", wide_file)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert doc is None
+        assert "slides" in err
+
+    def test_dmon_still_checks_it(self, capsys, wide_file):
+        code, doc, _ = run(capsys, "check", "--rule", "plurality", "--axiom", "DMON", "--input", wide_file)
+        assert code == 0
+        verdict = doc["result"]["verdict"]
+        assert (verdict["status"], verdict["premises_checked"]) == ("satisfied", 300)
 
 
 def test_python_dash_m_runs_the_cli():

@@ -3,12 +3,15 @@
 ``perfbench/tracer.py`` patches names in the package's modules by
 their current names. A refactor that renames or drops one of them fails
 here, in the test suite, rather than in the benchmark's traced run.
+The witness runs fail when a checker builds its witness around the
+patched names.
 """
 
 import importlib.util
 from pathlib import Path
 
-import millrank
+import millrank.cli  # binds millrank; the tracer installs on millrank.cli too
+from helpers import rk
 
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
 
@@ -33,3 +36,27 @@ def test_tracer_traces_theorem1_and_restores(capsys):
     assert tracer.stats["cli.main"][0] == 1
     assert tracer.stats["axioms.SI"][0] == tracer.stats["axioms.DMON"][0] == 13
     assert (millrank.cli.main, millrank.axioms.AXIOMS["DMON"], millrank.RULES["plurality"]) == originals
+
+
+def test_tracer_traces_the_witness_paths(capsys, tmp_path):
+    # f_star violates both axioms on these rankings, so each check builds
+    # its witness through the names the tracer patches.
+    argvs = []
+    for axiom, shorthand in (("SI", "1 2 12 / 3 / rest"), ("DMON", "1 2 12 3 13 / 23 / 123")):
+        path = tmp_path / f"{axiom}.rank"
+        path.write_text(millrank.render_ranking(rk(shorthand)))
+        argvs.append(["check", "--rule", "f_star", "--axiom", axiom, "--input", str(path)])
+    tracer = load_tracer().Tracer()
+    traced_main = tracer.install(millrank)
+    try:
+        codes = [traced_main(argv) for argv in argvs]
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert codes == [1, 1]
+    for span in (
+        "transforms.apply_slide",
+        "transforms.apply_deterioration",
+        "transforms.deterioration_specs",
+    ):
+        assert tracer.stats[span][0] >= 1, span

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from millrank import (
+    DeteriorationSpec,
     InvalidMoveError,
     RankingStream,
     Sample,
@@ -13,7 +14,6 @@ from millrank import (
     apply_slide,
     enumerate_deterioration_specs,
     enumerate_deteriorations,
-    enumerate_slides,
     is_deterioration,
     sample_ranking,
     validate_ranking,
@@ -28,9 +28,27 @@ from millrank.transforms import (
     slide_gamma_bits,
     slide_indices,
 )
-from helpers import all_placements, cmask, oracle_is_deterioration, rk, slide_gammas
+from helpers import (
+    all_placements,
+    cmask,
+    oracle_apply_deterioration,
+    oracle_apply_slide,
+    oracle_is_deterioration,
+    rk,
+    slide_gammas,
+)
 
 EX2 = rk("123 12 13 / rest")
+
+
+def balanced_slides(ranking, x, y):
+    """Every slide of a gamma holding as many coalitions with x as with y."""
+    for k1, cls in enumerate(ranking.classes):
+        for gamma, counts in slide_gammas(cls, ranking.universe.n):
+            if counts[x] == counts[y]:
+                for k2 in range(ranking.num_classes):
+                    if k2 != k1:
+                        yield SlideMove(k1, k2, gamma)
 
 
 class TestApplySlide:
@@ -63,7 +81,9 @@ class TestApplySlide:
     def test_preserves_structure(self):
         for seed in range(30):
             ranking = sample_ranking(3, seed)
-            for move, slid in enumerate_slides(ranking, 0, 1):
+            for move in balanced_slides(ranking, 0, 1):
+                slid = apply_slide(ranking, move)
+                assert slid == oracle_apply_slide(ranking, move)
                 assert slid.num_classes == ranking.num_classes
                 assert sum(len(c) for c in slid.classes) == 7
                 validate_ranking(slid.classes, slid.universe)
@@ -71,39 +91,12 @@ class TestApplySlide:
     def test_reverse_slide_restores(self):
         for seed in range(30):
             ranking = sample_ranking(3, seed + 50)
-            for move, slid in enumerate_slides(ranking, 1, 2):
+            for move in balanced_slides(ranking, 1, 2):
+                slid = apply_slide(ranking, move)
+                assert slid == oracle_apply_slide(ranking, move)
                 if set(move.gamma) < set(slid.classes[move.k2]):
                     back = SlideMove(move.k2, move.k1, move.gamma)
                     assert apply_slide(slid, back) == ranking
-
-
-class TestEnumerateSlides:
-    def test_total_tie_has_no_slides(self):
-        assert list(enumerate_slides(rk("rest"), 0, 1)) == []
-
-    def test_balance_filter(self):
-        moves = [m for m, _ in enumerate_slides(EX2, 1, 2)]
-        gammas = {m.gamma for m in moves if m.k1 == 0}
-        assert (cmask("123"),) in gammas
-        assert (cmask("12"),) not in gammas
-        assert (cmask("12"), cmask("13")) in gammas
-
-    def test_four_individual_instance_included(self):
-        ranking = rk("1 2 23 14 / rest", n=4)
-        gamma = tuple(sorted((cmask("14"), cmask("2"))))
-        moves = [m for m, _ in enumerate_slides(ranking, 0, 1)]
-        assert SlideMove(0, 1, gamma) in moves
-
-    def test_deterministic_order(self):
-        first = [m for m, _ in enumerate_slides(EX2, 1, 2)]
-        second = [m for m, _ in enumerate_slides(EX2, 1, 2)]
-        assert first == second
-        keys = [(m.k1, m.k2) for m in first]
-        assert keys == sorted(keys)
-
-    def test_identical_individuals_rejected(self):
-        with pytest.raises(ValueError):
-            next(enumerate_slides(EX2, 1, 1))
 
 
 class TestEnumerateDeteriorations:
@@ -129,6 +122,20 @@ class TestEnumerateDeteriorations:
     def test_singleton_bottom_class_only_identity(self):
         ranking = rk("123 12 13 / 23 1 3 / 2")
         assert list(enumerate_deteriorations(ranking, cmask("2"))) == [ranking]
+
+    @pytest.mark.parametrize(
+        "kind, k",
+        [
+            ("below", 0),  # upward: a singleton class above the subject's
+            ("join", 0),  # upward: merged into a better class
+            ("join", 9),  # no such class
+            ("stay", 3),  # "stay" names the subject's own class, 2
+        ],
+    )
+    def test_spec_outside_the_placements_rejected(self, kind, k):
+        ranking = rk("123 12 13 / 23 / 1 / 2 3")
+        with pytest.raises(InvalidMoveError):
+            apply_deterioration(ranking, DeteriorationSpec(cmask("1"), kind, k))
 
     def test_duplicate_free_and_valid(self):
         for seed in range(40):
@@ -191,23 +198,25 @@ def _bitset_cases(all_n2):
 
 
 class TestBitsetTargets:
-    """The bitset transforms the SI and DMON checkers use, against the ranking ones."""
+    """The bitset transforms and the applicators that decode them, against the class-tuple oracles."""
 
     def test_slides_match_apply_slide_in_scan_order(self, all_n2):
         for ranking in _bitset_cases(all_n2):
             n, bits = ranking.universe.n, class_bits(ranking.classes)
-            got, want = [], []
+            got, applied, want = [], [], []
             for k1, cls in enumerate(ranking.classes):
                 for gamma, _ in slide_gammas(cls, n):
                     for k2 in range(ranking.num_classes):
                         if k2 != k1:
-                            slid = apply_slide(ranking, SlideMove(k1, k2, gamma))
-                            want.append((k1, k2, slid.classes))
+                            move = SlideMove(k1, k2, gamma)
+                            want.append((k1, k2, oracle_apply_slide(ranking, move).classes))
+                            applied.append((k1, k2, apply_slide(ranking, move).classes))
                 for gamma in slide_gamma_bits(bits[k1]):
                     for k2 in range(len(bits)):
                         if k2 != k1:
                             got.append((k1, k2, bits_classes(slide_bits(bits, k1, k2, gamma))))
             assert got == want
+            assert applied == want
 
     def test_gamma_bits_follow_slide_gammas(self, all_n2):
         for ranking in _bitset_cases(all_n2):
@@ -222,11 +231,15 @@ class TestBitsetTargets:
             for subject in range(1, ranking.universe.full_mask + 1):
                 j = ranking.index_of(subject)
                 specs = list(enumerate_deterioration_specs(ranking, subject))
+                want = [oracle_apply_deterioration(ranking, spec).classes for spec in specs]
                 got = [
                     bits_classes(deterioration_bits(bits, j, subject, spec.kind, spec.k))
                     for spec in specs
                 ]
-                assert got == [apply_deterioration(ranking, spec).classes for spec in specs]
+                assert got == want
+                assert [apply_deterioration(ranking, spec).classes for spec in specs] == want
+                generated = enumerate_deteriorations(ranking, subject)
+                assert [result.classes for result in generated] == want
 
     def test_indices_rank_the_targets(self, all_n2):
         # Exhaustive n = 2 and a seeded n = 3 sample: every index ranked

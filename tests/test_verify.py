@@ -250,6 +250,13 @@ class TestIndependence:
         assert split_plurality(base) == sel("12")
         assert split_plurality(slid) == sel("1")
 
+    def test_slide_instance_is_balanced(self):
+        # gamma holds as many coalitions with individual 1 as with 2, so
+        # the slide is a premise of SI for the watched pair (0, 1).
+        base, move, _ = split_plurality_slide_instance(4)
+        assert set(move.gamma) < set(base.classes[move.k1])
+        assert sum(m & 1 for m in move.gamma) == sum(m >> 1 & 1 for m in move.gamma) == 1
+
     def test_les_instance_builder(self):
         assert les_stag_instance() == rk("12 / 1 / rest")
 
