@@ -71,6 +71,15 @@ from .transforms import (
 # n = 5 and 2 min at n = 8. In 1,000 sampled rankings at n = 8 the most
 # slides was 58,480; exhaustively at n = 3 it is 62.
 _MAX_SLIDES = 1 << 17
+# check_downward_monotonicity refuses a ranking with more deterioration
+# placements (coalition s, weakly-downward placement of s) than this. A
+# ranking has at most (2^n - 1)^2 of them, when every class is a
+# singleton: 49 at n = 3 and 65,025 at n = 8, so no sweep or campaign is
+# refused. That n = 8 ranking took 3.7 s with plurality and 42 s with les
+# (57 and 640 us per placement) on a 2.1 GHz Xeon with Python 3.11.7, so
+# the largest accepted scan takes about 7 s and 1.5 min at n = 8, and
+# more at larger n, where each placement costs more.
+_MAX_PLACEMENTS = 1 << 17
 
 Status = Literal["inapplicable", "satisfied", "violated"]
 INAPPLICABLE = "inapplicable"
@@ -368,13 +377,13 @@ def judge_slide(ranking, move, slid, before, after, x: int, y: int) -> Witness |
 # Per rule and universe of at most MAX_EXHAUSTIVE_N individuals: the
 # rule's selections as id bitmasks, indexed by stream index, 0xFF where
 # not yet evaluated in this process. The tables outlive checker calls,
-# whose signature takes only a ranking and a rule; keyed weakly, they go
-# with the rule.
+# which need only a ranking and a rule; keyed weakly, they go with the
+# rule.
 _SELECTIONS = WeakKeyDictionary()
 _UNKNOWN = 0xFF
 
 
-def _tables(rule, universe):
+def selection_table(rule, universe):
     """(table, fill): the rule's selections on the universe's rankings, and how to add one.
 
     Up to MAX_EXHAUSTIVE_N individuals ``table[index]`` is the rule's
@@ -409,13 +418,13 @@ def _tables(rule, universe):
 def _source(ranking, rule):
     """(table, fill, bits, prefix, base): what the SI and DMON scans read from their source.
 
-    ``table`` and ``fill`` are the rule's, from :func:`_tables`; ``bits``
-    the ranking's class bitsets; ``prefix`` their
+    ``table`` and ``fill`` are the rule's, from :func:`selection_table`;
+    ``bits`` the ranking's class bitsets; ``prefix`` their
     :class:`~millrank.enumeration.StreamPrefix`, or None beyond
     MAX_EXHAUSTIVE_N; ``base`` the rule's selection on the ranking as an
     id bitmask, read from the table or filled into it.
     """
-    table, fill = _tables(rule, ranking.universe)
+    table, fill = selection_table(rule, ranking.universe)
     bits = class_bits(ranking.classes)
     prefix = None if table is None else stream_prefix(bits, ranking.universe.n)
     index = None if prefix is None else prefix.index
@@ -433,7 +442,7 @@ def selector(rule, universe):
     where the universe has a table (up to MAX_EXHAUSTIVE_N individuals).
     The checkers of SI and DMON read and fill the same tables.
     """
-    table, fill = _tables(rule, universe)
+    table, fill = selection_table(rule, universe)
 
     def select(ranking, index=None):
         if table is None:
@@ -446,7 +455,7 @@ def selector(rule, universe):
     return select
 
 
-def check_slide_independence(ranking, rule) -> Verdict:
+def check_slide_independence(ranking, rule, source=None) -> Verdict:
     """Stability of pairwise selection under balanced slides.
 
     For each pair {x, y} and each slide of a gamma balanced between x and
@@ -460,7 +469,8 @@ def check_slide_independence(ranking, rule) -> Verdict:
     table lacks it, or above MAX_EXHAUSTIVE_N where there is no table.
     Rankings are built for the witness only. A ranking with more than
     _MAX_SLIDES slides is refused with UniverseTooLargeError before the
-    scan.
+    scan. A caller that walks the stream passes the ranking's
+    :func:`_source` tuple, built from the walk, as ``source``.
     """
     classes = ranking.classes
     slides = (len(classes) - 1) * sum((1 << len(cls)) - 2 for cls in classes)
@@ -470,7 +480,7 @@ def check_slide_independence(ranking, rule) -> Verdict:
         )
     universe = ranking.universe
     n = universe.n
-    table, fill, bits, prefix, base = _source(ranking, rule)
+    table, fill, bits, prefix, base = source or _source(ranking, rule)
     members = membership_bits(n)
     # Per relevant pair: x, y, the pair as an id bitmask, and the
     # coalitions containing x and containing y; a gamma is balanced
@@ -510,7 +520,7 @@ def check_slide_independence(ranking, rule) -> Verdict:
     return _verdict(premises, witness)
 
 
-def check_downward_monotonicity(ranking, rule) -> Verdict:
+def check_downward_monotonicity(ranking, rule, source=None) -> Verdict:
     """Selected individuals survive deteriorations of coalitions avoiding them.
 
     For every selected x, every nonempty coalition s avoiding x, and
@@ -522,11 +532,25 @@ def check_downward_monotonicity(ranking, rule) -> Verdict:
     witness is that of the smallest x. Each deteriorated ranking's
     selection is read as in :func:`check_slide_independence`; the
     identity placement is counted but not evaluated, and placements and
-    rankings are built for the witness only.
+    rankings are built for the witness only. A ranking with more than
+    _MAX_PLACEMENTS placements is refused with UniverseTooLargeError
+    before the rule runs. ``source`` is as in
+    :func:`check_slide_independence`.
     """
     universe = ranking.universe
     n = universe.n
-    table, fill, bits, prefix, base = _source(ranking, rule)
+    if universe.full_mask**2 > _MAX_PLACEMENTS:  # else no ranking can have more
+        # len(deterioration_placements(j, L, alone)) is 2 (L - j), less 1 when alone.
+        l = len(ranking.classes)
+        placements = sum(
+            2 * (l - j) * len(cls) - (len(cls) == 1) for j, cls in enumerate(ranking.classes)
+        )
+        if placements > _MAX_PLACEMENTS:
+            raise UniverseTooLargeError(
+                "downward monotonicity checks at most"
+                f" {_MAX_PLACEMENTS} placements per ranking, got {placements}"
+            )
+    table, fill, bits, prefix, base = source or _source(ranking, rule)
     if not base:
         return Verdict(INAPPLICABLE, 0)
     premises = 0

@@ -4,10 +4,12 @@ A coalitional ranking over n individuals is an ordered set partition of
 the ``2**n - 1`` nonempty coalitions, so exhaustive streams contain
 ``fubini(2**n - 1)`` rankings. Exhaustive enumeration is guarded at
 n <= 3 (n = 4 has about 2.3e14 rankings); beyond that, use uniform
-sampling, guarded at n <= 10. :func:`stream_index` inverts the
-exhaustive order: it maps a ranking, given as class bitsets, to its
-index in the stream, as the total of the running sums that
-:func:`stream_prefix` keeps per class.
+sampling, guarded at n <= 10. :func:`walk_stream` is the exhaustive
+stream: a depth-first walk over class bitsets that covers any range of
+stream indices and yields each ranking's running index sums with it.
+:func:`stream_index` inverts the exhaustive order: it maps a ranking,
+given as class bitsets, to its index in the stream, as the total of
+the running sums that :func:`stream_prefix` keeps per class.
 """
 
 from __future__ import annotations
@@ -74,50 +76,82 @@ def _top_classes(elements: tuple[int, ...]):
     return subsets(0, ())
 
 
-def _ordered_partitions(elements: tuple[int, ...]):
-    """Ordered set partitions, top class chosen lexicographically first.
+@lru_cache(maxsize=None)
+def _stream_tops(n: int) -> tuple[tuple[tuple, ...], ...]:
+    """tops[remaining]: each top class of the rankings of ``remaining``, in stream order.
 
-    The stream is the depth-first walk taking the next subset of
-    :func:`_top_classes` as the next class.
+    ``remaining`` is a bitset over coalitions (coalition m is bit m - 1).
+    Each entry is (top, classes, offset, size): the top class as a
+    bitset and as ascending coalition masks, the number of stream
+    rankings of ``remaining`` before it (every top earlier in
+    :func:`_top_classes` contributes fubini(|remaining| - |earlier top|)),
+    and the number of rankings it heads, fubini(|remaining| - |top|).
+    3**(2**n - 1) - 2**(2**n - 1) entries in all: 2,059 at n = 3.
     """
-    if not elements:
-        yield ()
-        return
-    m = len(elements)
-    for top in _top_classes(elements):
-        if len(top) == m:
-            yield (top,)
-            continue
-        chosen = set(top)
-        rest = tuple(e for e in elements if e not in chosen)
-        for tail in _ordered_partitions(rest):
-            yield (top,) + tail
+    if n > MAX_EXHAUSTIVE_N:
+        raise UniverseTooLargeError(f"stream indices exist for n <= {MAX_EXHAUSTIVE_N}, got n={n}")
+    weak_orders = _fubini_table((1 << n) - 1)
+    tops = []
+    for remaining in range(1 << ((1 << n) - 1)):
+        singles = tuple(1 << i for i in range(remaining.bit_length()) if remaining >> i & 1)
+        entries, before = [], 0
+        for top in _top_classes(singles):
+            size = weak_orders[len(singles) - len(top)]
+            entries.append((sum(top), tuple(b.bit_length() for b in top), before, size))
+            before += size
+        tops.append(tuple(entries))
+    return tuple(tops)
 
 
 @lru_cache(maxsize=None)
 def _rank_offsets(n: int) -> tuple[list[int], ...]:
     """offsets[remaining][top]: stream rankings of ``remaining`` before top class ``top``.
 
-    Both are bitsets over coalitions. Every ranking of the coalitions
-    in ``remaining`` whose top class comes earlier in
-    :func:`_top_classes` precedes, and there are fubini(|remaining| -
-    |earlier top|) of them per earlier top. Rows have 2**(2**n - 1)
-    entries, of which 3**(2**n - 1) in all are used: 2,187 at n = 3.
+    Both are bitsets over coalitions; the entries are those of
+    :func:`_stream_tops`, in rows of 2**(2**n - 1) indexed by the top.
     """
-    if n > MAX_EXHAUSTIVE_N:
-        raise UniverseTooLargeError(f"stream indices exist for n <= {MAX_EXHAUSTIVE_N}, got n={n}")
-    size = 1 << ((1 << n) - 1)
-    weak_orders = _fubini_table((1 << n) - 1)
+    tops = _stream_tops(n)
     offsets = []
-    for remaining in range(size):
-        row = [0] * size
-        singles = tuple(1 << i for i in range(remaining.bit_length()) if remaining >> i & 1)
-        before = 0
-        for top in _top_classes(singles):
-            row[sum(top)] = before
-            before += weak_orders[len(singles) - len(top)]
+    for entries in tops:
+        row = [0] * len(tops)
+        for top, _, before, _ in entries:
+            row[top] = before
         offsets.append(row)
     return tuple(offsets)
+
+
+def walk_stream(n: int, start: int = 0, stop: int | None = None):
+    """Yield (classes, bits, remaining, before) of each ranking with stream index in [start, stop).
+
+    The walk is depth-first: each class is the next top class of the
+    coalitions not yet placed, in :func:`_stream_tops` order, and a
+    subtree of rankings outside the range is skipped whole. For a
+    ranking of L classes, ``classes`` holds their coalition masks,
+    ``bits`` their bitsets, and ``remaining`` and ``before`` the L + 1
+    running sums of its :class:`StreamPrefix` (see :func:`prefix_of`);
+    its stream index is ``before[L]``. Defined for n <= MAX_EXHAUSTIVE_N.
+    """
+    tops = _stream_tops(n)
+    if stop is None:
+        stop = fubini((1 << n) - 1)
+
+    def walk(classes, bits, remaining, before):
+        left, base = remaining[-1], before[-1]
+        for top, cls, offset, size in tops[left]:
+            first = base + offset
+            if first >= stop:
+                return
+            if first + size <= start:
+                continue
+            rest = left ^ top
+            if rest:
+                yield from walk(
+                    classes + (cls,), bits + (top,), remaining + (rest,), before + (first,)
+                )
+            else:
+                yield classes + (cls,), bits + (top,), remaining + (0,), before + (first,)
+
+    return walk((), (), (len(tops) - 1,), (0,))
 
 
 class StreamPrefix(NamedTuple):
@@ -158,7 +192,17 @@ def stream_prefix(bits, n: int) -> StreamPrefix:
         left ^= cls
         remaining.append(left)
         before.append(total)
-    return StreamPrefix(offsets, remaining, before, [total - done for done in before])
+    return prefix_of(remaining, before, n)
+
+
+def prefix_of(remaining, before, n: int) -> StreamPrefix:
+    """The :class:`StreamPrefix` with the running sums ``remaining`` and ``before``.
+
+    :func:`walk_stream` yields these sums with each ranking, and
+    :func:`stream_prefix` computes them from the class bitsets.
+    """
+    total = before[-1]
+    return StreamPrefix(_rank_offsets(n), remaining, before, [total - done for done in before])
 
 
 def stream_index(bits, n: int) -> int:
@@ -215,11 +259,12 @@ class RankingStream:
     def classes(self):
         """Yield each ranking's classes, in stream order.
 
-        Exhaustive mode builds no ranking; sample mode takes the classes
-        of each draw.
+        Exhaustive mode builds no ranking: it reads :func:`walk_stream`;
+        sample mode takes the classes of each draw.
         """
         if self.mode == EXHAUSTIVE:
-            yield from _ordered_partitions(tuple(range(1, self.universe.full_mask + 1)))
+            for classes, *_ in walk_stream(self.universe.n):
+                yield classes
         else:
             for ranking in self:
                 yield ranking.classes

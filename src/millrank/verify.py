@@ -21,6 +21,7 @@ keys of its JSON form.
 from __future__ import annotations
 
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, fields
 from functools import cache, partial
 from itertools import islice, permutations
@@ -30,6 +31,7 @@ from typing import ClassVar, get_type_hints
 from .axioms import (
     AXIOMS,
     PREMISE_AXIOMS,
+    _UNKNOWN,
     VIOLATED,
     Status,
     Witness,
@@ -39,10 +41,11 @@ from .axioms import (
     rag_premises,
     rdf_premises,
     rjad_premises,
+    selection_table,
     selector,
 )
 from .core import CoalitionalRanking, Universe, concomitant_set, mask_members, members_mask
-from .enumeration import EXHAUSTIVE, RankingStream, fubini
+from .enumeration import EXHAUSTIVE, RankingStream, fubini, prefix_of, walk_stream
 from .errors import UniverseTooLargeError
 from .solutions import RULES, lookup_rule
 from .transforms import SlideMove, apply_slide
@@ -103,14 +106,30 @@ class SweepReport:
         return "satisfied" if self.premises_found else "inapplicable"
 
 
+def _walk(universe, chunk):
+    """(classes, bits, remaining, before) of each ranking of a chunk, in stream order.
+
+    An exhaustive chunk is a range of stream indices, walked here by
+    :func:`~millrank.enumeration.walk_stream`. A sampled chunk holds the
+    classes of its draws, which carry no walk: the other three are None.
+    """
+    if isinstance(chunk, range):
+        return walk_stream(universe.n, chunk.start, chunk.stop)
+    return ((classes, None, None, None) for classes in chunk)
+
+
 def _sweep_chunk(cells, tally, cap, universe, chunk):
-    """Per-cell [premises, violations, witnesses] of one chunk, and its ``tally`` totals.
+    """Ranking count and per-cell [premises, violations, witnesses] of one chunk, and its ``tally`` totals.
 
     Each ranking is built once, and each premise lister runs on it at
     most once, whichever cells and ``tally`` ask for its instances. A
     rule is evaluated at most once per ranking, and only when one of its
     premise-only cells has an instance there; ``SI`` and ``DMON`` cells
-    run their own checkers.
+    run their own checkers. When an exhaustive chunk has ``SI`` or
+    ``DMON`` cells, which read the rules' selection tables, every cell
+    reads each rule's selection from its table at the walked stream
+    index, and the checkers get the walk's bitsets and prefix sums with
+    it, as their source.
     """
     rules = {rule: lookup_rule(rule) for rule, _ in cells}
     # Per cell: a premise-only axiom's lister, else the axiom's checker.
@@ -118,16 +137,33 @@ def _sweep_chunk(cells, tally, cap, universe, chunk):
         (rule, axiom, PREMISE_AXIOMS[axiom][0] if axiom in PREMISE_AXIOMS else AXIOMS[axiom])
         for rule, axiom in cells
     ]
+    from_tables = isinstance(chunk, range) and any(axiom not in PREMISE_AXIOMS for _, axiom in cells)
+    tables = {rule: selection_table(fn, universe) for rule, fn in rules.items()} if from_tables else {}
+    n = universe.n
     results = [[0, 0, []] for _ in cells]
     tallies = []
-    for classes in chunk:
+    count = 0
+    for classes, bits, remaining, before in _walk(universe, chunk):
+        count += 1
         ranking = CoalitionalRanking._trusted(universe, classes)
-        listed, selected = {}, {}
+        prefix = prefix_of(remaining, before, n) if from_tables else None
+        listed, selected, sources = {}, {}, {}
 
         def instances(lister):
             if lister not in listed:
                 listed[lister] = lister(ranking)
             return listed[lister]
+
+        def source(rule):
+            # The rule's (table, fill, bits, prefix, base), as axioms._source
+            # builds it, from the walk.
+            if rule not in sources:
+                table, fill = tables[rule]
+                base = table[before[-1]]
+                if base == _UNKNOWN:
+                    base = fill(before[-1], ranking)
+                sources[rule] = table, fill, bits, prefix, base
+            return sources[rule]
 
         for (rule, axiom, fn), result in zip(plans, results):
             if axiom in PREMISE_AXIOMS:
@@ -135,10 +171,13 @@ def _sweep_chunk(cells, tally, cap, universe, chunk):
                 if not found:
                     continue
                 if rule not in selected:
-                    selected[rule] = tuple(rules[rule](ranking))
+                    if from_tables:
+                        selected[rule] = mask_members(source(rule)[4], n)
+                    else:
+                        selected[rule] = tuple(rules[rule](ranking))
                 verdict = judge_selection(axiom, ranking, found, selected[rule])
             else:
-                verdict = fn(ranking, rules[rule])
+                verdict = fn(ranking, rules[rule], source(rule) if from_tables else None)
             result[0] += verdict.premises_checked
             if verdict.status == VIOLATED:
                 result[1] += 1
@@ -146,7 +185,7 @@ def _sweep_chunk(cells, tally, cap, universe, chunk):
                     result[2].append(verdict.witness)
         if tally is not None:
             tallies.append(tally(instances))
-    return len(chunk), results, tuple(map(sum, zip(*tallies)))
+    return count, results, tuple(map(sum, zip(*tallies)))
 
 
 def _stream(universe, mode) -> RankingStream:
@@ -161,11 +200,19 @@ def _stream(universe, mode) -> RankingStream:
 def _run_chunks(universe, mode, worker, jobs):
     """Yield ``worker(universe, chunk)`` for each stream chunk, inline or from a fork pool.
 
-    Both ways yield the results in stream order. Chunks carry each
-    ranking's classes, so the worker builds each ranking once.
+    Both ways yield the results in stream order. An exhaustive chunk is
+    a range of _CHUNK stream indices, which the worker walks itself; a
+    sampled chunk carries the classes of its draws. Either way the
+    worker builds each ranking once. Closing the generator early
+    terminates the pool.
     """
-    classes = _stream(universe, mode).classes()
-    chunks = iter(lambda: tuple(islice(classes, _CHUNK)), ())
+    stream, size = _stream(universe, mode), _CHUNK
+    if mode == EXHAUSTIVE:
+        total = len(stream)
+        chunks = (range(start, min(start + size, total)) for start in range(0, total, size))
+    else:
+        classes = stream.classes()
+        chunks = iter(lambda: tuple(islice(classes, size)), ())
     work = partial(worker, universe)
     if jobs > 1:
         with get_context("fork").Pool(jobs) as pool:
@@ -275,6 +322,27 @@ def find_violation(rule: str, axiom: str, n: int, mode=EXHAUSTIVE, *, universe=N
     return None
 
 
+def _selection_chunk(rule, universe, chunk):
+    """The rule's and plurality's selections on a chunk, as id-bitmask bytes, up to their first difference.
+
+    Returns (mine, ref, ranking): ``ranking`` is the ranking of the last
+    selections when they differ, and the chunk's rankings after it are
+    not evaluated; otherwise it is None. Exhaustive chunks read and fill
+    the selection tables at the walked stream index.
+    """
+    select_mine = selector(lookup_rule(rule), universe)
+    select_ref = selector(RULES["plurality"], universe)
+    mine, ref = bytearray(), bytearray()
+    for classes, _, _, before in _walk(universe, chunk):
+        ranking = CoalitionalRanking._trusted(universe, classes)
+        index = None if before is None else before[-1]
+        mine.append(select_mine(ranking, index))
+        ref.append(select_ref(ranking, index))
+        if mine[-1] != ref[-1]:
+            return bytes(mine), bytes(ref), ranking
+    return bytes(mine), bytes(ref), None
+
+
 @dataclass(frozen=True)
 class Difference:
     """First ranking of a stream where a rule and plurality select apart."""
@@ -325,22 +393,26 @@ def theorem1_probe(
     The scan checks STAG, then SI, then DMON on each ranking in turn.
     """
     rule_fn = lookup_rule(rule)
-    plurality = RULES["plurality"]
     universe = universe or Universe(n)
     stream = _stream(universe, mode)
     difference = None
     compared = 0
-    # The scan reads and fills the selection tables the SI and DMON
-    # checkers use, so a pool forked after it inherits them filled. For
-    # plurality itself both selectors share one table.
-    select_mine, select_ref = selector(rule_fn, universe), selector(plurality, universe)
-    for index, ranking in enumerate(stream):
-        compared += 1
-        known = index if mode == EXHAUSTIVE else None
-        mine, ref = select_mine(ranking, known), select_ref(ranking, known)
-        if mine != ref:
-            difference = Difference(ranking, *(mask_members(m, universe.n) for m in (mine, ref)))
-            break
+    # The scan fills the selection tables the SI and DMON checkers read,
+    # in stream order, so the sweep pool forked after it inherits them
+    # full. For plurality itself both tables are one.
+    tables = ()
+    if mode == EXHAUSTIVE:
+        tables = [selection_table(f, universe)[0] for f in (rule_fn, RULES["plurality"])]
+    scan = partial(_selection_chunk, rule)
+    with closing(_run_chunks(universe, mode, scan, jobs)) as chunks:
+        for mine, ref, ranking in chunks:
+            for table, selections in zip(tables, (mine, ref)):
+                table[compared : compared + len(selections)] = selections
+            compared += len(mine)
+            if ranking is not None:
+                selections = (mask_members(m[-1], universe.n) for m in (mine, ref))
+                difference = Difference(ranking, *selections)
+                break
     if difference is None:
         sweeps = sweep_cells(
             [(rule, axiom) for axiom in THEOREM_AXIOMS],

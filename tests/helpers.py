@@ -2,9 +2,10 @@
 
 The oracles recompute everything from frozenset-of-ints first principles
 (itertools over member lists, no bitmasks), so they exercise none of the
-code paths they are used to check. Eight declared oracles are instead
+code paths they are used to check. Nine declared oracles are instead
 the direct loops that faster code replaced: :func:`oracle_sweep`,
-:func:`oracle_sample_classes`, :func:`slide_gammas`, the slide and
+:func:`oracle_sample_classes`, :func:`oracle_ordered_partitions` (the
+exhaustive stream order), :func:`slide_gammas`, the slide and
 deterioration applicators and the deterioration recognizer on class
 tuples :func:`oracle_apply_slide`, :func:`oracle_apply_deterioration`
 and :func:`oracle_is_deterioration`, and the slide independence and
@@ -303,6 +304,23 @@ def oracle_sweep(rule, axiom, n, mode=EXHAUSTIVE, witness_cap=10):
 @cache
 def _weak_orders(m):
     return oracle_weak_order_count(m)
+
+
+def oracle_ordered_partitions(elements):
+    """Ordered set partitions of sorted ``elements``, in exhaustive stream order.
+
+    The top class runs over the nonempty subsets ordered by their sorted
+    tuples, and the classes below it are the partitions of the rest, in
+    the same order.
+    """
+    if not elements:
+        yield ()
+        return
+    tops = sorted(c for k in range(1, len(elements) + 1) for c in combinations(elements, k))
+    for top in tops:
+        rest = tuple(e for e in elements if e not in top)
+        for tail in oracle_ordered_partitions(rest):
+            yield (top,) + tail
 
 
 def oracle_sample_classes(n, rng_seed):

@@ -12,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from millrank import enumeration, verify
+from millrank import RULES, enumeration, verify
 from millrank.cli import REPORT_SCHEMA, _resolve_jobs, emit_report, main
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "reports.json"
@@ -299,10 +299,11 @@ class TestExhaustiveGuard:
     @pytest.fixture(autouse=True)
     def no_enumeration(self, monkeypatch):
         # A regression fails here instead of starting the walk.
-        def refuse(elements):
+        def refuse(*args):
             raise AssertionError("exhaustive enumeration started")
 
-        monkeypatch.setattr(enumeration, "_ordered_partitions", refuse)
+        monkeypatch.setattr(enumeration, "walk_stream", refuse)
+        monkeypatch.setattr(verify, "walk_stream", refuse)
 
     @pytest.mark.parametrize(
         "argv",
@@ -398,6 +399,26 @@ class TestSlideGuard:
         assert code == 0
         verdict = doc["result"]["verdict"]
         assert (verdict["status"], verdict["premises_checked"]) == ("satisfied", 300)
+
+
+class TestDeteriorationGuard:
+    """check refuses a DMON scan of too many placements; 511 singleton classes have 261,121."""
+
+    def test_dmon_refused_within_a_second(self, capsys, tmp_path, monkeypatch):
+        def refuse(ranking):
+            raise AssertionError("the rule ran")
+
+        monkeypatch.setitem(RULES, "plurality", refuse)
+        names = "abcdefghi"
+        coalitions = [[names[i] for i in range(9) if mask >> i & 1] for mask in range(1, 512)]
+        path = tmp_path / "singletons.json"
+        path.write_text(json.dumps({"universe": list(names), "classes": [[c] for c in coalitions]}))
+        start = time.perf_counter()
+        code, doc, err = run(capsys, "check", "--rule", "plurality", "--axiom", "DMON", "--input", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert doc is None
+        assert "261121" in err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from scipy import stats
@@ -14,8 +15,12 @@ from millrank import (
     validate_ranking,
 )
 from millrank.core import bits_classes, class_bits
-from millrank.enumeration import MAX_SAMPLED_N, stream_index
-from helpers import oracle_sample_classes, oracle_weak_order_count, rk
+from millrank.enumeration import MAX_SAMPLED_N, stream_index, stream_prefix, walk_stream
+from helpers import oracle_ordered_partitions, oracle_sample_classes, oracle_weak_order_count, rk
+
+
+def oracle_stream(n):
+    return list(oracle_ordered_partitions(tuple(range(1, 1 << n))))
 
 
 class TestFubini:
@@ -73,7 +78,7 @@ class TestEnumerateRankings:
 class TestStreamIndex:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_inverts_the_stream(self, n):
-        for i, classes in enumerate(RankingStream(Universe(n)).classes()):
+        for i, classes in enumerate(oracle_ordered_partitions(tuple(range(1, 1 << n)))):
             assert stream_index(class_bits(classes), n) == i
 
     def test_classes_come_without_building(self, all_n3):
@@ -89,6 +94,46 @@ class TestStreamIndex:
     def test_refuses_universes_without_an_exhaustive_stream(self):
         with pytest.raises(UniverseTooLargeError):
             stream_index(class_bits(sample_ranking(4, 0).classes), 4)
+
+
+class TestWalkStream:
+    """The exhaustive walker against the stream-order oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_full_stream_matches_the_oracle(self, n):
+        assert [walked[0] for walked in walk_stream(n)] == oracle_stream(n)
+
+    def test_every_range_at_n2(self):
+        expected = oracle_stream(2)
+        for start in range(len(expected) + 1):
+            for stop in range(start, len(expected) + 2):
+                walked = [w[0] for w in walk_stream(2, start, stop)]
+                assert walked == expected[start:stop], (start, stop)
+
+    def test_chunk_boundaries_at_n3(self):
+        expected = oracle_stream(3)
+        for boundary in range(0, len(expected) + 2048, 2048):
+            start = max(boundary - 3, 0)
+            walked = [w[0] for w in walk_stream(3, start, boundary + 3)]
+            assert walked == expected[start : boundary + 3], boundary
+
+    @staticmethod
+    def assert_carries_its_sums(walked, index, n):
+        classes, bits, remaining, before = walked
+        prefix = stream_prefix(bits, n)
+        assert bits == class_bits(classes)
+        assert (list(remaining), list(before)) == (prefix.remaining, prefix.before)
+        assert before[-1] == index
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bitsets_and_sums_exhaustive(self, n):
+        for index, walked in enumerate(walk_stream(n)):
+            self.assert_carries_its_sums(walked, index, n)
+
+    def test_bitsets_and_sums_sampled_n3(self):
+        for index in random.Random(12).sample(range(fubini(7)), 400):
+            (walked,) = walk_stream(3, index, index + 1)
+            self.assert_carries_its_sums(walked, index, 3)
 
 
 class TestSampleRanking:

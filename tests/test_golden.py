@@ -8,9 +8,10 @@ fixed seeds), every rule x axiom ``check`` and every rule's ``solve``
 on the pinned instances of ``test_verify.py``, the ``verify`` campaigns
 at small sizes, the exhaustive n = 3 ``prop3``, ``prop1`` and plurality
 ``theorem1`` campaigns (``prop3`` and ``theorem1`` also with ``--jobs
-2``), two sampled ``DMON`` sweeps split into three chunks and run
-through a two-worker pool, and the ``enumerate`` and ``sample``
-listings. The ``verify independence --n 4`` cell takes about a minute to build, so
+2``), the exhaustive n = 3 ``theorem1`` campaign of every other rule
+through a two-worker pool, two sampled ``DMON`` sweeps split into three
+chunks and run through a two-worker pool, and the ``enumerate`` and
+``sample`` listings. The ``verify independence --n 4`` cell takes about a minute to build, so
 ``test_cli.py`` checks it against the session fixture instead of
 running it here. A mismatch is fixed in the code, never by recording
 the file again.
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from millrank import render_ranking
+from millrank import render_ranking, verify
 from millrank.cli import main
 from helpers import rk
 
@@ -75,6 +76,14 @@ FIXED_CELLS = {
     "theorem1-exhaustive": (
         ("verify", "theorem1", "--rule", "plurality", "--n", "3"),
         ("verify", "theorem1", "--rule", "plurality", "--n", "3", "--jobs", "2"),
+    ),
+    # The pooled difference scan of each rule that differs from plurality: les
+    # first differs at the 4,684th ranking, in the third chunk, and
+    # split_plurality at the 5,574th, so these pin the in-order merge and the
+    # early stop.
+    "theorem1-differences": tuple(
+        ("verify", "theorem1", "--rule", rule, "--n", "3", "--jobs", "2")
+        for rule in ("f_star", "obi", "les", "split_plurality", "const_x")
     ),
     # Three chunks each through a two-worker pool: pins witness order across chunks.
     "sweep-pooled": tuple(
@@ -143,3 +152,14 @@ def test_reports_match_golden(group, tmp_path, monkeypatch):
         if (digest, code) != (want["stdout_sha256"], want["exit_code"]):
             mismatches.append(f"millrank {line}: exit {code}, expected {want['exit_code']}")
     assert not mismatches, "reports differ from the golden record:\n" + "\n".join(mismatches)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_theorem1_in_small_chunks_matches_golden(jobs, monkeypatch):
+    # Four chunks of the 13 rankings at n = 2, each scanned and swept in turn.
+    monkeypatch.setattr(verify, "_CHUNK", 4)
+    golden = json.loads(GOLDEN_PATH.read_text())
+    for rule in RULE_IDS:
+        argv = ["verify", "theorem1", "--rule", rule, "--n", "2"]
+        want = golden[" ".join(argv)]
+        assert run_cell(argv + ["--jobs", jobs]) == (want["stdout_sha256"], want["exit_code"]), rule
