@@ -10,8 +10,9 @@ at small sizes, the exhaustive n = 3 ``prop3``, ``prop1`` and plurality
 ``theorem1`` campaigns (``prop3`` and ``theorem1`` also with ``--jobs
 2``), the exhaustive n = 3 ``theorem1`` campaign of every other rule
 through a two-worker pool, two sampled ``DMON`` sweeps split into three
-chunks and run through a two-worker pool, and the ``enumerate`` and
-``sample`` listings. The ``verify independence --n 4`` cell takes about a minute to build, so
+chunks and run through a two-worker pool, two sampled n = 3 ``theorem1``
+probes and a pooled exhaustive n = 3 ``DMON`` sweep with violations,
+and the ``enumerate`` and ``sample`` listings. The ``verify independence --n 4`` cell takes about a minute to build, so
 ``test_cli.py`` checks it against the session fixture instead of
 running it here. A mismatch is fixed in the code, never by recording
 the file again.
@@ -90,6 +91,15 @@ FIXED_CELLS = {
         ("sweep", "--rule", rule, "--axiom", "DMON", "--n", "3", "--sample", "5000", "--seed", "4",
          "--witness-cap", "50", "--jobs", "2")
         for rule in ("f_star", "obi")
+    ),
+    # Sampled n = 3 theorem1 probes, whose checkers call the rule on every
+    # target, and an exhaustive DMON sweep whose violations and witnesses are
+    # read through the selection tables.
+    "selection-tables": (
+        ("verify", "theorem1", "--rule", "les", "--n", "3", "--sample", "3000", "--seed", "2"),
+        ("verify", "theorem1", "--rule", "split_plurality", "--n", "3", "--sample", "3000",
+         "--seed", "2"),
+        ("sweep", "--rule", "obi", "--axiom", "DMON", "--n", "3", "--jobs", "2"),
     ),
 }
 
