@@ -10,13 +10,12 @@ verdicts from the listed instances and the rule's selection;
 :func:`judge` lists and selects, then calls it.
 The two transformation axioms, slide independence (SI) and downward
 monotonicity (DMON), evaluate the rule on transformed rankings as well
-and keep their own scans. They hold classes as bitsets over coalitions
-and read the rule's selection on each transformed ranking from one
-selector: up to MAX_EXHAUSTIVE_N individuals it keeps each rule's
-selections in a table indexed by stream index, and each target's index
-is ranked from the source's running index sums; the target's bitsets
-are derived only when the table lacks its selection, or beyond
-MAX_EXHAUSTIVE_N, where the rule is called on every target.
+and keep their own scans. They hold classes as bitsets over coalitions.
+A caller that walks the exhaustive stream passes a source: the rule's
+complete selection table, indexed by stream index, and the walk's class
+bitsets and running index sums, from which each target's index is
+ranked, so every target's selection is one table read. Without a source
+the checker builds each target and calls the rule on it.
 
 A verdict is one of three statuses: ``inapplicable`` (no premise
 instance exists), ``satisfied`` (every instance met its forced
@@ -26,9 +25,7 @@ failing instance recorded as a replayable witness).
 statistics distinguish vacuous passes from real evidence.
 
 Checkers are pure. A rule is any pure callable from rankings to
-ascending id tuples, e.g. the entries of :data:`millrank.solutions.RULES`:
-the SI and DMON selector evaluates it at most once per ranking in a
-process.
+ascending id tuples, e.g. the entries of :data:`millrank.solutions.RULES`.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Literal
-from weakref import WeakKeyDictionary
 
 from .core import (
     CoalitionalRanking,
@@ -46,7 +42,6 @@ from .core import (
     mask_members,
     top_intersection,
 )
-from .enumeration import MAX_EXHAUSTIVE_N, fubini, stream_index, stream_prefix
 from .errors import UniverseTooLargeError, UnknownAxiomError
 from .transforms import (
     SlideMove,
@@ -374,85 +369,24 @@ def judge_slide(ranking, move, slid, before, after, x: int, y: int) -> Witness |
     )
 
 
-# Per rule and universe of at most MAX_EXHAUSTIVE_N individuals: the
-# rule's selections as id bitmasks, indexed by stream index, 0xFF where
-# not yet evaluated in this process. The tables outlive checker calls,
-# which need only a ranking and a rule; keyed weakly, they go with the
-# rule.
-_SELECTIONS = WeakKeyDictionary()
-_UNKNOWN = 0xFF
-
-
-def selection_table(rule, universe):
-    """(table, fill): the rule's selections on the universe's rankings, and how to add one.
-
-    Up to MAX_EXHAUSTIVE_N individuals ``table[index]`` is the rule's
-    selection, as an id bitmask, on the ranking of that stream index,
-    or _UNKNOWN until ``fill(index, ranking)`` evaluates the rule there
-    and stores it, so the rule runs at most once per distinct ranking in
-    a process. Beyond, there is no stream index: ``table`` is None and
-    ``fill(None, ranking)`` calls the rule on every request. Either way
-    the rule must be pure.
-    """
-    table = None
-    if universe.n <= MAX_EXHAUSTIVE_N:
-        try:
-            tables = _SELECTIONS.setdefault(rule, {})
-        except TypeError:  # the rule cannot be weakly referenced: keep its table for this call
-            tables = {}
-        table = tables.get(universe)
-        if table is None:
-            table = tables[universe] = bytearray([_UNKNOWN]) * fubini(universe.full_mask)
-
-    def fill(index, ranking):
-        selected = 0
-        for i in rule(ranking):
-            selected |= 1 << i
-        if index is not None:
-            table[index] = selected
-        return selected
-
-    return table, fill
+def selection_mask(rule, ranking) -> int:
+    """The rule's selection on the ranking, as an id bitmask."""
+    selected = 0
+    for i in rule(ranking):
+        selected |= 1 << i
+    return selected
 
 
 def _source(ranking, rule):
-    """(table, fill, bits, prefix, base): what the SI and DMON scans read from their source.
+    """(table, bits, prefix, base): what an SI or DMON scan reads, here without a table.
 
-    ``table`` and ``fill`` are the rule's, from :func:`selection_table`;
-    ``bits`` the ranking's class bitsets; ``prefix`` their
-    :class:`~millrank.enumeration.StreamPrefix`, or None beyond
-    MAX_EXHAUSTIVE_N; ``base`` the rule's selection on the ranking as an
-    id bitmask, read from the table or filled into it.
+    ``table`` is the rule's complete selection table (id bitmasks by
+    stream index) or None; ``bits`` the ranking's class bitsets;
+    ``prefix`` their :class:`~millrank.enumeration.StreamPrefix`, None
+    without a table; ``base`` the rule's selection on the ranking as an
+    id bitmask.
     """
-    table, fill = selection_table(rule, ranking.universe)
-    bits = class_bits(ranking.classes)
-    prefix = None if table is None else stream_prefix(bits, ranking.universe.n)
-    index = None if prefix is None else prefix.index
-    base = _UNKNOWN if index is None else table[index]
-    if base == _UNKNOWN:
-        base = fill(index, ranking)
-    return table, fill, bits, prefix, base
-
-
-def selector(rule, universe):
-    """The rule's selections on rankings of the universe, as id bitmasks, through its table.
-
-    Returns ``select(ranking, index=None)``. ``index`` is the ranking's
-    stream index when the caller knows it; otherwise it is computed
-    where the universe has a table (up to MAX_EXHAUSTIVE_N individuals).
-    The checkers of SI and DMON read and fill the same tables.
-    """
-    table, fill = selection_table(rule, universe)
-
-    def select(ranking, index=None):
-        if table is None:
-            return fill(None, ranking)
-        if index is None:
-            index = stream_index(class_bits(ranking.classes), universe.n)
-        selected = table[index]
-        return fill(index, ranking) if selected == _UNKNOWN else selected
-
-    return select
+    return None, class_bits(ranking.classes), None, selection_mask(rule, ranking)
 
 
 def check_slide_independence(ranking, rule, source=None) -> Verdict:
@@ -463,14 +397,14 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
     {x, y}; the two intersections must then coincide. Premises are
     scanned by source class, gamma bit pattern, destination class, then
     pair; the witness is the first violation in that order. Classes and
-    gammas are bitsets over coalitions. Each slid ranking's selection is
-    read from the rule's selection table at its stream index, ranked from
-    the source's running index sums; its bitsets are built only when the
-    table lacks it, or above MAX_EXHAUSTIVE_N where there is no table.
-    Rankings are built for the witness only. A ranking with more than
-    _MAX_SLIDES slides is refused with UniverseTooLargeError before the
-    scan. A caller that walks the stream passes the ranking's
-    :func:`_source` tuple, built from the walk, as ``source``.
+    gammas are bitsets over coalitions. A caller that walks the
+    exhaustive stream passes ``source`` as :func:`_source` describes it,
+    with the rule's table: each slid ranking's selection is then read
+    from the table at its stream index, ranked from the source's running
+    index sums, and rankings are built for the witness only. Without a
+    table the slid ranking is built and the rule called on it. A ranking
+    with more than _MAX_SLIDES slides is refused with
+    UniverseTooLargeError before the scan.
     """
     classes = ranking.classes
     slides = (len(classes) - 1) * sum((1 << len(cls)) - 2 for cls in classes)
@@ -480,7 +414,7 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
         )
     universe = ranking.universe
     n = universe.n
-    table, fill, bits, prefix, base = source or _source(ranking, rule)
+    table, bits, prefix, base = source or _source(ranking, rule)
     members = membership_bits(n)
     # Per relevant pair: x, y, the pair as an id bitmask, and the
     # coalitions containing x and containing y; a gamma is balanced
@@ -505,9 +439,10 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
             for k2, index in enumerate(slide_indices(prefix, bits, k1, gamma)):
                 if k2 == k1:
                     continue
-                after = _UNKNOWN if index is None else table[index]
-                if after == _UNKNOWN:
-                    after = fill(index, _decode(universe, slide_bits(bits, k1, k2, gamma)))
+                if table is None:
+                    after = selection_mask(rule, _decode(universe, slide_bits(bits, k1, k2, gamma)))
+                else:
+                    after = table[index]
                 for x, y, pair, _, _ in balanced:
                     before_pair, after_pair = base & pair, after & pair
                     if before_pair and after_pair:
@@ -531,10 +466,10 @@ def check_downward_monotonicity(ranking, rule, source=None) -> Verdict:
     deteriorated ranking once and keeps each x's first violation; the
     witness is that of the smallest x. Each deteriorated ranking's
     selection is read as in :func:`check_slide_independence`; the
-    identity placement is counted but not evaluated, and placements and
-    rankings are built for the witness only. A ranking with more than
-    _MAX_PLACEMENTS placements is refused with UniverseTooLargeError
-    before the rule runs. ``source`` is as in
+    identity placement is counted but not evaluated, and with a table,
+    placements and rankings are built for the witness only. A ranking
+    with more than _MAX_PLACEMENTS placements is refused with
+    UniverseTooLargeError before the rule runs. ``source`` is as in
     :func:`check_slide_independence`.
     """
     universe = ranking.universe
@@ -550,7 +485,7 @@ def check_downward_monotonicity(ranking, rule, source=None) -> Verdict:
                 "downward monotonicity checks at most"
                 f" {_MAX_PLACEMENTS} placements per ranking, got {placements}"
             )
-    table, fill, bits, prefix, base = source or _source(ranking, rule)
+    table, bits, prefix, base = source or _source(ranking, rule)
     if not base:
         return Verdict(INAPPLICABLE, 0)
     premises = 0
@@ -564,10 +499,11 @@ def check_downward_monotonicity(ranking, rule, source=None) -> Verdict:
         premises += kept.bit_count() * len(placements)
         indices = deterioration_indices(prefix, bits, j, s, placements)
         for position, index in enumerate(indices, 1):
-            selected = _UNKNOWN if index is None else table[index]
-            if selected == _UNKNOWN:
+            if table is None:
                 target = deterioration_bits(bits, j, s, *placements[position])
-                selected = fill(index, _decode(universe, target))
+                selected = selection_mask(rule, _decode(universe, target))
+            else:
+                selected = table[index]
             lost = kept & ~selected
             if lost:
                 for x in mask_members(lost, n):

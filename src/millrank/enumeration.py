@@ -7,9 +7,9 @@ n <= 3 (n = 4 has about 2.3e14 rankings); beyond that, use uniform
 sampling, guarded at n <= 10. :func:`walk_stream` is the exhaustive
 stream: a depth-first walk over class bitsets that covers any range of
 stream indices and yields each ranking's running index sums with it.
-:func:`stream_index` inverts the exhaustive order: it maps a ranking,
-given as class bitsets, to its index in the stream, as the total of
-the running sums that :func:`stream_prefix` keeps per class.
+Those sums, as a :class:`StreamPrefix`, rank any ranking that shares
+classes with the walked one, so a transformed ranking's stream index
+is found without its bitsets.
 """
 
 from __future__ import annotations
@@ -177,42 +177,13 @@ class StreamPrefix(NamedTuple):
         return self.before[-1]
 
 
-def stream_prefix(bits, n: int) -> StreamPrefix:
-    """The :class:`StreamPrefix` of the ranking with class bitsets ``bits``.
-
-    Defined for n <= MAX_EXHAUSTIVE_N; :func:`stream_index` reads its
-    total.
-    """
-    offsets = _rank_offsets(n)
-    left = (1 << ((1 << n) - 1)) - 1
-    total = 0
-    remaining, before = [left], [0]
-    for cls in bits:
-        total += offsets[left][cls]
-        left ^= cls
-        remaining.append(left)
-        before.append(total)
-    return prefix_of(remaining, before, n)
-
-
 def prefix_of(remaining, before, n: int) -> StreamPrefix:
     """The :class:`StreamPrefix` with the running sums ``remaining`` and ``before``.
 
-    :func:`walk_stream` yields these sums with each ranking, and
-    :func:`stream_prefix` computes them from the class bitsets.
+    :func:`walk_stream` yields these sums with each ranking.
     """
     total = before[-1]
     return StreamPrefix(_rank_offsets(n), remaining, before, [total - done for done in before])
-
-
-def stream_index(bits, n: int) -> int:
-    """Index in the exhaustive stream of n individuals of the ranking with class bitsets ``bits``.
-
-    The exact inverse of the stream order: the sum, over the classes,
-    of how many rankings of the coalitions not yet placed precede that
-    class as their top class. Defined for n <= MAX_EXHAUSTIVE_N.
-    """
-    return stream_prefix(bits, n).index
 
 
 @dataclass(frozen=True, slots=True)

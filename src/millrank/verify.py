@@ -5,9 +5,13 @@ stream, in one pass, and aggregates each cell's verdicts. Per ranking
 it builds the ranking once, lists each premise-only axiom's instances
 once for all cells, and evaluates each rule at most once, only when one
 of its cells has an instance; the ``SI`` and ``DMON`` cells run their
-checkers. Campaign functions bundle one such pass and pinned instances
-into the characterization probe, the incompatibility report, the
-satisfaction matrix and the independence report.
+checkers. An exhaustive pass with ``SI`` or ``DMON`` cells first builds
+those rules' selection tables and hands them to every chunk, whose
+cells of those rules read the rules' selections there. Nothing is kept
+between passes. Campaign functions bundle one such pass and pinned
+instances into the characterization probe, the incompatibility report,
+the satisfaction matrix and the independence report;
+:func:`find_violation` and the probe's witness share one serial search.
 
 All outputs are deterministic for fixed inputs. Ranking batches may be
 checked by a pool of worker processes; partial tallies merge by addition
@@ -31,7 +35,6 @@ from typing import ClassVar, get_type_hints
 from .axioms import (
     AXIOMS,
     PREMISE_AXIOMS,
-    _UNKNOWN,
     VIOLATED,
     Status,
     Witness,
@@ -41,8 +44,7 @@ from .axioms import (
     rag_premises,
     rdf_premises,
     rjad_premises,
-    selection_table,
-    selector,
+    selection_mask,
 )
 from .core import CoalitionalRanking, Universe, concomitant_set, mask_members, members_mask
 from .enumeration import EXHAUSTIVE, RankingStream, fubini, prefix_of, walk_stream
@@ -118,27 +120,31 @@ def _walk(universe, chunk):
     return ((classes, None, None, None) for classes in chunk)
 
 
-def _sweep_chunk(cells, tally, cap, universe, chunk):
+def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
     """Ranking count and per-cell [premises, violations, witnesses] of one chunk, and its ``tally`` totals.
 
     Each ranking is built once, and each premise lister runs on it at
     most once, whichever cells and ``tally`` ask for its instances. A
     rule is evaluated at most once per ranking, and only when one of its
     premise-only cells has an instance there; ``SI`` and ``DMON`` cells
-    run their own checkers. When an exhaustive chunk has ``SI`` or
-    ``DMON`` cells, which read the rules' selection tables, every cell
-    reads each rule's selection from its table at the walked stream
-    index, and the checkers get the walk's bitsets and prefix sums with
-    it, as their source.
+    run their own checkers. ``tables`` maps a rule name to its complete
+    selection table (see :func:`_tables`); an exhaustive chunk reads
+    such a rule's selection from its table at the walked stream index,
+    and hands its ``SI`` and ``DMON`` checkers the table with the walk's
+    bitsets and prefix sums, as their source.
     """
     rules = {rule: lookup_rule(rule) for rule, _ in cells}
-    # Per cell: a premise-only axiom's lister, else the axiom's checker.
+    # Per cell: a premise-only axiom's lister, else the axiom's checker,
+    # and the rule's table or None.
     plans = [
-        (rule, axiom, PREMISE_AXIOMS[axiom][0] if axiom in PREMISE_AXIOMS else AXIOMS[axiom])
+        (
+            rule,
+            axiom,
+            PREMISE_AXIOMS[axiom][0] if axiom in PREMISE_AXIOMS else AXIOMS[axiom],
+            tables.get(rule),
+        )
         for rule, axiom in cells
     ]
-    from_tables = isinstance(chunk, range) and any(axiom not in PREMISE_AXIOMS for _, axiom in cells)
-    tables = {rule: selection_table(fn, universe) for rule, fn in rules.items()} if from_tables else {}
     n = universe.n
     results = [[0, 0, []] for _ in cells]
     tallies = []
@@ -146,38 +152,28 @@ def _sweep_chunk(cells, tally, cap, universe, chunk):
     for classes, bits, remaining, before in _walk(universe, chunk):
         count += 1
         ranking = CoalitionalRanking._trusted(universe, classes)
-        prefix = prefix_of(remaining, before, n) if from_tables else None
-        listed, selected, sources = {}, {}, {}
+        prefix = prefix_of(remaining, before, n) if tables else None
+        listed, selected = {}, {}
 
         def instances(lister):
             if lister not in listed:
                 listed[lister] = lister(ranking)
             return listed[lister]
 
-        def source(rule):
-            # The rule's (table, fill, bits, prefix, base), as axioms._source
-            # builds it, from the walk.
-            if rule not in sources:
-                table, fill = tables[rule]
-                base = table[before[-1]]
-                if base == _UNKNOWN:
-                    base = fill(before[-1], ranking)
-                sources[rule] = table, fill, bits, prefix, base
-            return sources[rule]
-
-        for (rule, axiom, fn), result in zip(plans, results):
+        for (rule, axiom, fn, table), result in zip(plans, results):
             if axiom in PREMISE_AXIOMS:
                 found = instances(fn)
                 if not found:
                     continue
                 if rule not in selected:
-                    if from_tables:
-                        selected[rule] = mask_members(source(rule)[4], n)
-                    else:
+                    if table is None:
                         selected[rule] = tuple(rules[rule](ranking))
+                    else:
+                        selected[rule] = mask_members(table[before[-1]], n)
                 verdict = judge_selection(axiom, ranking, found, selected[rule])
             else:
-                verdict = fn(ranking, rules[rule], source(rule) if from_tables else None)
+                source = None if table is None else (table, bits, prefix, table[before[-1]])
+                verdict = fn(ranking, rules[rule], source)
             result[0] += verdict.premises_checked
             if verdict.status == VIOLATED:
                 result[1] += 1
@@ -221,21 +217,66 @@ def _run_chunks(universe, mode, worker, jobs):
         yield from map(work, chunks)
 
 
-def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None):
+def _selection_chunk(rules, stop, universe, chunk):
+    """Each named rule's selections on a chunk, as id-bitmask bytes, and where they first differ.
+
+    Returns (selections, ranking): one bytes value per rule, in stream
+    order. With ``stop`` set, the chunk ends at the first ranking where
+    the first and last rules select apart, and ``ranking`` is that
+    ranking; otherwise, or when they never differ, it is None.
+    """
+    fns = [lookup_rule(rule) for rule in rules]
+    selections = [bytearray() for _ in rules]
+    first, last = selections[0], selections[-1]
+    for classes, *_ in _walk(universe, chunk):
+        ranking = CoalitionalRanking._trusted(universe, classes)
+        for fn, out in zip(fns, selections):
+            out.append(selection_mask(fn, ranking))
+        if stop and first[-1] != last[-1]:
+            return [bytes(out) for out in selections], ranking
+    return [bytes(out) for out in selections], None
+
+
+def _tables(rules, universe, jobs):
+    """{rule: its selection table} for each named rule, from one exhaustive pass.
+
+    A rule's table is a bytes value holding its selection, as an id
+    bitmask, on the ranking of each stream index; it is built only up to
+    MAX_EXHAUSTIVE_N individuals, where the exhaustive stream exists.
+    """
+    rules = list(rules)
+    if not rules:
+        return {}
+    parts = [[] for _ in rules]
+    scan = partial(_selection_chunk, rules, False)
+    for selections, _ in _run_chunks(universe, EXHAUSTIVE, scan, jobs):
+        for part, chunk in zip(parts, selections):
+            part.append(chunk)
+    return {rule: b"".join(part) for rule, part in zip(rules, parts)}
+
+
+def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=None):
     """Sweep reports of every (rule, axiom) cell from one pass over the stream.
 
     ``tally(instances)``, when given, runs on every ranking with its
     memoized premise listing and returns a tuple of counts; the second
     return value is their sum over the stream (empty without ``tally``).
+    ``tables`` holds the selection tables of the pass (see
+    :func:`_sweep_chunk`); when None, an exhaustive pass builds those of
+    the rules with ``SI`` or ``DMON`` cells, and a sampled pass has none.
+    The tables travel to the workers with each chunk.
     """
     cells = [(rule, axiom.upper()) for rule, axiom in cells]
     for rule, axiom in cells:
         lookup_rule(rule)
         lookup_axiom(axiom)
     started = time.perf_counter()
+    if tables is None:
+        transformed = dict.fromkeys(rule for rule, axiom in cells if axiom not in PREMISE_AXIOMS)
+        tables = _tables(transformed if mode == EXHAUSTIVE else (), universe, jobs)
     checked, tallies = 0, []
     merged = [[0, 0, []] for _ in cells]
-    worker = partial(_sweep_chunk, cells, tally, witness_cap)
+    worker = partial(_sweep_chunk, cells, tally, witness_cap, tables)
     for count, results, counts in _run_chunks(universe, mode, worker, jobs):
         checked += count
         tallies.append(counts)
@@ -310,37 +351,38 @@ def check_single(rule: str, axiom: str, ranking: CoalitionalRanking):
     return lookup_axiom(axiom)(ranking, lookup_rule(rule))
 
 
-def find_violation(rule: str, axiom: str, n: int, mode=EXHAUSTIVE, *, universe=None):
-    """First (stream index, witness) whose checker reports a violation."""
-    check = lookup_axiom(axiom)
+def _first_violation(rule, axioms, universe, mode, jobs=1):
+    """First (stream index, witness) where the rule violates one of the axioms, or None.
+
+    One serial walk of the stream: exhaustive mode walks every stream
+    index, sampled mode the draws. Each ranking is judged on the axioms
+    in the given order, so on one ranking the earlier axiom wins. In
+    exhaustive mode the ``SI`` and ``DMON`` checkers read the rule's
+    selection table, built first on ``jobs`` workers.
+    """
     rule_fn = lookup_rule(rule)
-    stream = _stream(universe or Universe(n), mode)
-    for index, ranking in enumerate(stream):
-        verdict = check(ranking, rule_fn)
-        if verdict.status == VIOLATED:
-            return index, verdict.witness
+    checks = [AXIOMS[axiom] for axiom in axioms]
+    stream, table = _stream(universe, mode), None
+    if mode == EXHAUSTIVE and any(axiom not in PREMISE_AXIOMS for axiom in axioms):
+        table = _tables([rule], universe, jobs)[rule]
+    chunk = range(len(stream)) if mode == EXHAUSTIVE else stream.classes()
+    for index, (classes, bits, remaining, before) in enumerate(_walk(universe, chunk)):
+        ranking = CoalitionalRanking._trusted(universe, classes)
+        source = table and (table, bits, prefix_of(remaining, before, universe.n), table[index])
+        for axiom, check in zip(axioms, checks):
+            if axiom in PREMISE_AXIOMS:
+                verdict = check(ranking, rule_fn)
+            else:
+                verdict = check(ranking, rule_fn, source)
+            if verdict.status == VIOLATED:
+                return index, verdict.witness
     return None
 
 
-def _selection_chunk(rule, universe, chunk):
-    """The rule's and plurality's selections on a chunk, as id-bitmask bytes, up to their first difference.
-
-    Returns (mine, ref, ranking): ``ranking`` is the ranking of the last
-    selections when they differ, and the chunk's rankings after it are
-    not evaluated; otherwise it is None. Exhaustive chunks read and fill
-    the selection tables at the walked stream index.
-    """
-    select_mine = selector(lookup_rule(rule), universe)
-    select_ref = selector(RULES["plurality"], universe)
-    mine, ref = bytearray(), bytearray()
-    for classes, _, _, before in _walk(universe, chunk):
-        ranking = CoalitionalRanking._trusted(universe, classes)
-        index = None if before is None else before[-1]
-        mine.append(select_mine(ranking, index))
-        ref.append(select_ref(ranking, index))
-        if mine[-1] != ref[-1]:
-            return bytes(mine), bytes(ref), ranking
-    return bytes(mine), bytes(ref), None
+def find_violation(rule: str, axiom: str, n: int, mode=EXHAUSTIVE, *, universe=None):
+    """First (stream index, witness) whose checker reports a violation."""
+    lookup_axiom(axiom)
+    return _first_violation(rule, (axiom.upper(),), universe or Universe(n), mode)
 
 
 @dataclass(frozen=True)
@@ -392,41 +434,29 @@ def theorem1_probe(
     differ together with the first violation of one of the three axioms.
     The scan checks STAG, then SI, then DMON on each ranking in turn.
     """
-    rule_fn = lookup_rule(rule)
+    lookup_rule(rule)
     universe = universe or Universe(n)
-    stream = _stream(universe, mode)
-    difference = None
-    compared = 0
-    # The scan fills the selection tables the SI and DMON checkers read,
-    # in stream order, so the sweep pool forked after it inherits them
-    # full. For plurality itself both tables are one.
-    tables = ()
-    if mode == EXHAUSTIVE:
-        tables = [selection_table(f, universe)[0] for f in (rule_fn, RULES["plurality"])]
-    scan = partial(_selection_chunk, rule)
+    # The scan calls the rule and plurality, once when they are one, on
+    # each ranking up to the first difference. Without one, in exhaustive
+    # mode, its selections are the rule's table for the sweep.
+    rules = [rule] if rule == "plurality" else [rule, "plurality"]
+    scan = partial(_selection_chunk, rules, True)
+    parts, difference = [], None
     with closing(_run_chunks(universe, mode, scan, jobs)) as chunks:
-        for mine, ref, ranking in chunks:
-            for table, selections in zip(tables, (mine, ref)):
-                table[compared : compared + len(selections)] = selections
-            compared += len(mine)
+        for selections, ranking in chunks:
+            parts.append(selections[0])
             if ranking is not None:
-                selections = (mask_members(m[-1], universe.n) for m in (mine, ref))
-                difference = Difference(ranking, *selections)
+                masks = (mask_members(s[-1], universe.n) for s in selections)
+                difference = Difference(ranking, *masks)
                 break
+    compared = sum(map(len, parts))
     if difference is None:
-        sweeps = sweep_cells(
-            [(rule, axiom) for axiom in THEOREM_AXIOMS],
-            n,
-            mode,
-            universe=universe,
-            jobs=jobs,
-            witness_cap=witness_cap,
-        )
+        tables = {rule: b"".join(parts)} if mode == EXHAUSTIVE else {}
+        cells = [(rule, axiom) for axiom in THEOREM_AXIOMS]
+        sweeps = _sweep_pass(cells, universe, mode, jobs, witness_cap, tables=tables)[0]
         return Theorem1Report(rule, n, mode, compared, None, None, sweeps)
-    checks = [AXIOMS[a] for a in THEOREM_AXIOMS]
-    verdicts = (check(r, rule_fn) for r in stream for check in checks)
-    witness = next((v.witness for v in verdicts if v.status == VIOLATED), None)
-    return Theorem1Report(rule, n, mode, compared, difference, witness, None)
+    found = _first_violation(rule, THEOREM_AXIOMS, universe, mode, jobs)
+    return Theorem1Report(rule, n, mode, compared, difference, found and found[1], None)
 
 
 def _relative_lemma_counts(instances):

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from millrank import (
+    RULES,
     enumerate_rankings,
     independence_report,
     prop1_report,
@@ -37,3 +40,17 @@ def independence_n4():
 @pytest.fixture(scope="session")
 def prop1_n3():
     return prop1_report(3)
+
+
+@pytest.fixture
+def rule_calls(monkeypatch):
+    """Counter of (rule id, ranking classes) over the test's calls of every RULES entry."""
+    calls = Counter()
+    for rule_id, rule in list(RULES.items()):
+
+        def counted(ranking, rule_id=rule_id, rule=rule):
+            calls[rule_id, ranking.classes] += 1
+            return rule(ranking)
+
+        monkeypatch.setitem(RULES, rule_id, counted)
+    return calls

@@ -2,13 +2,16 @@
 
 The oracles recompute everything from frozenset-of-ints first principles
 (itertools over member lists, no bitmasks), so they exercise none of the
-code paths they are used to check. Nine declared oracles are instead
+code paths they are used to check. Twelve declared oracles are instead
 the direct loops that faster code replaced: :func:`oracle_sweep`,
+:func:`oracle_first_violation` (the serial witness search),
 :func:`oracle_sample_classes`, :func:`oracle_ordered_partitions` (the
-exhaustive stream order), :func:`slide_gammas`, the slide and
-deterioration applicators and the deterioration recognizer on class
-tuples :func:`oracle_apply_slide`, :func:`oracle_apply_deterioration`
-and :func:`oracle_is_deterioration`, and the slide independence and
+exhaustive stream order), :func:`oracle_stream_prefix` and
+:func:`oracle_stream_index` (a ranking's stream index from its class
+bitsets), :func:`slide_gammas`, the slide and deterioration applicators
+and the deterioration recognizer on class tuples
+:func:`oracle_apply_slide`, :func:`oracle_apply_deterioration` and
+:func:`oracle_is_deterioration`, and the slide independence and
 downward monotonicity checkers that build every transformed ranking and
 call the rule on it, :func:`oracle_slide_independence` and
 :func:`oracle_downward_monotonicity`.
@@ -36,6 +39,7 @@ from millrank import (
     validate_ranking,
 )
 from millrank.axioms import _verdict, judge_slide
+from millrank.enumeration import _rank_offsets, prefix_of
 from millrank.transforms import SlideMove, enumerate_deterioration_specs
 
 
@@ -199,12 +203,16 @@ def all_placements(ranking, subject):
         merged = [list(c) for c in stripped]
         merged[k].append(subject)
         merged[k].sort()
-        out.append(validate_ranking(merged, ranking.universe))
+        out.append(merged)
     for gap in range(len(stripped) + 1):
         inserted = [list(c) for c in stripped]
         inserted.insert(gap, [subject])
-        out.append(validate_ranking(inserted, ranking.universe))
-    return out
+        out.append(inserted)
+    # Every class is sorted, so the candidates are built as canonical.
+    return [
+        CoalitionalRanking._trusted(ranking.universe, tuple(map(tuple, classes)))
+        for classes in out
+    ]
 
 
 def oracle_apply_slide(ranking, move):
@@ -299,6 +307,54 @@ def oracle_sweep(rule, axiom, n, mode=EXHAUSTIVE, witness_cap=10):
     return SweepReport(
         rule, axiom, n, mode, checked, premises, violations, witness_cap, tuple(witnesses), 0.0
     )
+
+
+def oracle_first_violation(rule, axioms, n, mode=EXHAUSTIVE):
+    """First (stream index, witness) where the rule violates one of the axioms, or None.
+
+    Each ranking of the stream goes through the one-ranking checkers
+    ``AXIOMS[axiom]``, in the order of ``axioms``, with no table.
+    """
+    rule_fn = lookup_rule(rule)
+    checks = [AXIOMS[axiom] for axiom in axioms]
+    for index, ranking in enumerate(RankingStream(Universe(n), mode)):
+        for check in checks:
+            verdict = check(ranking, rule_fn)
+            if verdict.status == VIOLATED:
+                return index, verdict.witness
+    return None
+
+
+@cache
+def oracle_selection_table(rule, n):
+    """The rule's selections as id bitmasks, one byte per ranking of the oracle stream order."""
+    rule_fn, universe = lookup_rule(rule), Universe(n)
+    return bytes(
+        sum(1 << i for i in rule_fn(CoalitionalRanking._trusted(universe, classes)))
+        for classes in oracle_ordered_partitions(tuple(range(1, 1 << n)))
+    )
+
+
+def oracle_stream_prefix(bits, n):
+    """The StreamPrefix of the ranking with class bitsets ``bits``, summed class by class.
+
+    Defined for n <= MAX_EXHAUSTIVE_N, where the offset table exists.
+    """
+    offsets = _rank_offsets(n)
+    left = (1 << ((1 << n) - 1)) - 1
+    total = 0
+    remaining, before = [left], [0]
+    for cls in bits:
+        total += offsets[left][cls]
+        left ^= cls
+        remaining.append(left)
+        before.append(total)
+    return prefix_of(remaining, before, n)
+
+
+def oracle_stream_index(bits, n):
+    """Index in the exhaustive stream of the ranking with class bitsets ``bits``."""
+    return oracle_stream_prefix(bits, n).index
 
 
 @cache

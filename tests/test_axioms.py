@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from millrank import (
     AXIOMS,
+    CoalitionalRanking,
     DeteriorationSpec,
     INAPPLICABLE,
     SATISFIED,
@@ -31,6 +33,7 @@ from millrank import (
     const_x,
     enumerate_deterioration_specs,
     f_star,
+    fubini,
     les,
     lookup_axiom,
     obi,
@@ -38,14 +41,17 @@ from millrank import (
     replay,
     sample_ranking,
     split_plurality,
+    sweep_cells,
     validate_ranking,
 )
-from millrank.axioms import rdf_premises, rjad_premises, selector
+from millrank.axioms import rdf_premises, rjad_premises
+from millrank.enumeration import prefix_of, walk_stream
 from millrank.cli import to_json
 from helpers import (
     cmask,
     oracle_downward_monotonicity,
     oracle_rjad_premises,
+    oracle_selection_table,
     oracle_slide_independence,
     rk,
     sel,
@@ -360,8 +366,8 @@ class TestTransformationCheckers:
 
     @pytest.fixture(scope="class")
     def rankings(self, all_n2):
-        # Exhaustive n = 2, a seeded n = 3 sample through the selection
-        # tables, and a seeded n = 4 sample through direct rule calls.
+        # Exhaustive n = 2 and seeded n = 3 and n = 4 samples, checked
+        # without a source: every target is built and the rule called on it.
         return [
             *all_n2,
             *RankingStream(Universe(3), Sample(150, 31)),
@@ -378,35 +384,27 @@ class TestTransformationCheckers:
 
     @pytest.mark.parametrize("axiom", CHECKERS)
     @pytest.mark.parametrize("rule_id", RULES)
-    def test_match_the_oracles_from_filled_tables(self, all_n2, axiom, rule_id):
-        # A fresh rule object starts an empty table. Filled for every
-        # n = 2 ranking first, a wrongly ranked target would read the
-        # selection of another ranking.
+    def test_match_the_oracles_from_filled_tables(self, axiom, rule_id):
+        # A walked source with a complete table built by the oracle stream:
+        # a wrongly ranked target would read another ranking's selection.
         check, oracle = self.CHECKERS[axiom]
         rule = RULES[rule_id]
+        walked = [(2, w) for w in walk_stream(2)]
+        for index in random.Random(33).sample(range(fubini(7)), 60):
+            walked.extend((3, w) for w in walk_stream(3, index, index + 1))
+        for n, (classes, bits, remaining, before) in walked:
+            table = oracle_selection_table(rule_id, n)
+            ranking = CoalitionalRanking._trusted(Universe(n), classes)
+            source = table, bits, prefix_of(remaining, before, n), table[before[-1]]
+            assert to_json(check(ranking, rule, source)) == to_json(oracle(ranking, rule))
 
-        def fresh(ranking):
-            return rule(ranking)
-
-        select = selector(fresh, Universe(2))
-        for index, ranking in enumerate(all_n2):
-            select(ranking, index)
-        for ranking in all_n2:
-            assert to_json(check(ranking, fresh)) == to_json(oracle(ranking, rule))
-
-    def test_rule_runs_once_per_distinct_ranking(self, rankings):
-        calls = Counter()
-
-        def counting(ranking):
-            calls[ranking.universe.n, ranking.classes] += 1
-            return plurality(ranking)
-
-        small = [ranking for ranking in rankings if ranking.universe.n <= 3]
-        for ranking in small:
-            check_slide_independence(ranking, counting)
-            check_downward_monotonicity(ranking, counting)
-        assert max(calls.values()) == 1
-        assert sum(n == 2 for n, _ in calls) == 13  # every n = 2 ranking is reached
+    def test_rule_runs_once_per_distinct_ranking(self, rule_calls):
+        # An exhaustive pass evaluates each rule with an SI or DMON cell
+        # once per ranking, to build its table, and nowhere else.
+        cells = [(rule, axiom) for rule in RULES for axiom in ("STAG", "SI", "DMON")]
+        sweep_cells(cells, 2)
+        assert max(rule_calls.values()) == 1
+        assert Counter(rule_id for rule_id, _ in rule_calls) == dict.fromkeys(RULES, 13)
 
     def test_rule_without_weak_references(self):
         class Slotted:

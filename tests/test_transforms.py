@@ -19,7 +19,6 @@ from millrank import (
     validate_ranking,
 )
 from millrank.core import bits_classes, class_bits
-from millrank.enumeration import stream_index, stream_prefix
 from millrank.transforms import (
     deterioration_bits,
     deterioration_indices,
@@ -34,6 +33,8 @@ from helpers import (
     oracle_apply_deterioration,
     oracle_apply_slide,
     oracle_is_deterioration,
+    oracle_stream_index,
+    oracle_stream_prefix,
     rk,
     slide_gammas,
 )
@@ -179,6 +180,16 @@ class TestIsDeterioration:
                         oracle_is_deterioration(ranking, candidate, subject)
                     )
 
+    def test_placement_family_is_valid_and_canonical(self, all_n2):
+        # all_placements builds its candidates unchecked; each must be the
+        # ranking that validation makes of its classes.
+        for ranking in [*all_n2, *RankingStream(Universe(3), Sample(300, 25))]:
+            for subject in range(1, ranking.universe.full_mask + 1):
+                for candidate in all_placements(ranking, subject):
+                    validated = validate_ranking(candidate.classes, ranking.universe)
+                    assert validated == candidate
+                    assert validated.class_of == candidate.class_of
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10**6), subject=st.integers(1, 7))
     def test_placement_family_cross_check_n3(self, seed, subject):
@@ -243,15 +254,15 @@ class TestBitsetTargets:
 
     def test_indices_rank_the_targets(self, all_n2):
         # Exhaustive n = 2 and a seeded n = 3 sample: every index ranked
-        # from the source's prefix equals stream_index of the target bits.
+        # from the source's prefix equals oracle_stream_index of the target bits.
         for ranking in [*all_n2, *RankingStream(Universe(3), Sample(60, 24))]:
             n, bits = ranking.universe.n, class_bits(ranking.classes)
-            prefix = stream_prefix(bits, n)
-            assert prefix.index == stream_index(bits, n)
+            prefix = oracle_stream_prefix(bits, n)
+            assert prefix.index == oracle_stream_index(bits, n)
             for k1, cls in enumerate(bits):
                 for gamma in slide_gamma_bits(cls):
                     want = [
-                        None if k2 == k1 else stream_index(slide_bits(bits, k1, k2, gamma), n)
+                        None if k2 == k1 else oracle_stream_index(slide_bits(bits, k1, k2, gamma), n)
                         for k2 in range(len(bits))
                     ]
                     assert slide_indices(prefix, bits, k1, gamma) == want
@@ -259,7 +270,7 @@ class TestBitsetTargets:
                 j = ranking.index_of(subject)
                 placements = deterioration_placements(j, len(bits), bits[j] == 1 << (subject - 1))
                 want = [
-                    stream_index(deterioration_bits(bits, j, subject, *placement), n)
+                    oracle_stream_index(deterioration_bits(bits, j, subject, *placement), n)
                     for placement in placements[1:]
                 ]
                 assert deterioration_indices(prefix, bits, j, subject, placements) == want

@@ -26,7 +26,8 @@ from millrank import (
 )
 from millrank import verify
 from millrank.cli import to_json
-from helpers import cmask, oracle_sweep, rk, sel
+from millrank.verify import THEOREM_AXIOMS
+from helpers import cmask, oracle_first_violation, oracle_sweep, rk, sel
 
 ALL_CELLS = [(rule, axiom) for rule in RULES for axiom in AXIOMS]
 
@@ -152,6 +153,49 @@ class TestTheorem1Probe:
         ranking = rk("123 12 13 / rest")
         assert lookup_rule("const_x")(ranking) == sel("123")
         assert lookup_rule("plurality")(ranking) == sel("1")
+
+
+class TestWitnessSearch:
+    """find_violation and theorem1's witness against the serial one-ranking loop."""
+
+    @pytest.mark.parametrize("n, mode", [(2, EXHAUSTIVE), (4, Sample(12, 9))])
+    def test_find_violation_matches_the_oracle(self, n, mode):
+        for rule, axiom in ALL_CELLS:
+            found = find_violation(rule, axiom, n, mode)
+            assert to_json(found) == to_json(oracle_first_violation(rule, (axiom,), n, mode)), (
+                rule,
+                axiom,
+            )
+
+    @pytest.mark.parametrize("rule_id", RULES)
+    def test_theorem1_witness_matches_the_oracle(self, rule_id):
+        report = theorem1_probe(rule_id, 2)
+        found = oracle_first_violation(rule_id, THEOREM_AXIOMS, 2)
+        assert to_json(report.witness) == to_json(found and found[1])
+        assert report.equivalent == (found is None)
+
+    def test_earlier_axiom_wins_on_one_ranking(self):
+        # obi's first n = 3 ranking violates both STAG and DMON.
+        report = theorem1_probe("obi", 3)
+        found = oracle_first_violation("obi", THEOREM_AXIOMS, 3)
+        assert found[0] == 0
+        assert to_json(report.witness) == to_json(found[1])
+        assert report.witness.axiom == "STAG"
+        assert AXIOMS["DMON"](report.witness.ranking, lookup_rule("obi")).status == VIOLATED
+
+    def test_identical_runs_make_the_same_rule_calls(self, rule_calls):
+        # Nothing is kept between passes, so a second run repeats every call.
+        runs = []
+        for _ in range(2):
+            rule_calls.clear()
+            theorem1_probe("plurality", 2)
+            theorem1_probe("les", 2)
+            find_violation("f_star", "DMON", 2)
+            sweep_cells([("obi", "SI"), ("split_plurality", "DMON")], 2)
+            runs.append(Counter(rule_id for rule_id, _ in rule_calls.elements()))
+        assert runs[0] == runs[1]
+        # plurality's scan, and les's up to its first difference, at index 10
+        assert runs[0]["plurality"] == 13 + 11
 
 
 class TestProp1:
