@@ -9,13 +9,14 @@ or contains them). One function, :func:`judge_selection`, builds their
 verdicts from the listed instances and the rule's selection;
 :func:`judge` lists and selects, then calls it.
 The two transformation axioms, slide independence (SI) and downward
-monotonicity (DMON), evaluate the rule on transformed rankings as well
-and keep their own scans. They hold classes as bitsets over coalitions.
-A caller that walks the exhaustive stream passes a source: the rule's
-complete selection table, indexed by stream index, and the walk's class
-bitsets and running index sums, from which each target's index is
-ranked, so every target's selection is one table read. Without a source
-the checker builds each target and calls the rule on it.
+monotonicity (DMON), judge the rule on transformed rankings too, each in
+one scan over class bitsets. Given a source (the rule's complete
+selection table, with the walked stream's class bitsets and running
+index sums) the scan ranks each target inline and reads its selection
+from the table; without one it decodes the target and calls the rule.
+SI judges a target by one lookup in a conclusion table (up to
+MAX_EXHAUSTIVE_N); DMON counts a coalition's premises without its
+targets and reads them only while they could still give the witness.
 
 A verdict is one of three statuses: ``inapplicable`` (no premise
 instance exists), ``satisfied`` (every instance met its forced
@@ -31,7 +32,8 @@ ascending id tuples, e.g. the entries of :data:`millrank.solutions.RULES`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
+from itertools import product
 from typing import Literal
 
 from .core import (
@@ -42,6 +44,7 @@ from .core import (
     mask_members,
     top_intersection,
 )
+from .enumeration import MAX_EXHAUSTIVE_N
 from .errors import UniverseTooLargeError, UnknownAxiomError
 from .transforms import (
     SlideMove,
@@ -49,22 +52,22 @@ from .transforms import (
     apply_deterioration,
     apply_slide,
     deterioration_bits,
-    deterioration_indices,
     deterioration_placements,
     enumerate_deterioration_specs,
     membership_bits,
     slide_bits,
     slide_gamma_bits,
-    slide_indices,
 )
 
 # check_slide_independence refuses a ranking with more slides (source
 # class, gamma, destination class) than this: a class of c coalitions
-# alone yields 2^c - 2 gammas. One slide took 17-33 us at n = 5
-# (plurality, les) and about 1 ms with les at n = 8 on a 2.1 GHz Xeon
-# with Python 3.11.7, so the largest accepted scan takes about 2 s at
-# n = 5 and 2 min at n = 8. In 1,000 sampled rankings at n = 8 the most
-# slides was 58,480; exhaustively at n = 3 it is 62.
+# alone yields 2^c - 2 gammas. A ranking has at most 2^(2^n - 2) - 2
+# slides, all but one coalition in one of two classes: 62 at n = 3 and
+# 16,382 at n = 4, so only from n = 5 on can one be refused. One slide
+# took 17-33 us at n = 5 (plurality, les) and about 1 ms with les at
+# n = 8 on a 2.1 GHz Xeon with Python 3.11.7, so the largest accepted
+# scan takes about 2 s at n = 5 and 2 min at n = 8. In 1,000 sampled
+# rankings at n = 8 the most slides was 58,480.
 _MAX_SLIDES = 1 << 17
 # check_downward_monotonicity refuses a ranking with more deterioration
 # placements (coalition s, weakly-downward placement of s) than this. A
@@ -380,13 +383,51 @@ def selection_mask(rule, ranking) -> int:
 def _source(ranking, rule):
     """(table, bits, prefix, base): what an SI or DMON scan reads, here without a table.
 
-    ``table`` is the rule's complete selection table (id bitmasks by
-    stream index) or None; ``bits`` the ranking's class bitsets;
-    ``prefix`` their :class:`~millrank.enumeration.StreamPrefix`, None
-    without a table; ``base`` the rule's selection on the ranking as an
-    id bitmask.
+    A walked source holds the rule's complete selection table (id
+    bitmasks by stream index), the ranking's class bitsets, their
+    :class:`~millrank.enumeration.StreamPrefix` and the rule's selection
+    on the ranking as an id bitmask; here table and prefix are None.
     """
     return None, class_bits(ranking.classes), None, selection_mask(rule, ranking)
+
+
+@cache
+def _pairs(n: int):
+    """(x, y, {x, y} as an id bitmask) per pair x < y, and per id bitmask the pairs it meets.
+
+    Pairs are in scan order; a set of them is a bitmask over that order.
+    """
+    pairs = tuple((x, y, 1 << x | 1 << y) for x in range(n) for y in range(x + 1, n))
+    meets = [sum(1 << p for p, (*_, pair) in enumerate(pairs) if m & pair) for m in range(1 << n)]
+    return pairs, meets
+
+
+def _balanced(n: int, gamma: int) -> int:
+    """The pairs {x, y} whose members the coalitions of the gamma bitset hold equally often."""
+    counts = [(gamma & coalitions).bit_count() for coalitions in membership_bits(n)]
+    return sum(1 << p for p, (x, y, _) in enumerate(_pairs(n)[0]) if counts[x] == counts[y])
+
+
+def _slide_conclusion(n: int, balanced: int, base: int, after: int):
+    """(premises, first violated pair (x, y) or None) of a slide, from the selections around it.
+
+    A ``balanced`` pair's premise fires when both selections meet it, and
+    fails when they meet it differently.
+    """
+    pairs, meets = _pairs(n)
+    fired = balanced & meets[base] & meets[after]
+    violated = fired & meets[base ^ after]
+    first = pairs[(violated & -violated).bit_length() - 1][:2] if violated else None
+    return fired.bit_count(), first
+
+
+@cache
+def _slide_tables(n: int):
+    """Balanced pairs by gamma, and slide conclusions by ``(balanced << n | base) << n | after``."""
+    full = (1 << n) - 1
+    keys = product(range(1 << len(_pairs(n)[0])), range(full + 1), range(full + 1))
+    conclusions = [_slide_conclusion(n, *key) for key in keys]
+    return [_balanced(n, gamma) for gamma in range(1 << full)], conclusions
 
 
 def check_slide_independence(ranking, rule, source=None) -> Verdict:
@@ -396,62 +437,68 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
     y, a premise fires when both the original and the slid selection meet
     {x, y}; the two intersections must then coincide. Premises are
     scanned by source class, gamma bit pattern, destination class, then
-    pair; the witness is the first violation in that order. Classes and
-    gammas are bitsets over coalitions. A caller that walks the
-    exhaustive stream passes ``source`` as :func:`_source` describes it,
-    with the rule's table: each slid ranking's selection is then read
-    from the table at its stream index, ranked from the source's running
-    index sums, and rankings are built for the witness only. Without a
-    table the slid ranking is built and the rule called on it. A ranking
+    pair; the witness is the first violation in that order. With a
+    table in ``source`` (see :func:`_source`), each slid ranking is
+    ranked from the running index sums, adding the slide's terms as the
+    destination moves one class away from k1, and its selection read
+    from the table; rankings are built for the witness only. A ranking
     with more than _MAX_SLIDES slides is refused with
     UniverseTooLargeError before the scan.
     """
-    classes = ranking.classes
-    slides = (len(classes) - 1) * sum((1 << len(cls)) - 2 for cls in classes)
-    if slides > _MAX_SLIDES:
-        raise UniverseTooLargeError(
-            f"slide independence checks at most {_MAX_SLIDES} slides per ranking, got {slides}"
-        )
     universe = ranking.universe
     n = universe.n
+    if (1 << (universe.full_mask - 1)) - 2 > _MAX_SLIDES:  # else no ranking can have more
+        classes = ranking.classes
+        slides = (len(classes) - 1) * sum((1 << len(cls)) - 2 for cls in classes)
+        if slides > _MAX_SLIDES:
+            raise UniverseTooLargeError(
+                f"slide independence checks at most {_MAX_SLIDES} slides per ranking, got {slides}"
+            )
     table, bits, prefix, base = source or _source(ranking, rule)
-    members = membership_bits(n)
-    # Per relevant pair: x, y, the pair as an id bitmask, and the
-    # coalitions containing x and containing y; a gamma is balanced
-    # when it holds as many of each.
-    pairs = [
-        (x, y, 1 << x | 1 << y, members[x], members[y])
-        for x in range(n)
-        for y in range(x + 1, n)
-        if base >> x & 1 or base >> y & 1
-    ]
-    if not pairs or len(bits) < 2:
+    relevant = _pairs(n)[1][base]  # no pair the base selection misses can fire
+    l = len(bits)
+    if not relevant or l < 2:
         return Verdict(INAPPLICABLE, 0)
-    premises = 0
-    witness = None
+    balanced_of, conclusions = _slide_tables(n) if n <= MAX_EXHAUSTIVE_N else (None, None)
+    if table is not None:
+        offsets, remaining, before, rest = prefix
+    premises, witness = 0, None
     for k1, cls in enumerate(bits):
+        # Downward destinations, then upward ones, each moving away from k1.
+        destinations = (*range(k1 + 1, l), *range(k1 - 1, -1, -1))
         for gamma in slide_gamma_bits(cls):
-            balanced = [
-                p for p in pairs if (gamma & p[3]).bit_count() == (gamma & p[4]).bit_count()
-            ]
+            balanced = (balanced_of[gamma] if balanced_of else _balanced(n, gamma)) & relevant
             if not balanced:
                 continue
-            for k2, index in enumerate(slide_indices(prefix, bits, k1, gamma)):
-                if k2 == k1:
-                    continue
+            head = (balanced << n | base) << n
+            if table is not None:
+                # Class k1 loses gamma and class k2 gains it; the classes between
+                # see it among the coalitions not yet placed (downward) or not (upward).
+                through = before[k1] + offsets[remaining[k1]][cls ^ gamma]
+                tail = offsets[remaining[k1] & ~gamma][cls ^ gamma] + rest[k1 + 1]
+            hit = None
+            for k2 in destinations:
                 if table is None:
                     after = selection_mask(rule, _decode(universe, slide_bits(bits, k1, k2, gamma)))
+                elif k2 > k1:
+                    row = offsets[remaining[k2] | gamma]
+                    after = table[through + row[bits[k2] | gamma] + rest[k2 + 1]]
+                    through += row[bits[k2]]
                 else:
-                    after = table[index]
-                for x, y, pair, _, _ in balanced:
-                    before_pair, after_pair = base & pair, after & pair
-                    if before_pair and after_pair:
-                        premises += 1
-                        if before_pair != after_pair and witness is None:
-                            move = SlideMove(k1, k2, bits_classes((gamma,))[0])
-                            slid = apply_slide(ranking, move)
-                            selections = set(mask_members(base, n)), set(mask_members(after, n))
-                            witness = judge_slide(ranking, move, slid, *selections, x, y)
+                    after = table[before[k2] + offsets[remaining[k2]][bits[k2] | gamma] + tail]
+                    tail += offsets[remaining[k2] & ~gamma][bits[k2]]
+                if conclusions is None:
+                    count, pair = _slide_conclusion(n, balanced, base, after)
+                else:
+                    count, pair = conclusions[head | after]
+                premises += count
+                if pair and witness is None and (hit is None or k2 < hit[0]):
+                    hit = k2, after, pair
+            if hit:
+                k2, after, (x, y) = hit
+                move = SlideMove(k1, k2, bits_classes((gamma,))[0])
+                selections = set(mask_members(base, n)), set(mask_members(after, n))
+                witness = judge_slide(ranking, move, apply_slide(ranking, move), *selections, x, y)
     return _verdict(premises, witness)
 
 
@@ -461,19 +508,16 @@ def check_downward_monotonicity(ranking, rule, source=None) -> Verdict:
     For every selected x, every nonempty coalition s avoiding x, and
     every ranking obtained by moving s weakly down, x must stay selected.
     Premises are scanned by x, then by s (ascending mask), then by
-    placement, so s adds the number of its kept individuals for each of
-    its placements. One pass over s and its placements judges each
-    deteriorated ranking once and keeps each x's first violation; the
-    witness is that of the smallest x. Each deteriorated ranking's
-    selection is read as in :func:`check_slide_independence`; the
-    identity placement is counted but not evaluated, and with a table,
-    placements and rankings are built for the witness only. A ranking
-    with more than _MAX_PLACEMENTS placements is refused with
-    UniverseTooLargeError before the rule runs. ``source`` is as in
-    :func:`check_slide_independence`.
+    placement, so s adds its kept individuals once per placement,
+    counted without reading the targets. The witness is the first
+    violation of the smallest violated x: one pass over s keeps the
+    smallest x lost so far and reads the placements of s only while s
+    keeps an individual below it. Targets are ranked and read as in
+    :func:`check_slide_independence`; the identity placement is counted
+    but not read. A ranking with more than _MAX_PLACEMENTS placements
+    is refused with UniverseTooLargeError before the rule runs.
     """
     universe = ranking.universe
-    n = universe.n
     if universe.full_mask**2 > _MAX_PLACEMENTS:  # else no ranking can have more
         # len(deterioration_placements(j, L, alone)) is 2 (L - j), less 1 when alone.
         l = len(ranking.classes)
@@ -488,42 +532,54 @@ def check_downward_monotonicity(ranking, rule, source=None) -> Verdict:
     table, bits, prefix, base = source or _source(ranking, rule)
     if not base:
         return Verdict(INAPPLICABLE, 0)
+    if table is not None:
+        offsets, remaining, before, rest = prefix
     premises = 0
-    first = {}
+    hit, wanted = None, base  # (x, s, position, selection) of the smallest x lost; those below x
     for s in range(1, universe.full_mask + 1):
         kept = base & ~s
         if not kept:
             continue
-        j = ranking.class_of[s]
-        placements = deterioration_placements(j, len(bits), bits[j] == 1 << (s - 1))
+        j, bit = ranking.class_of[s], 1 << (s - 1)
+        placements = deterioration_placements(j, len(bits), bits[j] == bit)
         premises += kept.bit_count() * len(placements)
-        indices = deterioration_indices(prefix, bits, j, s, placements)
-        for position, index in enumerate(indices, 1):
+        watched = kept & wanted
+        if not watched:
+            continue
+        if table is not None:
+            # Terms before the target class: class j without s (offset 0 when
+            # that is empty), then the classes down to it with s not yet placed.
+            joined = below = before[j] + offsets[remaining[j]][bits[j] ^ bit]
+        for position, (kind, k) in enumerate(placements[1:], 1):
             if table is None:
-                target = deterioration_bits(bits, j, s, *placements[position])
-                selected = selection_mask(rule, _decode(universe, target))
+                target = _decode(universe, deterioration_bits(bits, j, s, kind, k))
+                selected = selection_mask(rule, target)
+            elif kind == "join":
+                row = offsets[remaining[k] | bit]
+                selected = table[joined + row[bits[k] | bit] + rest[k + 1]]
+                joined += row[bits[k]]
             else:
-                selected = table[index]
-            lost = kept & ~selected
+                if k > j:
+                    below += offsets[remaining[k] | bit][bits[k]]
+                selected = table[below + offsets[remaining[k + 1] | bit][bit] + rest[k + 1]]
+            lost = watched & ~selected
             if lost:
-                for x in mask_members(lost, n):
-                    first.setdefault(x, (s, position, selected))
-    if not first:
+                low = lost & -lost
+                hit, wanted = (low.bit_length() - 1, s, position, selected), low - 1
+                watched &= wanted
+                if not watched:
+                    break
+    if hit is None:
         return _verdict(premises, None)
-    x = min(first)
-    s, position, selected = first[x]
+    x, s, position, selected = hit
     spec = list(enumerate_deterioration_specs(ranking, s))[position]
+    slid = apply_deterioration(ranking, spec)
     witness = Witness(
         axiom="DMON",
         ranking=ranking,
-        premise={
-            "x": x,
-            "s": s,
-            "placement": spec,
-            "ranking_after": apply_deterioration(ranking, spec),
-        },
+        premise={"x": x, "s": s, "placement": spec, "ranking_after": slid},
         expected=f"{universe.names[x]} stays selected after the deterioration",
-        actual={"selection_after": mask_members(selected, n)},
+        actual={"selection_after": mask_members(selected, universe.n)},
     )
     return _verdict(premises, witness)
 

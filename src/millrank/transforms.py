@@ -5,12 +5,10 @@ Class indices in this module are 0-based positions into
 implemented once, on class bitsets: a class is a bitset over coalitions
 (coalition m is bit m - 1, see :func:`millrank.core.class_bits`), and
 :func:`slide_bits` and :func:`deterioration_bits` return the transformed
-ranking's classes as bitsets. The axiom checkers use them directly;
-:func:`apply_slide`, :func:`apply_deterioration` and
-:func:`enumerate_deteriorations` check their move and decode the
-result. :func:`slide_indices` and :func:`deterioration_indices` rank the
-transformed rankings in the exhaustive stream from the source's running
-index sums, without building their bitsets.
+ranking's classes as bitsets. The axiom checkers build a target with
+them when no selection table holds it; :func:`apply_slide`,
+:func:`apply_deterioration` and :func:`enumerate_deteriorations` check
+their move and decode the result.
 """
 
 from __future__ import annotations
@@ -89,33 +87,6 @@ def slide_bits(bits, k1: int, k2: int, gamma: int) -> list[int]:
     return slid
 
 
-def slide_indices(prefix, bits, k1: int, gamma: int) -> list:
-    """Stream index, per destination class k2, of the ranking after sliding gamma out of class k1.
-
-    ``prefix`` is the source's :class:`~millrank.enumeration.StreamPrefix`.
-    A slide changes only the classes from min(k1, k2) to max(k1, k2):
-    the two ends change content, and the classes between them see gamma
-    added to (downward) or taken from (upward) the coalitions not yet
-    placed. Each index is the unchanged prefix and suffix plus those
-    terms, summed as k2 moves one class away from k1. The entry at k1 is
-    None; every entry is None when ``prefix`` is None.
-    """
-    indices = [None] * len(bits)
-    if prefix is None:
-        return indices
-    offsets, remaining, before, after = prefix
-    through = before[k1] + offsets[remaining[k1]][bits[k1] ^ gamma]
-    for k2 in range(k1 + 1, len(bits)):
-        row = offsets[remaining[k2] | gamma]
-        indices[k2] = through + row[bits[k2] | gamma] + after[k2 + 1]
-        through += row[bits[k2]]
-    tail = offsets[remaining[k1] & ~gamma][bits[k1] ^ gamma] + after[k1 + 1]
-    for k2 in range(k1 - 1, -1, -1):
-        indices[k2] = before[k2] + offsets[remaining[k2]][bits[k2] | gamma] + tail
-        tail += offsets[remaining[k2] & ~gamma][bits[k2]]
-    return indices
-
-
 @dataclass(frozen=True, slots=True)
 class DeteriorationSpec:
     """Where a single coalition is moved, weakly downward.
@@ -186,32 +157,6 @@ def _placements(ranking: CoalitionalRanking, subject: int):
     j = ranking.index_of(subject)
     bits = class_bits(ranking.classes)
     return bits, j, deterioration_placements(j, len(bits), bits[j] == 1 << (subject - 1))
-
-
-def deterioration_indices(prefix, bits, j: int, subject: int, placements) -> list:
-    """Stream index of the ranking after each placement but the identity, in order.
-
-    ``prefix`` is the source's :class:`~millrank.enumeration.StreamPrefix`
-    and ``placements`` the subject's :func:`deterioration_placements`. A
-    placement at k changes only classes j..k: class j loses the subject
-    (or vanishes), the classes between see it among the coalitions not
-    yet placed, and class k gains it or gets it as a singleton below.
-    The terms are summed as k moves down one class at a time. Every
-    entry is None when ``prefix`` is None.
-    """
-    if prefix is None:
-        return [None] * (len(placements) - 1)
-    offsets, remaining, before, after = prefix
-    bit = 1 << (subject - 1)
-    through = before[j] + (0 if bits[j] == bit else offsets[remaining[j]][bits[j] ^ bit])
-    joined, below = [None] * len(bits), [None] * len(bits)
-    for k in range(j, len(bits)):
-        if k > j:
-            row = offsets[remaining[k] | bit]
-            joined[k] = through + row[bits[k] | bit] + after[k + 1]
-            through += row[bits[k]]
-        below[k] = through + offsets[remaining[k + 1] | bit][bit] + after[k + 1]
-    return [(joined if kind == "join" else below)[k] for kind, k in placements[1:]]
 
 
 def enumerate_deterioration_specs(ranking: CoalitionalRanking, subject: int):

@@ -351,19 +351,19 @@ def check_single(rule: str, axiom: str, ranking: CoalitionalRanking):
     return lookup_axiom(axiom)(ranking, lookup_rule(rule))
 
 
-def _first_violation(rule, axioms, universe, mode, jobs=1):
+def _first_violation(rule, axioms, universe, mode, jobs=1, table=None):
     """First (stream index, witness) where the rule violates one of the axioms, or None.
 
     One serial walk of the stream: exhaustive mode walks every stream
     index, sampled mode the draws. Each ranking is judged on the axioms
     in the given order, so on one ranking the earlier axiom wins. In
     exhaustive mode the ``SI`` and ``DMON`` checkers read the rule's
-    selection table, built first on ``jobs`` workers.
+    selection ``table``, built first on ``jobs`` workers when not given.
     """
     rule_fn = lookup_rule(rule)
     checks = [AXIOMS[axiom] for axiom in axioms]
-    stream, table = _stream(universe, mode), None
-    if mode == EXHAUSTIVE and any(axiom not in PREMISE_AXIOMS for axiom in axioms):
+    stream = _stream(universe, mode)
+    if table is None and mode == EXHAUSTIVE and any(a not in PREMISE_AXIOMS for a in axioms):
         table = _tables([rule], universe, jobs)[rule]
     chunk = range(len(stream)) if mode == EXHAUSTIVE else stream.classes()
     for index, (classes, bits, remaining, before) in enumerate(_walk(universe, chunk)):
@@ -744,12 +744,11 @@ def independence_report(
     if n < 4:
         raise ValueError("independence_report needs n >= 4 for the slide instance")
     claims = []
-    reports = dict(
-        zip(
-            INDEPENDENCE_SWEEPS,
-            sweep_cells(INDEPENDENCE_SWEEPS, 3, jobs=jobs, witness_cap=witness_cap),
-        )
-    )
+    # One table per rule serves the sweeps and the f_star x DMON search.
+    universe = Universe(3)
+    tables = _tables(dict.fromkeys(rule for rule, _ in INDEPENDENCE_SWEEPS), universe, jobs)
+    sweeps = _sweep_pass(INDEPENDENCE_SWEEPS, universe, EXHAUSTIVE, jobs, witness_cap, tables=tables)
+    reports = dict(zip(INDEPENDENCE_SWEEPS, sweeps[0]))
 
     def add_claim(rule, axiom, expected, evidence_kind, verdict, witness, report=None):
         claims.append(Claim(rule, axiom, expected, verdict, evidence_kind, report, witness))
@@ -761,7 +760,7 @@ def independence_report(
 
     add_sweep_claim("f_star", "STAG")
     add_sweep_claim("f_star", "SI")
-    found = find_violation("f_star", "DMON", 3)
+    found = _first_violation("f_star", ("DMON",), universe, EXHAUSTIVE, table=tables["f_star"])
     verdict = "violated" if found else "satisfied"
     add_claim("f_star", "DMON", "violated", "witness_search", verdict, found[1] if found else None)
 

@@ -44,7 +44,8 @@ from millrank import (
     sweep_cells,
     validate_ranking,
 )
-from millrank.axioms import rdf_premises, rjad_premises
+from millrank.axioms import _slide_tables, judge_slide, rdf_premises, rjad_premises
+from millrank.core import class_bits, mask_members
 from millrank.enumeration import prefix_of, walk_stream
 from millrank.cli import to_json
 from helpers import (
@@ -53,6 +54,7 @@ from helpers import (
     oracle_rjad_premises,
     oracle_selection_table,
     oracle_slide_independence,
+    oracle_stream_index,
     rk,
     sel,
 )
@@ -397,6 +399,58 @@ class TestTransformationCheckers:
             ranking = CoalitionalRanking._trusted(Universe(n), classes)
             source = table, bits, prefix_of(remaining, before, n), table[before[-1]]
             assert to_json(check(ranking, rule, source)) == to_json(oracle(ranking, rule))
+
+    @pytest.mark.parametrize(
+        "rule_id, axiom, shorthands",
+        [
+            # The first three witnesses of each violated cell of the exhaustive n = 3 sweep.
+            ("f_star", "SI", ["1/2/12/3/13 23 123", "1/2/12/3 13 23/123", "1/2/12/3 13 123/23"]),
+            ("f_star", "DMON", ["1 2 12/3/13/23/123", "1 2 12/3/13/123/23", "1 2 12/3/13 23 123"]),
+            ("obi", "SI", ["1/2/12/3/13/23 123", "1/2/12/3/13 23/123", "1/2/12/3/13 23 123"]),
+            ("obi", "DMON", ["1/2/12/3/13/23/123", "1/2/12/3/13 23/123", "1/2/12/3/23/13/123"]),
+            ("split_plurality", "SI", ["1 2 12 3 13 23/123", "1 2 12 13 23/3/123", "1 2 12 13 23/3 123"]),
+        ],
+    )
+    def test_witnesses_from_walked_tables(self, rule_id, axiom, shorthands):
+        # Each witness ranking, walked at its stream index and judged through
+        # its table, reports the oracle's premises and witness.
+        check, oracle = self.CHECKERS[axiom]
+        rule, table = RULES[rule_id], oracle_selection_table(rule_id, 3)
+        for shorthand in shorthands:
+            ranking = rk(shorthand)
+            index = oracle_stream_index(class_bits(ranking.classes), 3)
+            ((classes, bits, remaining, before),) = walk_stream(3, index, index + 1)
+            assert classes == ranking.classes
+            verdict = check(ranking, rule, (table, bits, prefix_of(remaining, before, 3), table[index]))
+            assert verdict.status == VIOLATED
+            assert to_json(verdict) == to_json(oracle(ranking, rule))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_slide_tables_match_pair_by_pair_readings(self, n):
+        # Every gamma's balanced pairs from coalition counts, and every
+        # (balanced pairs, base, after) conclusion from judge_slide per pair.
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        balanced_of, conclusions = _slide_tables(n)
+        coalitions = range(1, 1 << n)
+        for gamma in range(1 << len(coalitions)):
+            moved = [m for m in coalitions if gamma >> (m - 1) & 1]
+            counts = [sum(m >> i & 1 for m in moved) for i in range(n)]
+            want = sum(1 << p for p, (x, y) in enumerate(pairs) if counts[x] == counts[y])
+            assert balanced_of[gamma] == want
+        ranking = TIE3 if n == 3 else rk("rest", n=2)
+        for balanced in range(1 << len(pairs)):
+            chosen = [pair for p, pair in enumerate(pairs) if balanced >> p & 1]
+            for base in range(1 << n):
+                for after in range(1 << n):
+                    before_ids, after_ids = set(mask_members(base, n)), set(mask_members(after, n))
+                    fired = [(x, y) for x, y in chosen if {x, y} & before_ids and {x, y} & after_ids]
+                    violated = [
+                        (x, y)
+                        for x, y in chosen
+                        if judge_slide(ranking, None, None, before_ids, after_ids, x, y)
+                    ]
+                    want = len(fired), violated[0] if violated else None
+                    assert conclusions[(balanced << n | base) << n | after] == want
 
     def test_rule_runs_once_per_distinct_ranking(self, rule_calls):
         # An exhaustive pass evaluates each rule with an SI or DMON cell
