@@ -14,9 +14,9 @@ one scan over class bitsets. Given a source (the rule's complete
 selection table, with the walked stream's class bitsets and running
 index sums) the scan ranks each target inline and reads its selection
 from the table; without one it decodes the target and calls the rule.
-SI judges a target by one lookup in a conclusion table (up to
-MAX_EXHAUSTIVE_N); DMON counts a coalition's premises without its
-targets and reads them only while they could still give the witness.
+SI judges a target by bit operations over the pairs the two selections
+meet; DMON counts a coalition's premises without its targets and reads
+them only while they could still give the witness.
 
 A verdict is one of three statuses: ``inapplicable`` (no premise
 instance exists), ``satisfied`` (every instance met its forced
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import product
 from typing import Literal
 
 from .core import (
@@ -398,7 +397,9 @@ def _pairs(n: int):
     Pairs are in scan order; a set of them is a bitmask over that order.
     """
     pairs = tuple((x, y, 1 << x | 1 << y) for x in range(n) for y in range(x + 1, n))
-    meets = [sum(1 << p for p, (*_, pair) in enumerate(pairs) if m & pair) for m in range(1 << n)]
+    meets = tuple(
+        sum(1 << p for p, (*_, pair) in enumerate(pairs) if m & pair) for m in range(1 << n)
+    )
     return pairs, meets
 
 
@@ -408,26 +409,10 @@ def _balanced(n: int, gamma: int) -> int:
     return sum(1 << p for p, (x, y, _) in enumerate(_pairs(n)[0]) if counts[x] == counts[y])
 
 
-def _slide_conclusion(n: int, balanced: int, base: int, after: int):
-    """(premises, first violated pair (x, y) or None) of a slide, from the selections around it.
-
-    A ``balanced`` pair's premise fires when both selections meet it, and
-    fails when they meet it differently.
-    """
-    pairs, meets = _pairs(n)
-    fired = balanced & meets[base] & meets[after]
-    violated = fired & meets[base ^ after]
-    first = pairs[(violated & -violated).bit_length() - 1][:2] if violated else None
-    return fired.bit_count(), first
-
-
 @cache
-def _slide_tables(n: int):
-    """Balanced pairs by gamma, and slide conclusions by ``(balanced << n | base) << n | after``."""
-    full = (1 << n) - 1
-    keys = product(range(1 << len(_pairs(n)[0])), range(full + 1), range(full + 1))
-    conclusions = [_slide_conclusion(n, *key) for key in keys]
-    return [_balanced(n, gamma) for gamma in range(1 << full)], conclusions
+def _balanced_by_gamma(n: int) -> tuple[int, ...]:
+    """:func:`_balanced` of every gamma bitset, indexed by the bitset."""
+    return tuple(_balanced(n, gamma) for gamma in range(1 << ((1 << n) - 1)))
 
 
 def check_slide_independence(ranking, rule, source=None) -> Verdict:
@@ -441,9 +426,11 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
     table in ``source`` (see :func:`_source`), each slid ranking is
     ranked from the running index sums, adding the slide's terms as the
     destination moves one class away from k1, and its selection read
-    from the table; rankings are built for the witness only. A ranking
-    with more than _MAX_SLIDES slides is refused with
-    UniverseTooLargeError before the scan.
+    from the table; rankings are built for the witness only. A target
+    is judged by bit operations over the pairs each selection meets,
+    and each gamma's balanced pairs are read from a map built once per
+    n up to MAX_EXHAUSTIVE_N. A ranking with more than _MAX_SLIDES
+    slides is refused with UniverseTooLargeError before the scan.
     """
     universe = ranking.universe
     n = universe.n
@@ -455,11 +442,12 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
                 f"slide independence checks at most {_MAX_SLIDES} slides per ranking, got {slides}"
             )
     table, bits, prefix, base = source or _source(ranking, rule)
-    relevant = _pairs(n)[1][base]  # no pair the base selection misses can fire
+    pairs, meets = _pairs(n)
+    relevant = meets[base]  # no pair the base selection misses can fire
     l = len(bits)
     if not relevant or l < 2:
         return Verdict(INAPPLICABLE, 0)
-    balanced_of, conclusions = _slide_tables(n) if n <= MAX_EXHAUSTIVE_N else (None, None)
+    balanced_of = _balanced_by_gamma(n) if n <= MAX_EXHAUSTIVE_N else None
     if table is not None:
         offsets, remaining, before, rest = prefix
     premises, witness = 0, None
@@ -470,7 +458,6 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
             balanced = (balanced_of[gamma] if balanced_of else _balanced(n, gamma)) & relevant
             if not balanced:
                 continue
-            head = (balanced << n | base) << n
             if table is not None:
                 # Class k1 loses gamma and class k2 gains it; the classes between
                 # see it among the coalitions not yet placed (downward) or not (upward).
@@ -487,15 +474,17 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
                 else:
                     after = table[before[k2] + offsets[remaining[k2]][bits[k2] | gamma] + tail]
                     tail += offsets[remaining[k2] & ~gamma][bits[k2]]
-                if conclusions is None:
-                    count, pair = _slide_conclusion(n, balanced, base, after)
-                else:
-                    count, pair = conclusions[head | after]
-                premises += count
-                if pair and witness is None and (hit is None or k2 < hit[0]):
-                    hit = k2, after, pair
+                # A balanced pair fires when both selections meet it, and fails
+                # when they meet it differently.
+                fired = balanced & meets[after]
+                premises += fired.bit_count()
+                if witness is None and (hit is None or k2 < hit[0]):
+                    violated = fired & meets[base ^ after]
+                    if violated:
+                        hit = k2, after, violated
             if hit:
-                k2, after, (x, y) = hit
+                k2, after, violated = hit
+                x, y, _ = pairs[(violated & -violated).bit_length() - 1]
                 move = SlideMove(k1, k2, bits_classes((gamma,))[0])
                 selections = set(mask_members(base, n)), set(mask_members(after, n))
                 witness = judge_slide(ranking, move, apply_slide(ranking, move), *selections, x, y)

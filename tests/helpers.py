@@ -2,16 +2,13 @@
 
 The oracles recompute everything from frozenset-of-ints first principles
 (itertools over member lists, no bitmasks), so they exercise none of the
-code paths they are used to check. Fourteen declared oracles are instead
+code paths they are used to check. Twelve declared oracles are instead
 the direct loops that faster code replaced: :func:`oracle_sweep`,
 :func:`oracle_first_violation` (the serial witness search),
 :func:`oracle_sample_classes`, :func:`oracle_ordered_partitions` (the
 exhaustive stream order), :func:`oracle_stream_prefix` and
 :func:`oracle_stream_index` (a ranking's stream index from its class
-bitsets), :func:`oracle_slide_indices` and
-:func:`oracle_deterioration_indices` (the targets' stream indices as
-lists, which the checkers now rank inside their scans),
-:func:`slide_gammas`, the slide and deterioration applicators
+bitsets), :func:`slide_gammas`, the slide and deterioration applicators
 and the deterioration recognizer on class tuples
 :func:`oracle_apply_slide`, :func:`oracle_apply_deterioration` and
 :func:`oracle_is_deterioration`, and the slide independence and
@@ -358,53 +355,6 @@ def oracle_stream_prefix(bits, n):
 def oracle_stream_index(bits, n):
     """Index in the exhaustive stream of the ranking with class bitsets ``bits``."""
     return oracle_stream_prefix(bits, n).index
-
-
-def oracle_slide_indices(prefix, bits, k1, gamma):
-    """Stream index, per destination class k2, of the ranking after sliding gamma out of class k1.
-
-    ``prefix`` is the source's StreamPrefix. A slide changes only the
-    classes from min(k1, k2) to max(k1, k2): the two ends change
-    content, and the classes between them see gamma added to (downward)
-    or taken from (upward) the coalitions not yet placed. Each index is
-    the unchanged prefix and suffix plus those terms, summed as k2 moves
-    one class away from k1. The entry at k1 is None.
-    """
-    indices = [None] * len(bits)
-    offsets, remaining, before, after = prefix
-    through = before[k1] + offsets[remaining[k1]][bits[k1] ^ gamma]
-    for k2 in range(k1 + 1, len(bits)):
-        row = offsets[remaining[k2] | gamma]
-        indices[k2] = through + row[bits[k2] | gamma] + after[k2 + 1]
-        through += row[bits[k2]]
-    tail = offsets[remaining[k1] & ~gamma][bits[k1] ^ gamma] + after[k1 + 1]
-    for k2 in range(k1 - 1, -1, -1):
-        indices[k2] = before[k2] + offsets[remaining[k2]][bits[k2] | gamma] + tail
-        tail += offsets[remaining[k2] & ~gamma][bits[k2]]
-    return indices
-
-
-def oracle_deterioration_indices(prefix, bits, j, subject, placements):
-    """Stream index of the ranking after each placement but the identity, in order.
-
-    ``prefix`` is the source's StreamPrefix and ``placements`` the
-    subject's ``deterioration_placements``. A placement at k changes
-    only classes j..k: class j loses the subject (or vanishes), the
-    classes between see it among the coalitions not yet placed, and
-    class k gains it or gets it as a singleton below. The terms are
-    summed as k moves down one class at a time.
-    """
-    offsets, remaining, before, after = prefix
-    bit = 1 << (subject - 1)
-    through = before[j] + (0 if bits[j] == bit else offsets[remaining[j]][bits[j] ^ bit])
-    joined, below = [None] * len(bits), [None] * len(bits)
-    for k in range(j, len(bits)):
-        if k > j:
-            row = offsets[remaining[k] | bit]
-            joined[k] = through + row[bits[k] | bit] + after[k + 1]
-            through += row[bits[k]]
-        below[k] = through + offsets[remaining[k + 1] | bit][bit] + after[k + 1]
-    return [(joined if kind == "join" else below)[k] for kind, k in placements[1:]]
 
 
 @cache

@@ -44,9 +44,10 @@ from millrank import (
     sweep_cells,
     validate_ranking,
 )
-from millrank.axioms import _slide_tables, judge_slide, rdf_premises, rjad_premises
+from millrank.axioms import _balanced_by_gamma, rdf_premises, rjad_premises
 from millrank.core import class_bits, mask_members
 from millrank.enumeration import prefix_of, walk_stream
+from millrank.transforms import slide_gamma_bits
 from millrank.cli import to_json
 from helpers import (
     cmask,
@@ -55,6 +56,7 @@ from helpers import (
     oracle_selection_table,
     oracle_slide_independence,
     oracle_stream_index,
+    oracle_stream_prefix,
     rk,
     sel,
 )
@@ -425,32 +427,32 @@ class TestTransformationCheckers:
             assert verdict.status == VIOLATED
             assert to_json(verdict) == to_json(oracle(ranking, rule))
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_slide_tables_match_pair_by_pair_readings(self, n):
-        # Every gamma's balanced pairs from coalition counts, and every
-        # (balanced pairs, base, after) conclusion from judge_slide per pair.
+    @pytest.mark.parametrize("n, shorthand", [(2, "1 12 / 2"), (3, "1 2 3 12 13 23 / 123")])
+    def test_slide_conclusions_match_pair_by_pair_readings(self, n, shorthand):
+        # Every gamma's balanced pairs from coalition counts. Then, for every
+        # base and slid selection, the slides out of a class whose gammas
+        # balance every set of pairs that any gamma balances, read through a
+        # table that gives each slid ranking that selection, against the
+        # oracle, which builds each slid ranking and judges each pair with
+        # judge_slide.
         pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-        balanced_of, conclusions = _slide_tables(n)
+        balanced_of = _balanced_by_gamma(n)
         coalitions = range(1, 1 << n)
         for gamma in range(1 << len(coalitions)):
             moved = [m for m in coalitions if gamma >> (m - 1) & 1]
             counts = [sum(m >> i & 1 for m in moved) for i in range(n)]
             want = sum(1 << p for p, (x, y) in enumerate(pairs) if counts[x] == counts[y])
             assert balanced_of[gamma] == want
-        ranking = TIE3 if n == 3 else rk("rest", n=2)
-        for balanced in range(1 << len(pairs)):
-            chosen = [pair for p, pair in enumerate(pairs) if balanced >> p & 1]
-            for base in range(1 << n):
-                for after in range(1 << n):
-                    before_ids, after_ids = set(mask_members(base, n)), set(mask_members(after, n))
-                    fired = [(x, y) for x, y in chosen if {x, y} & before_ids and {x, y} & after_ids]
-                    violated = [
-                        (x, y)
-                        for x, y in chosen
-                        if judge_slide(ranking, None, None, before_ids, after_ids, x, y)
-                    ]
-                    want = len(fired), violated[0] if violated else None
-                    assert conclusions[(balanced << n | base) << n | after] == want
+        ranking = rk(shorthand, n=n)
+        bits = class_bits(ranking.classes)
+        assert {balanced_of[gamma] for gamma in slide_gamma_bits(bits[0])} == set(balanced_of)
+        prefix = oracle_stream_prefix(bits, n)
+        for base in range(1 << n):
+            for after in range(1 << n):
+                table = bytes([after]) * fubini((1 << n) - 1)
+                rule = lambda r: mask_members(base if r is ranking else after, n)
+                got = check_slide_independence(ranking, rule, (table, bits, prefix, base))
+                assert to_json(got) == to_json(oracle_slide_independence(ranking, rule))
 
     def test_rule_runs_once_per_distinct_ranking(self, rule_calls):
         # An exhaustive pass evaluates each rule with an SI or DMON cell

@@ -12,6 +12,8 @@ from millrank import (
     UniverseMismatchError,
     apply_deterioration,
     apply_slide,
+    check_downward_monotonicity,
+    check_slide_independence,
     enumerate_deterioration_specs,
     enumerate_deteriorations,
     is_deterioration,
@@ -19,6 +21,7 @@ from millrank import (
     validate_ranking,
 )
 from millrank.core import bits_classes, class_bits
+from millrank.enumeration import walk_stream
 from millrank.transforms import (
     deterioration_bits,
     deterioration_placements,
@@ -30,9 +33,7 @@ from helpers import (
     cmask,
     oracle_apply_deterioration,
     oracle_apply_slide,
-    oracle_deterioration_indices,
     oracle_is_deterioration,
-    oracle_slide_indices,
     oracle_stream_index,
     oracle_stream_prefix,
     rk,
@@ -40,6 +41,17 @@ from helpers import (
 )
 
 EX2 = rk("123 12 13 / rest")
+
+
+class _Reads:
+    """A selection table that selects every id of ``full`` and records the indices read."""
+
+    def __init__(self, full):
+        self.full, self.read = full, []
+
+    def __getitem__(self, index):
+        self.read.append(index)
+        return self.full
 
 
 def balanced_slides(ranking, x, y):
@@ -253,27 +265,39 @@ class TestBitsetTargets:
                 assert [result.classes for result in generated] == want
 
     def test_indices_rank_the_targets(self, all_n2):
-        # Exhaustive n = 2 and a seeded n = 3 sample: every index ranked
-        # from the source's prefix equals oracle_stream_index of the target bits.
+        # Exhaustive n = 2 and a seeded n = 3 sample, each found in the walked
+        # stream at its oracle index. Given a table that selects everyone,
+        # the SI and DMON scans read it at the oracle_stream_index of each
+        # target, in scan order. SI reads every slide of a gamma balancing
+        # some pair, destinations downward and then upward, away from k1;
+        # DMON every placement but the identity of each coalition that
+        # keeps someone selected.
         for ranking in [*all_n2, *RankingStream(Universe(3), Sample(60, 24))]:
             n, bits = ranking.universe.n, class_bits(ranking.classes)
+            full = ranking.universe.full_mask
             prefix = oracle_stream_prefix(bits, n)
-            assert prefix.index == oracle_stream_index(bits, n)
-            for k1, cls in enumerate(bits):
-                for gamma in slide_gamma_bits(cls):
-                    want = [
-                        None if k2 == k1 else oracle_stream_index(slide_bits(bits, k1, k2, gamma), n)
-                        for k2 in range(len(bits))
-                    ]
-                    assert oracle_slide_indices(prefix, bits, k1, gamma) == want
-            for subject in range(1, ranking.universe.full_mask + 1):
+            ((classes, *_),) = walk_stream(n, prefix.index, prefix.index + 1)
+            assert classes == ranking.classes
+            want = []
+            for k1, cls in enumerate(ranking.classes):
+                for gamma, (_, counts) in zip(slide_gamma_bits(bits[k1]), slide_gammas(cls, n)):
+                    if len(set(counts)) < n:
+                        for k2 in (*range(k1 + 1, len(bits)), *range(k1 - 1, -1, -1)):
+                            want.append(oracle_stream_index(slide_bits(bits, k1, k2, gamma), n))
+            table = _Reads(full)
+            check_slide_independence(ranking, None, (table, bits, prefix, full))
+            assert table.read == want
+            want = []
+            for subject in range(1, full):  # the grand coalition keeps no one
                 j = ranking.index_of(subject)
                 placements = deterioration_placements(j, len(bits), bits[j] == 1 << (subject - 1))
-                want = [
+                want.extend(
                     oracle_stream_index(deterioration_bits(bits, j, subject, *placement), n)
                     for placement in placements[1:]
-                ]
-                assert oracle_deterioration_indices(prefix, bits, j, subject, placements) == want
+                )
+            table = _Reads(full)
+            check_downward_monotonicity(ranking, None, (table, bits, prefix, full))
+            assert table.read == want
 
     def test_unknown_placement_kind_rejected(self):
         with pytest.raises(ValueError):
