@@ -4,10 +4,11 @@ Each axiom is a premise on the ranking plus a forced conclusion on the
 selection. The nine premise-only axioms (TAG, STAG, TDF, TJAD, CV, RAG,
 WRAG, RDF, RJAD) are one table, :data:`PREMISE_AXIOMS`: a premise lister
 that returns every premise instance of a ranking in the documented scan
-order, and a conclusion (the selection equals the forced individuals,
-or contains them). One function, :func:`judge_selection`, builds their
-verdicts from the listed instances and the rule's selection;
-:func:`judge` lists and selects, then calls it.
+order, and a conclusion on id bitmasks: with an instance's forced
+individuals as ``f`` and the selection as ``sel``, "equals" fails when
+``f != sel`` and "contains" when ``f & ~sel`` is nonzero. The first
+failing instance is the witness, for :func:`judge_selection` and
+sweeps alike; :func:`judge` lists and selects, then calls the former.
 The two transformation axioms, slide independence (SI) and downward
 monotonicity (DMON), judge the rule on transformed rankings too, each in
 one scan over class bitsets. Given a source (the rule's complete
@@ -307,28 +308,38 @@ def judge_selection(axiom: str, ranking, instances, actual: tuple) -> Verdict:
 
     ``instances`` is the nonempty list the axiom's lister returned on
     ``ranking`` and ``actual`` the rule's selection there. Counts every
-    instance and records the first one whose conclusion fails as the
-    witness.
+    instance and judges each on id bitmasks (see :func:`first_failure`);
+    the first one whose conclusion fails is the witness.
     """
-    _, keys, contains, expected = PREMISE_AXIOMS[axiom]
-    chosen = set(actual)
-    held = None
-    for instance in instances:
-        if instance[-1] == held:
-            continue  # the same forced individuals as an instance that held
-        forced = instance[-1] if isinstance(instance[-1], tuple) else instance[-1:]
-        if chosen.issuperset(forced) if contains else chosen == set(forced):
-            held = instance[-1]
-            continue
-        witness = Witness(
-            axiom=axiom,
-            ranking=ranking,
-            premise=dict(zip(keys, instance)),
-            expected=expected.format(_spell(ranking, forced)),
-            actual={"selection": actual},
-        )
-        return Verdict(VIOLATED, len(instances), witness)
-    return Verdict(SATISFIED, len(instances))
+    selected = sum(1 << i for i in set(actual))
+    witness = premise_witness(axiom, ranking, instances, forced_masks(instances), selected)
+    return _verdict(len(instances), witness)
+
+
+def forced_masks(instances) -> list[int]:
+    """Each premise instance's forced individuals as an id bitmask, in scan order."""
+    return [1 << f if type(f) is int else sum(1 << i for i in f) for *_, f in instances]
+
+
+def first_failure(axiom: str, forced, selected: int) -> int:
+    """Index of the first :func:`forced_masks` entry the selection mask fails, or -1."""
+    contains = PREMISE_AXIOMS[axiom][2]
+    for i, f in enumerate(forced):
+        if f & ~selected if contains else f != selected:
+            return i
+    return -1
+
+
+def premise_witness(axiom: str, ranking, instances, forced, selected: int) -> Witness | None:
+    """Witness of the :func:`first_failure` among the instances, or None."""
+    i = first_failure(axiom, forced, selected)
+    if i < 0:
+        return None
+    _, keys, _, expected = PREMISE_AXIOMS[axiom]
+    n = ranking.universe.n
+    spelled = expected.format(_spell(ranking, mask_members(forced[i], n)))
+    selection = {"selection": mask_members(selected, n)}
+    return Witness(axiom, ranking, dict(zip(keys, instances[i])), spelled, selection)
 
 
 def check_top_agreement(ranking, rule, strong: bool = False) -> Verdict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import CoalitionalRanking, _members_table, banzhaf, theta, top_intersection
+from .core import CoalitionalRanking, _members_table, top_intersection
 from .errors import UnknownRuleError
 
 
@@ -18,11 +18,11 @@ def _argmax(scores) -> tuple[int, ...]:
     return tuple(i for i, s in enumerate(scores) if s == best)
 
 
-def _top_counts(ranking: CoalitionalRanking) -> list[int]:
-    n = ranking.universe.n
+def _counts(cls, n: int) -> list[int]:
+    """Per individual, how many coalitions of one class contain them."""
     table = _members_table(n)
     counts = [0] * n
-    for mask in ranking.classes[0]:
+    for mask in cls:
         for i in table[mask]:
             counts[i] += 1
     return counts
@@ -30,7 +30,7 @@ def _top_counts(ranking: CoalitionalRanking) -> list[int]:
 
 def plurality(ranking: CoalitionalRanking) -> tuple[int, ...]:
     """Select the individuals appearing in the most best-class coalitions."""
-    return _argmax(_top_counts(ranking))
+    return _argmax(_counts(ranking.classes[0], ranking.universe.n))
 
 
 def les(ranking: CoalitionalRanking) -> tuple[int, ...]:
@@ -38,15 +38,25 @@ def les(ranking: CoalitionalRanking) -> tuple[int, ...]:
 
     Compares the whole vector of per-class counts, best class first, so
     ties under :func:`plurality` are broken by deeper classes. The result
-    is always a subset of the plurality selection.
+    is always a subset of the plurality selection. One pass over the
+    classes counts every vector (:func:`~millrank.core.theta`).
     """
-    vectors = [theta(ranking, x) for x in range(ranking.universe.n)]
-    return _argmax(vectors)
+    return _argmax(list(zip(*[_counts(cls, ranking.universe.n) for cls in ranking.classes])))
 
 
 def obi(ranking: CoalitionalRanking) -> tuple[int, ...]:
-    """Select maximizers of the improvement-minus-deterioration score."""
-    return _argmax([banzhaf(ranking, x).score for x in range(ranking.universe.n)])
+    """Select maximizers of the improvement-minus-deterioration score (``core.banzhaf``)."""
+    full, class_of = ranking.universe.full_mask, ranking.class_of
+    scores = []
+    for x in range(ranking.universe.n):
+        bit = 1 << x
+        score, s = 0, full ^ bit
+        while s:  # each nonempty coalition s avoiding x, s + x against s
+            a, b = class_of[s | bit], class_of[s]
+            score += (a < b) - (a > b)
+            s = (s - 1) & ~bit
+        scores.append(score)
+    return _argmax(scores)
 
 
 def split_plurality(ranking: CoalitionalRanking) -> tuple[int, ...]:

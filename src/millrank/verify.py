@@ -38,9 +38,11 @@ from .axioms import (
     VIOLATED,
     Status,
     Witness,
-    judge_selection,
+    first_failure,
+    forced_masks,
     judge_slide,
     lookup_axiom,
+    premise_witness,
     rag_premises,
     rdf_premises,
     rjad_premises,
@@ -124,61 +126,58 @@ def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
     """Ranking count and per-cell [premises, violations, witnesses] of one chunk, and its ``tally`` totals.
 
     Each ranking is built once, and each premise lister runs on it at
-    most once, whichever cells and ``tally`` ask for its instances. A
-    rule is evaluated at most once per ranking, and only when one of its
-    premise-only cells has an instance there; ``SI`` and ``DMON`` cells
-    run their own checkers. ``tables`` maps a rule name to its complete
-    selection table (see :func:`_tables`); an exhaustive chunk reads
-    such a rule's selection from its table at the walked stream index,
-    and hands its ``SI`` and ``DMON`` checkers the table with the walk's
-    bitsets and prefix sums, as their source.
+    most once, whichever cells and ``tally`` ask for its instances, whose
+    forced individuals become id bitmasks once. A rule's selection, an id
+    bitmask, is read from its table (see :func:`_tables`) at the walked
+    stream index, or else taken at most once per ranking, when one of its
+    premise-only cells has an instance there; such a cell is judged by
+    bit tests and builds a witness only while under ``cap``. ``SI`` and
+    ``DMON`` cells run their own checkers, with a table as their source
+    together with the walk's bitsets and prefix sums.
     """
-    rules = {rule: lookup_rule(rule) for rule, _ in cells}
-    # Per cell: a premise-only axiom's lister, else the axiom's checker,
-    # and the rule's table or None.
-    plans = [
-        (
-            rule,
-            axiom,
-            PREMISE_AXIOMS[axiom][0] if axiom in PREMISE_AXIOMS else AXIOMS[axiom],
-            tables.get(rule),
-        )
-        for rule, axiom in cells
-    ]
-    n = universe.n
+    # Per cell: a premise-only axiom's lister or else its checker, the rule and its table or None.
+    plans = []
+    for rule, axiom in cells:
+        fn = PREMISE_AXIOMS[axiom][0] if axiom in PREMISE_AXIOMS else AXIOMS[axiom]
+        plans.append((rule, axiom, fn, lookup_rule(rule), tables.get(rule)))
     results = [[0, 0, []] for _ in cells]
     tallies = []
     count = 0
     for classes, bits, remaining, before in _walk(universe, chunk):
         count += 1
         ranking = CoalitionalRanking._trusted(universe, classes)
-        prefix = prefix_of(remaining, before, n) if tables else None
+        prefix = prefix_of(remaining, before, universe.n) if tables else None
         listed, selected = {}, {}
 
         def instances(lister):
             if lister not in listed:
-                listed[lister] = lister(ranking)
-            return listed[lister]
+                found = lister(ranking)
+                listed[lister] = found, found and forced_masks(found)
+            return listed[lister][0]
 
-        for (rule, axiom, fn, table), result in zip(plans, results):
-            if axiom in PREMISE_AXIOMS:
+        for (rule, axiom, fn, rule_fn, table), result in zip(plans, results):
+            if axiom not in PREMISE_AXIOMS:
+                source = None if table is None else (table, bits, prefix, table[before[-1]])
+                verdict = fn(ranking, rule_fn, source)
+                result[0] += verdict.premises_checked
+                if verdict.status != VIOLATED:
+                    continue
+                witness = verdict.witness
+            else:
                 found = instances(fn)
                 if not found:
                     continue
                 if rule not in selected:
-                    if table is None:
-                        selected[rule] = tuple(rules[rule](ranking))
-                    else:
-                        selected[rule] = mask_members(table[before[-1]], n)
-                verdict = judge_selection(axiom, ranking, found, selected[rule])
-            else:
-                source = None if table is None else (table, bits, prefix, table[before[-1]])
-                verdict = fn(ranking, rules[rule], source)
-            result[0] += verdict.premises_checked
-            if verdict.status == VIOLATED:
-                result[1] += 1
-                if len(result[2]) < cap:
-                    result[2].append(verdict.witness)
+                    selected[rule] = (
+                        table[before[-1]] if table else selection_mask(rule_fn, ranking)
+                    )
+                sel, forced, witness = selected[rule], listed[fn][1], None
+                result[0] += len(found)
+                if first_failure(axiom, forced, sel) < 0:
+                    continue
+            result[1] += 1
+            if len(result[2]) < cap:
+                result[2].append(witness or premise_witness(axiom, ranking, found, forced, sel))
         if tally is not None:
             tallies.append(tally(instances))
     return count, results, tuple(map(sum, zip(*tallies)))

@@ -2,8 +2,9 @@
 
 The oracles recompute everything from frozenset-of-ints first principles
 (itertools over member lists, no bitmasks), so they exercise none of the
-code paths they are used to check. Twelve declared oracles are instead
+code paths they are used to check. Thirteen declared oracles are instead
 the direct loops that faster code replaced: :func:`oracle_sweep`,
+:func:`oracle_judge_selection` (premise-only verdicts on id sets),
 :func:`oracle_first_violation` (the serial witness search),
 :func:`oracle_sample_classes`, :func:`oracle_ordered_partitions` (the
 exhaustive stream order), :func:`oracle_stream_prefix` and
@@ -27,6 +28,7 @@ from millrank import (
     AXIOMS,
     EXHAUSTIVE,
     INAPPLICABLE,
+    SATISFIED,
     VIOLATED,
     CoalitionalRanking,
     RankingStream,
@@ -38,7 +40,7 @@ from millrank import (
     lookup_rule,
     validate_ranking,
 )
-from millrank.axioms import _verdict, judge_slide
+from millrank.axioms import PREMISE_AXIOMS, _spell, _verdict, judge_slide
 from millrank.enumeration import _rank_offsets, prefix_of
 from millrank.transforms import SlideMove, enumerate_deterioration_specs
 
@@ -307,6 +309,34 @@ def oracle_sweep(rule, axiom, n, mode=EXHAUSTIVE, witness_cap=10):
     return SweepReport(
         rule, axiom, n, mode, checked, premises, violations, witness_cap, tuple(witnesses), 0.0
     )
+
+
+def oracle_judge_selection(axiom, ranking, instances, actual):
+    """Verdict of a selection against the premise instances of a ranking, on id sets.
+
+    The set-based judge that the bitmask one replaced: it compares the
+    selected ids with each instance's forced ids as Python sets and
+    records the first failing instance as the witness.
+    """
+    _, keys, contains, expected = PREMISE_AXIOMS[axiom]
+    chosen = set(actual)
+    held = None
+    for instance in instances:
+        if instance[-1] == held:
+            continue  # the same forced individuals as an instance that held
+        forced = instance[-1] if isinstance(instance[-1], tuple) else instance[-1:]
+        if chosen.issuperset(forced) if contains else chosen == set(forced):
+            held = instance[-1]
+            continue
+        witness = Witness(
+            axiom=axiom,
+            ranking=ranking,
+            premise=dict(zip(keys, instance)),
+            expected=expected.format(_spell(ranking, forced)),
+            actual={"selection": actual},
+        )
+        return Verdict(VIOLATED, len(instances), witness)
+    return Verdict(SATISFIED, len(instances))
 
 
 def oracle_first_violation(rule, axioms, n, mode=EXHAUSTIVE):

@@ -44,7 +44,13 @@ from millrank import (
     sweep_cells,
     validate_ranking,
 )
-from millrank.axioms import _balanced_by_gamma, rdf_premises, rjad_premises
+from millrank.axioms import (
+    PREMISE_AXIOMS,
+    _balanced_by_gamma,
+    judge_selection,
+    rdf_premises,
+    rjad_premises,
+)
 from millrank.core import class_bits, mask_members
 from millrank.enumeration import prefix_of, walk_stream
 from millrank.transforms import slide_gamma_bits
@@ -52,6 +58,7 @@ from millrank.cli import to_json
 from helpers import (
     cmask,
     oracle_downward_monotonicity,
+    oracle_judge_selection,
     oracle_rjad_premises,
     oracle_selection_table,
     oracle_slide_independence,
@@ -358,6 +365,30 @@ def test_relative_joint_premises_on_membership_family():
     ranking = rk("1 12 13 123 / rest")
     assert rjad_premises(ranking) == oracle_rjad_premises(ranking)
     assert [x for _, x in rjad_premises(ranking)] == [0, 0, 0]
+
+
+class TestPremiseJudge:
+    """Premise-only verdicts judged on id bitmasks, against the set-based judge."""
+
+    @pytest.mark.parametrize("axiom", PREMISE_AXIOMS)
+    def test_matches_the_set_oracle(self, all_n2, axiom):
+        # Every nonempty selection on every ranking with an instance:
+        # exhaustive n = 2, a seeded n = 3 sample and two n = 3 rankings
+        # whose best class is the membership family of 1 (TDF, TJAD).
+        lister = PREMISE_AXIOMS[axiom][0]
+        pinned = [rk("1 12 13 123 / rest"), rk("1 12 13 123 / 2 3 / 23")]
+        judged = Counter()
+        for ranking in [*all_n2, *RankingStream(Universe(3), Sample(300, 35)), *pinned]:
+            instances = lister(ranking)
+            if not instances:
+                continue
+            n = ranking.universe.n
+            for selected in range(1, 1 << n):
+                actual = mask_members(selected, n)
+                verdict = judge_selection(axiom, ranking, instances, actual)
+                assert repr(verdict) == repr(oracle_judge_selection(axiom, ranking, instances, actual))
+                judged[verdict.status] += 1
+        assert judged[VIOLATED] and judged[SATISFIED]
 
 
 class TestTransformationCheckers:

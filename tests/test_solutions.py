@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from millrank import (
     RULES,
     UnknownRuleError,
+    banzhaf,
     const_x,
     f_star,
     les,
@@ -17,6 +18,7 @@ from millrank import (
     relabel,
     sample_ranking,
     split_plurality,
+    theta,
     top_intersection,
 )
 from helpers import (
@@ -121,6 +123,26 @@ def test_rules_match_oracles_on_random_rankings(seed, n):
     ranking = sample_ranking(n, seed)
     for rule_id, oracle in ORACLES.items():
         assert RULES[rule_id](ranking) == oracle(ranking), rule_id
+
+
+def _argmax(scores):
+    best = max(scores)
+    return tuple(i for i, score in enumerate(scores) if score == best)
+
+
+def test_les_and_obi_argmax_the_core_statistics_exhaustive_n3(all_n3):
+    # les and obi tally every individual in one pass; core.theta and
+    # core.banzhaf compute one individual at a time.
+    for ranking in all_n3:
+        individuals = range(ranking.universe.n)
+        assert les(ranking) == _argmax([theta(ranking, x) for x in individuals])
+        assert obi(ranking) == _argmax([banzhaf(ranking, x).score for x in individuals])
+
+
+def test_les_and_obi_match_the_oracles_exhaustive_n2(all_n2):
+    for ranking in all_n2:
+        assert les(ranking) == oracle_les(ranking)
+        assert obi(ranking) == oracle_obi(ranking)
 
 
 def test_every_rule_nonempty_exhaustive_n2(all_n2):

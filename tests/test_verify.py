@@ -104,6 +104,34 @@ class TestSweepCells:
         monkeypatch.setattr(verify, "_CHUNK", 32)  # four chunks
         self.assert_matches_oracle(ALL_CELLS, 3, Sample(120, 5), witness_cap=cap)
 
+    @pytest.mark.parametrize("cap", [0, 1, 2])
+    def test_premise_witnesses_built_only_under_the_cap(self, cap, monkeypatch):
+        # Each chunk builds a premise-only witness only for a cell that keeps
+        # it: the witnesses built equal those kept, at most cap per cell.
+        built, chunks = [], []
+        witness, sweep_chunk = verify.premise_witness, verify._sweep_chunk
+
+        def counted_witness(*args):
+            built.append(args[0])
+            return witness(*args)
+
+        def recorded_chunk(*args):
+            built.clear()
+            count, results, totals = sweep_chunk(*args)
+            chunks.append((len(built), [(violations, len(w)) for _, violations, w in results]))
+            return count, results, totals
+
+        monkeypatch.setattr(verify, "_CHUNK", 32)  # five chunks
+        monkeypatch.setattr(verify, "premise_witness", counted_witness)
+        monkeypatch.setattr(verify, "_sweep_chunk", recorded_chunk)
+        grid = [(rule, axiom) for rule in verify.MATRIX_RULES for axiom in verify.MATRIX_AXIOMS]
+        self.assert_matches_oracle(grid, 3, Sample(160, 9), witness_cap=cap)
+        assert len(chunks) == 5
+        for count, cells in chunks:
+            assert count == sum(kept for _, kept in cells)
+            assert all(kept == min(violations, cap) for violations, kept in cells)
+        assert any(violations > cap for _, cells in chunks for violations, _ in cells)
+
     def test_unknown_cell_is_refused(self):
         with pytest.raises(UnknownAxiomError):
             sweep_cells([("plurality", "STAG"), ("plurality", "NOPE")], 2)
