@@ -11,8 +11,8 @@ at small sizes, the exhaustive n = 3 ``prop3``, ``prop1`` and plurality
 2``), the exhaustive n = 3 ``theorem1`` campaign of every other rule
 through a two-worker pool, two sampled ``DMON`` sweeps split into three
 chunks and run through a two-worker pool, two sampled n = 3 ``theorem1``
-probes and a pooled exhaustive n = 3 ``DMON`` sweep with violations,
-and the ``enumerate`` and ``sample`` listings. The ``verify independence --n 4`` cell takes about a minute to build, so
+probes, every exhaustive n = 3 ``SI`` and ``DMON`` sweep through a
+two-worker pool, and the ``enumerate`` and ``sample`` listings. The ``verify independence --n 4`` cell takes about a minute to build, so
 ``test_cli.py`` checks it against the session fixture instead of
 running it here. A mismatch is fixed in the code, never by recording
 the file again.
@@ -100,6 +100,15 @@ FIXED_CELLS = {
         ("verify", "theorem1", "--rule", "split_plurality", "--n", "3", "--sample", "3000",
          "--seed", "2"),
         ("sweep", "--rule", "obi", "--axiom", "DMON", "--n", "3", "--jobs", "2"),
+    ),
+    # Every other exhaustive n = 3 SI and DMON sweep through a two-worker pool:
+    # the best-class rules read their targets by best class, the others
+    # through their stream-indexed tables.
+    "si-dmon-exhaustive": tuple(
+        ("sweep", "--rule", rule, "--axiom", axiom, "--n", "3", "--jobs", "2")
+        for rule in RULE_IDS
+        for axiom in ("SI", "DMON")
+        if (rule, axiom) != ("obi", "DMON")
     ),
 }
 
