@@ -15,9 +15,11 @@ one scan over class bitsets. Given a source (the rule's complete
 selection table, with the walked stream's class bitsets and running
 index sums) the scan ranks each target inline and reads its selection
 from the table; without one it decodes the target and calls the rule.
-SI judges a target by bit operations over the pairs the two selections
-meet; DMON counts a coalition's premises without its targets and reads
-them only while they could still give the witness.
+A rule that reads the best class alone brings instead its selection by
+best-class bitset, and a target that keeps the best class is counted,
+never read. SI judges a target by bit operations over the pairs the
+two selections meet; DMON counts a coalition's premises without its
+targets and reads them only while they could still give the witness.
 
 A verdict is one of three statuses: ``inapplicable`` (no premise
 instance exists), ``satisfied`` (every instance met its forced
@@ -391,14 +393,15 @@ def selection_mask(rule, ranking) -> int:
 
 
 def _source(ranking, rule):
-    """(table, bits, prefix, base): what an SI or DMON scan reads, here without a table.
+    """(table, bits, prefix, base, top): what an SI or DMON scan reads, here without a table.
 
     A walked source holds the rule's complete selection table (id
     bitmasks by stream index), the ranking's class bitsets, their
     :class:`~millrank.enumeration.StreamPrefix` and the rule's selection
-    on the ranking as an id bitmask; here table and prefix are None.
+    on the ranking as an id bitmask; a best-class rule has ``top``, its
+    selection by best-class bitset, where others have table and prefix.
     """
-    return None, class_bits(ranking.classes), None, selection_mask(rule, ranking)
+    return None, class_bits(ranking.classes), None, selection_mask(rule, ranking), None
 
 
 @cache
@@ -437,11 +440,14 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
     table in ``source`` (see :func:`_source`), each slid ranking is
     ranked from the running index sums, adding the slide's terms as the
     destination moves one class away from k1, and its selection read
-    from the table; rankings are built for the witness only. A target
-    is judged by bit operations over the pairs each selection meets,
-    and each gamma's balanced pairs are read from a map built once per
-    n up to MAX_EXHAUSTIVE_N. A ranking with more than _MAX_SLIDES
-    slides is refused with UniverseTooLargeError before the scan.
+    from the table; rankings are built for the witness only. With
+    ``top`` instead, one target per gamma is read: destination 0 from
+    class k1 > 0, whose other targets keep the base selection, or else
+    destination 1, whose best class bits[0] ^ gamma all targets share.
+    A target is judged by bit operations over the pairs each selection
+    meets, and each gamma's balanced pairs are read from a map built
+    once per n up to MAX_EXHAUSTIVE_N. A ranking with more than
+    _MAX_SLIDES slides is refused with UniverseTooLargeError first.
     """
     universe = ranking.universe
     n = universe.n
@@ -452,7 +458,7 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
             raise UniverseTooLargeError(
                 f"slide independence checks at most {_MAX_SLIDES} slides per ranking, got {slides}"
             )
-    table, bits, prefix, base = source or _source(ranking, rule)
+    table, bits, prefix, base, top = source or _source(ranking, rule)
     pairs, meets = _pairs(n)
     relevant = meets[base]  # no pair the base selection misses can fire
     l = len(bits)
@@ -465,6 +471,8 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
     for k1, cls in enumerate(bits):
         # Downward destinations, then upward ones, each moving away from k1.
         destinations = (*range(k1 + 1, l), *range(k1 - 1, -1, -1))
+        if top is not None:  # only the first to change the best class
+            destinations = destinations[-1:] if k1 else destinations[:1]
         for gamma in slide_gamma_bits(cls):
             balanced = (balanced_of[gamma] if balanced_of else _balanced(n, gamma)) & relevant
             if not balanced:
@@ -476,7 +484,9 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
                 tail = offsets[remaining[k1] & ~gamma][cls ^ gamma] + rest[k1 + 1]
             hit = None
             for k2 in destinations:
-                if table is None:
+                if top is not None:
+                    after = top(bits[0] | gamma if k1 else bits[0] ^ gamma)
+                elif table is None:
                     after = selection_mask(rule, _decode(universe, slide_bits(bits, k1, k2, gamma)))
                 elif k2 > k1:
                     row = offsets[remaining[k2] | gamma]
@@ -493,6 +503,8 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
                     violated = fired & meets[base ^ after]
                     if violated:
                         hit = k2, after, violated
+            if top is not None:  # the other l - 2 select as the one read, or as the base
+                premises += (balanced if k1 else fired).bit_count() * (l - 2)
             if hit:
                 k2, after, violated = hit
                 x, y, _ = pairs[(violated & -violated).bit_length() - 1]
@@ -514,8 +526,11 @@ def check_downward_monotonicity(ranking, rule, source=None) -> Verdict:
     smallest x lost so far and reads the placements of s only while s
     keeps an individual below it. Targets are ranked and read as in
     :func:`check_slide_independence`; the identity placement is counted
-    but not read. A ranking with more than _MAX_PLACEMENTS placements
-    is refused with UniverseTooLargeError before the rule runs.
+    but not read. With ``top``, so is every placement that keeps the
+    best class: a best-class s sharing its class is read once, and one
+    alone at most twice, joining class 1 and then anywhere lower. A
+    ranking with more than _MAX_PLACEMENTS placements is refused with
+    UniverseTooLargeError before the rule runs.
     """
     universe = ranking.universe
     if universe.full_mask**2 > _MAX_PLACEMENTS:  # else no ranking can have more
@@ -529,7 +544,7 @@ def check_downward_monotonicity(ranking, rule, source=None) -> Verdict:
                 "downward monotonicity checks at most"
                 f" {_MAX_PLACEMENTS} placements per ranking, got {placements}"
             )
-    table, bits, prefix, base = source or _source(ranking, rule)
+    table, bits, prefix, base, top = source or _source(ranking, rule)
     if not base:
         return Verdict(INAPPLICABLE, 0)
     if table is not None:
@@ -544,14 +559,19 @@ def check_downward_monotonicity(ranking, rule, source=None) -> Verdict:
         placements = deterioration_placements(j, len(bits), bits[j] == bit)
         premises += kept.bit_count() * len(placements)
         watched = kept & wanted
-        if not watched:
+        if not watched or top and j:
             continue
-        if table is not None:
+        if top is not None:  # (None, best class) of each placement read
+            tops = (bits[0] ^ bit,) if bits[0] != bit else (bits[1] | bit, bits[1])
+            placements = (None, *((None, best) for best in tops))
+        elif table is not None:
             # Terms before the target class: class j without s (offset 0 when
             # that is empty), then the classes down to it with s not yet placed.
             joined = below = before[j] + offsets[remaining[j]][bits[j] ^ bit]
         for position, (kind, k) in enumerate(placements[1:], 1):
-            if table is None:
+            if top is not None:
+                selected = top(k)
+            elif table is None:
                 target = _decode(universe, deterioration_bits(bits, j, s, kind, k))
                 selected = selection_mask(rule, target)
             elif kind == "join":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import CoalitionalRanking, _members_table, top_intersection
+from .core import CoalitionalRanking, _members_table, bits_classes, top_intersection
 from .errors import UnknownRuleError
 
 
@@ -106,6 +106,16 @@ RULES = {
     "f_star": f_star,
     "const_x": const_x,
 }
+
+# Rules, by name, that select from the best class alone: each selects the same
+# on a ranking as on its best_class_reduction (f_star reads the class count).
+BEST_CLASS_RULES = frozenset({"plurality", "split_plurality", "const_x"})
+
+
+def best_class_reduction(universe, top: int) -> CoalitionalRanking:
+    """The ranking with best class bitset ``top`` and every other coalition in one class below."""
+    rest = ((1 << universe.full_mask) - 1) ^ top
+    return CoalitionalRanking._trusted(universe, bits_classes((top, rest) if rest else (top,)))
 
 
 def lookup_rule(rule_id: str):

@@ -7,7 +7,8 @@ once for all cells, and evaluates each rule at most once, only when one
 of its cells has an instance; the ``SI`` and ``DMON`` cells run their
 checkers. An exhaustive pass with ``SI`` or ``DMON`` cells first builds
 those rules' selection tables and hands them to every chunk, whose
-cells of those rules read the rules' selections there. Nothing is kept
+cells of those rules read the rules' selections there, by best class
+alone for a rule of ``solutions.BEST_CLASS_RULES``. Nothing is kept
 between passes. Campaign functions bundle one such pass and pinned
 instances into the characterization probe, the incompatibility report,
 the satisfaction matrix and the independence report;
@@ -48,10 +49,12 @@ from .axioms import (
     rjad_premises,
     selection_mask,
 )
-from .core import CoalitionalRanking, Universe, concomitant_set, mask_members, members_mask
+from .core import (
+    CoalitionalRanking, Universe, class_bits, concomitant_set, mask_members, members_mask
+)
 from .enumeration import EXHAUSTIVE, RankingStream, fubini, prefix_of, walk_stream
 from .errors import UniverseTooLargeError
-from .solutions import RULES, lookup_rule
+from .solutions import BEST_CLASS_RULES, RULES, best_class_reduction, lookup_rule
 from .transforms import SlideMove, apply_slide
 
 _CHUNK = 2048
@@ -115,11 +118,28 @@ def _walk(universe, chunk):
 
     An exhaustive chunk is a range of stream indices, walked here by
     :func:`~millrank.enumeration.walk_stream`. A sampled chunk holds the
-    classes of its draws, which carry no walk: the other three are None.
+    classes of its draws, with their bitsets and no walk: two Nones.
     """
     if isinstance(chunk, range):
         return walk_stream(universe.n, chunk.start, chunk.stop)
-    return ((classes, None, None, None) for classes in chunk)
+    return ((classes, class_bits(classes), None, None) for classes in chunk)
+
+
+def _sources(rule, universe, table):
+    """The rule's SI and DMON source (see axioms._source) as a function of a walked ranking.
+
+    A best-class rule reads its selection by best-class bitset from its
+    best-class ``table`` (see :func:`_tables`), or else on the reduction;
+    another rule reads its stream-indexed ``table``, if any.
+    """
+    if rule in BEST_CLASS_RULES:
+        fn = lookup_rule(rule)
+        top = table.__getitem__ if table else (
+            lambda best: selection_mask(fn, best_class_reduction(universe, best)))
+        return lambda classes, bits, *_: (None, bits, None, top(bits[0]), top)
+    n = universe.n
+    return lambda classes, bits, remaining, before: table and (
+        table, bits, prefix_of(remaining, before, n), table[before[-1]], None)
 
 
 def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
@@ -129,24 +149,23 @@ def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
     most once, whichever cells and ``tally`` ask for its instances, whose
     forced individuals become id bitmasks once. A rule's selection, an id
     bitmask, is read from its table (see :func:`_tables`) at the walked
-    stream index, or else taken at most once per ranking, when one of its
-    premise-only cells has an instance there; such a cell is judged by
-    bit tests and builds a witness only while under ``cap``. ``SI`` and
-    ``DMON`` cells run their own checkers, with a table as their source
-    together with the walk's bitsets and prefix sums.
+    stream index or best class, or else taken at most once per ranking,
+    when one of its premise-only cells has an instance there; such a cell
+    is judged by bit tests and builds a witness only while under ``cap``.
+    ``SI`` and ``DMON`` cells run their own checkers on their sources.
     """
-    # Per cell: a premise-only axiom's lister or else its checker, the rule and its table or None.
+    # Per cell: a premise-only axiom's lister or else its checker, the rule, its table, its sources.
     plans = []
     for rule, axiom in cells:
         fn = PREMISE_AXIOMS[axiom][0] if axiom in PREMISE_AXIOMS else AXIOMS[axiom]
-        plans.append((rule, axiom, fn, lookup_rule(rule), tables.get(rule)))
+        table = tables.get(rule)
+        plans.append((rule, axiom, fn, lookup_rule(rule), table, _sources(rule, universe, table)))
     results = [[0, 0, []] for _ in cells]
     tallies = []
     count = 0
     for classes, bits, remaining, before in _walk(universe, chunk):
         count += 1
         ranking = CoalitionalRanking._trusted(universe, classes)
-        prefix = prefix_of(remaining, before, universe.n) if tables else None
         listed, selected = {}, {}
 
         def instances(lister):
@@ -155,10 +174,9 @@ def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
                 listed[lister] = found, found and forced_masks(found)
             return listed[lister][0]
 
-        for (rule, axiom, fn, rule_fn, table), result in zip(plans, results):
+        for (rule, axiom, fn, rule_fn, table, sources), result in zip(plans, results):
             if axiom not in PREMISE_AXIOMS:
-                source = None if table is None else (table, bits, prefix, table[before[-1]])
-                verdict = fn(ranking, rule_fn, source)
+                verdict = fn(ranking, rule_fn, sources(classes, bits, remaining, before))
                 result[0] += verdict.premises_checked
                 if verdict.status != VIOLATED:
                     continue
@@ -169,7 +187,8 @@ def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
                     continue
                 if rule not in selected:
                     selected[rule] = (
-                        table[before[-1]] if table else selection_mask(rule_fn, ranking)
+                        table[bits[0] if rule in BEST_CLASS_RULES else before[-1]] if table
+                        else selection_mask(rule_fn, ranking)
                     )
                 sel, forced, witness = selected[rule], listed[fn][1], None
                 result[0] += len(found)
@@ -241,17 +260,18 @@ def _tables(rules, universe, jobs):
 
     A rule's table is a bytes value holding its selection, as an id
     bitmask, on the ranking of each stream index; it is built only up to
-    MAX_EXHAUSTIVE_N individuals, where the exhaustive stream exists.
+    MAX_EXHAUSTIVE_N individuals, where the exhaustive stream exists. A
+    best-class rule's table holds it per best-class bitset instead.
     """
-    rules = list(rules)
-    if not rules:
-        return {}
-    parts = [[] for _ in rules]
+    tables = {}
+    for rule in BEST_CLASS_RULES.intersection(rules):
+        fn = lookup_rule(rule)
+        tops = (best_class_reduction(universe, top) for top in range(1, 1 << universe.full_mask))
+        tables[rule] = bytes([0, *(selection_mask(fn, ranking) for ranking in tops)])
+    rules = [rule for rule in rules if rule not in tables]
     scan = partial(_selection_chunk, rules, False)
-    for selections, _ in _run_chunks(universe, EXHAUSTIVE, scan, jobs):
-        for part, chunk in zip(parts, selections):
-            part.append(chunk)
-    return {rule: b"".join(part) for rule, part in zip(rules, parts)}
+    chunks = [parts for parts, _ in _run_chunks(universe, EXHAUSTIVE, scan, jobs)] if rules else []
+    return tables | {rule: b"".join(part) for rule, part in zip(rules, zip(*chunks))}
 
 
 def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=None):
@@ -357,22 +377,22 @@ def _first_violation(rule, axioms, universe, mode, jobs=1, table=None):
     index, sampled mode the draws. Each ranking is judged on the axioms
     in the given order, so on one ranking the earlier axiom wins. In
     exhaustive mode the ``SI`` and ``DMON`` checkers read the rule's
-    selection ``table``, built first on ``jobs`` workers when not given.
+    selection ``table`` (see :func:`_tables`), built first when not given.
     """
     rule_fn = lookup_rule(rule)
     checks = [AXIOMS[axiom] for axiom in axioms]
     stream = _stream(universe, mode)
     if table is None and mode == EXHAUSTIVE and any(a not in PREMISE_AXIOMS for a in axioms):
         table = _tables([rule], universe, jobs)[rule]
+    sources = _sources(rule, universe, table)
     chunk = range(len(stream)) if mode == EXHAUSTIVE else stream.classes()
     for index, (classes, bits, remaining, before) in enumerate(_walk(universe, chunk)):
         ranking = CoalitionalRanking._trusted(universe, classes)
-        source = table and (table, bits, prefix_of(remaining, before, universe.n), table[index])
         for axiom, check in zip(axioms, checks):
             if axiom in PREMISE_AXIOMS:
                 verdict = check(ranking, rule_fn)
             else:
-                verdict = check(ranking, rule_fn, source)
+                verdict = check(ranking, rule_fn, sources(classes, bits, remaining, before))
             if verdict.status == VIOLATED:
                 return index, verdict.witness
     return None
@@ -435,25 +455,21 @@ def theorem1_probe(
     """
     lookup_rule(rule)
     universe = universe or Universe(n)
-    # The scan calls the rule and plurality, once when they are one, on
-    # each ranking up to the first difference. Without one, in exhaustive
-    # mode, its selections are the rule's table for the sweep.
-    rules = [rule] if rule == "plurality" else [rule, "plurality"]
-    scan = partial(_selection_chunk, rules, True)
-    parts, difference = [], None
+    # The scan calls the rule and plurality on each ranking up to the first
+    # difference; plurality, which never differs from itself, skips it.
+    compared, difference = 0, None
+    scan = partial(_selection_chunk, [rule, "plurality"], True)
     with closing(_run_chunks(universe, mode, scan, jobs)) as chunks:
-        for selections, ranking in chunks:
-            parts.append(selections[0])
+        for selections, ranking in chunks if rule != "plurality" else ():
+            compared += len(selections[0])
             if ranking is not None:
                 masks = (mask_members(s[-1], universe.n) for s in selections)
                 difference = Difference(ranking, *masks)
                 break
-    compared = sum(map(len, parts))
-    if difference is None:
-        tables = {rule: b"".join(parts)} if mode == EXHAUSTIVE else {}
+    if difference is None:  # the rule agrees with plurality on every ranking the sweeps check
         cells = [(rule, axiom) for axiom in THEOREM_AXIOMS]
-        sweeps = _sweep_pass(cells, universe, mode, jobs, witness_cap, tables=tables)[0]
-        return Theorem1Report(rule, n, mode, compared, None, None, sweeps)
+        sweeps = _sweep_pass(cells, universe, mode, jobs, witness_cap)[0]
+        return Theorem1Report(rule, n, mode, sweeps[0].rankings_checked, None, None, sweeps)
     found = _first_violation(rule, THEOREM_AXIOMS, universe, mode, jobs)
     return Theorem1Report(rule, n, mode, compared, difference, found and found[1], None)
 

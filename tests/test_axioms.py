@@ -50,10 +50,12 @@ from millrank.axioms import (
     judge_selection,
     rdf_premises,
     rjad_premises,
+    selection_mask,
 )
 from millrank.core import class_bits, mask_members
 from millrank.enumeration import prefix_of, walk_stream
 from millrank.transforms import slide_gamma_bits
+from millrank.solutions import BEST_CLASS_RULES, best_class_reduction
 from millrank.cli import to_json
 from helpers import (
     cmask,
@@ -70,6 +72,12 @@ from helpers import (
 
 EX2 = rk("123 12 13 / rest")
 TIE3 = rk("rest")
+
+
+def _hashed_top(ranking):
+    """A rule that reads the best class alone and selects a scrambled nonempty set."""
+    n = ranking.universe.n
+    return mask_members(class_bits(ranking.classes[:1])[0] * 40503 % ((1 << n) - 1) + 1, n)
 
 
 class TestTopAgreement:
@@ -430,7 +438,7 @@ class TestTransformationCheckers:
         for n, (classes, bits, remaining, before) in walked:
             table = oracle_selection_table(rule_id, n)
             ranking = CoalitionalRanking._trusted(Universe(n), classes)
-            source = table, bits, prefix_of(remaining, before, n), table[before[-1]]
+            source = table, bits, prefix_of(remaining, before, n), table[before[-1]], None
             assert to_json(check(ranking, rule, source)) == to_json(oracle(ranking, rule))
 
     @pytest.mark.parametrize(
@@ -454,9 +462,38 @@ class TestTransformationCheckers:
             index = oracle_stream_index(class_bits(ranking.classes), 3)
             ((classes, bits, remaining, before),) = walk_stream(3, index, index + 1)
             assert classes == ranking.classes
-            verdict = check(ranking, rule, (table, bits, prefix_of(remaining, before, 3), table[index]))
+            prefix = prefix_of(remaining, before, 3)
+            verdict = check(ranking, rule, (table, bits, prefix, table[index], None))
             assert verdict.status == VIOLATED
             assert to_json(verdict) == to_json(oracle(ranking, rule))
+
+    @pytest.mark.parametrize("axiom", CHECKERS)
+    @pytest.mark.parametrize("rule_id", [*sorted(BEST_CLASS_RULES), "hashed_top"])
+    def test_best_class_reads_match_the_general_path(self, all_n2, monkeypatch, axiom, rule_id):
+        # With top, a checker reads only the targets that change the best
+        # class. Its verdict, witness included, must equal the general
+        # path's: the rule wrapped and called on every target at n = 2, 4
+        # and 5, or read at each target's stream index from its table on a
+        # seeded n = 3 sample, walked.
+        monkeypatch.setitem(RULES, "hashed_top", _hashed_top)
+        check, rule = self.CHECKERS[axiom][0], RULES[rule_id]
+        cases = [(ranking, None) for ranking in all_n2]
+        table = oracle_selection_table(rule_id, 3)
+        for index in random.Random(36).sample(range(fubini(7)), 80):
+            ((classes, bits, remaining, before),) = walk_stream(3, index, index + 1)
+            general = table, bits, prefix_of(remaining, before, 3), table[index], None
+            cases.append((CoalitionalRanking._trusted(Universe(3), classes), general))
+        cases += [(ranking, None) for ranking in RankingStream(Universe(4), Sample(10, 37))]
+        cases += [(ranking, None) for ranking in RankingStream(Universe(5), Sample(3, 38))]
+        statuses = Counter()
+        for ranking, general in cases:
+            universe, bits = ranking.universe, class_bits(ranking.classes)
+            top = lambda best: selection_mask(rule, best_class_reduction(universe, best))
+            want = check(ranking, lambda r: rule(r), general)
+            assert repr(check(ranking, rule, (None, bits, None, top(bits[0]), top))) == repr(want)
+            statuses[want.status] += 1
+        if (rule_id, axiom) in (("hashed_top", "SI"), ("hashed_top", "DMON"), ("split_plurality", "SI")):
+            assert statuses[VIOLATED] >= 3, statuses
 
     @pytest.mark.parametrize("n, shorthand", [(2, "1 12 / 2"), (3, "1 2 3 12 13 23 / 123")])
     def test_slide_conclusions_match_pair_by_pair_readings(self, n, shorthand):
@@ -482,16 +519,18 @@ class TestTransformationCheckers:
             for after in range(1 << n):
                 table = bytes([after]) * fubini((1 << n) - 1)
                 rule = lambda r: mask_members(base if r is ranking else after, n)
-                got = check_slide_independence(ranking, rule, (table, bits, prefix, base))
+                got = check_slide_independence(ranking, rule, (table, bits, prefix, base, None))
                 assert to_json(got) == to_json(oracle_slide_independence(ranking, rule))
 
     def test_rule_runs_once_per_distinct_ranking(self, rule_calls):
         # An exhaustive pass evaluates each rule with an SI or DMON cell
-        # once per ranking, to build its table, and nowhere else.
+        # once per ranking, to build its table, and nowhere else; a
+        # best-class rule once per best class, on the 7 reductions at n = 2.
         cells = [(rule, axiom) for rule in RULES for axiom in ("STAG", "SI", "DMON")]
         sweep_cells(cells, 2)
         assert max(rule_calls.values()) == 1
-        assert Counter(rule_id for rule_id, _ in rule_calls) == dict.fromkeys(RULES, 13)
+        want = {rule: 7 if rule in BEST_CLASS_RULES else 13 for rule in RULES}
+        assert Counter(rule_id for rule_id, _ in rule_calls) == want
 
     def test_rule_without_weak_references(self):
         class Slotted:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from millrank import (
+    CoalitionalRanking,
     RULES,
     UnknownRuleError,
     banzhaf,
@@ -21,6 +22,7 @@ from millrank import (
     theta,
     top_intersection,
 )
+from millrank.solutions import BEST_CLASS_RULES, best_class_reduction
 from helpers import (
     oracle_f_star,
     oracle_les,
@@ -195,3 +197,57 @@ def test_rules_are_anonymous_at_n4(seed, perm):
     for rule in RULES.values():
         expected = tuple(sorted(perm[i] for i in rule(ranking)))
         assert rule(permuted) == expected
+
+
+def _reduction(ranking):
+    """The best class of the ranking, then every other coalition in one class."""
+    rest = tuple(sorted(m for cls in ranking.classes[1:] for m in cls))
+    return CoalitionalRanking._trusted(ranking.universe, (ranking.classes[0], *([rest] if rest else [])))
+
+
+class TestBestClassRules:
+    """The rules declared to select from the best class alone, by name."""
+
+    def test_declared_rules(self):
+        assert BEST_CLASS_RULES == {"plurality", "split_plurality", "const_x"}
+        assert BEST_CLASS_RULES <= set(RULES)
+
+    def test_reduction_is_the_best_class_then_the_rest(self, all_n3):
+        for ranking in all_n3[::97]:
+            top = sum(1 << (m - 1) for m in ranking.classes[0])
+            assert best_class_reduction(ranking.universe, top) == _reduction(ranking)
+
+    def test_declared_rules_select_as_on_the_reduction_n3(self, all_n3):
+        for ranking in all_n3:
+            reduction = _reduction(ranking)
+            for rule_id in BEST_CLASS_RULES:
+                assert RULES[rule_id](ranking) == RULES[rule_id](reduction), (rule_id, ranking)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(4, 5))
+    def test_declared_rules_select_as_on_the_reduction_n4_n5(self, seed, n):
+        ranking = sample_ranking(n, seed)
+        reduction = _reduction(ranking)
+        for rule_id in BEST_CLASS_RULES:
+            assert RULES[rule_id](ranking) == RULES[rule_id](reduction)
+
+    @pytest.mark.parametrize(
+        "rule_id, shorthand, on_ranking, on_reduction",
+        [
+            # les breaks the best-class tie with the second class.
+            ("les", "1 2 / 12 / 3 / 13 / 23 / 123", "1", "12"),
+            # obi reads every class.
+            ("obi", "1 / 2 / 12 / 3 / 13 / 23 / 123", "123", "1"),
+            # f_star reads the class count: 5 classes, 2 on the reduction.
+            ("f_star", "1 2 12 / 3 / 13 / 23 / 123", "123", "12"),
+        ],
+    )
+    def test_undeclared_rules_read_below_the_best_class(
+        self, rule_id, shorthand, on_ranking, on_reduction
+    ):
+        # Declaring any of these would change reports: each selects apart
+        # on a ranking and on its reduction.
+        assert rule_id not in BEST_CLASS_RULES
+        ranking = rk(shorthand)
+        assert RULES[rule_id](ranking) == sel(on_ranking)
+        assert RULES[rule_id](_reduction(ranking)) == sel(on_reduction)

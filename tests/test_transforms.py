@@ -44,7 +44,10 @@ EX2 = rk("123 12 13 / rest")
 
 
 class _Reads:
-    """A selection table that selects every id of ``full`` and records the indices read."""
+    """A selection table that selects every id of ``full`` and records the indices read.
+
+    Read by best class, it stands for a best-class rule's ``top``.
+    """
 
     def __init__(self, full):
         self.full, self.read = full, []
@@ -285,7 +288,7 @@ class TestBitsetTargets:
                         for k2 in (*range(k1 + 1, len(bits)), *range(k1 - 1, -1, -1)):
                             want.append(oracle_stream_index(slide_bits(bits, k1, k2, gamma), n))
             table = _Reads(full)
-            check_slide_independence(ranking, None, (table, bits, prefix, full))
+            check_slide_independence(ranking, None, (table, bits, prefix, full, None))
             assert table.read == want
             want = []
             for subject in range(1, full):  # the grand coalition keeps no one
@@ -296,8 +299,40 @@ class TestBitsetTargets:
                     for placement in placements[1:]
                 )
             table = _Reads(full)
-            check_downward_monotonicity(ranking, None, (table, bits, prefix, full))
+            check_downward_monotonicity(ranking, None, (table, bits, prefix, full, None))
             assert table.read == want
+
+    def test_best_class_reads_change_the_best_class(self, all_n2):
+        # Given a top that selects everyone, the SI and DMON scans read it
+        # only at best classes their targets change to, each once per gamma
+        # or coalition, in scan order: from a lower class, the best class
+        # with gamma; from the best class, the best class without gamma or
+        # the coalition; for a best-class coalition alone, class 1 with it
+        # and then class 1.
+        for ranking in [*all_n2, *RankingStream(Universe(3), Sample(60, 25))]:
+            n, bits = ranking.universe.n, class_bits(ranking.classes)
+            full = ranking.universe.full_mask
+
+            def changed(targets):
+                return list(dict.fromkeys(t[0] for t in targets if t[0] != bits[0]))
+
+            want = []
+            for k1, cls in enumerate(ranking.classes):
+                for gamma, (_, counts) in zip(slide_gamma_bits(bits[k1]), slide_gammas(cls, n)):
+                    if len(set(counts)) < n:
+                        destinations = (*range(k1 + 1, len(bits)), *range(k1 - 1, -1, -1))
+                        want += changed(slide_bits(bits, k1, k2, gamma) for k2 in destinations)
+            top = _Reads(full)
+            check_slide_independence(ranking, None, (None, bits, None, full, top.__getitem__))
+            assert top.read == want
+            want = []
+            for subject in range(1, full):  # the grand coalition keeps no one
+                j = ranking.index_of(subject)
+                placements = deterioration_placements(j, len(bits), bits[j] == 1 << (subject - 1))
+                want += changed(deterioration_bits(bits, j, subject, *p) for p in placements[1:])
+            top = _Reads(full)
+            check_downward_monotonicity(ranking, None, (None, bits, None, full, top.__getitem__))
+            assert top.read == want
 
     def test_unknown_placement_kind_rejected(self):
         with pytest.raises(ValueError):

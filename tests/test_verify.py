@@ -26,6 +26,7 @@ from millrank import (
 )
 from millrank import verify
 from millrank.cli import to_json
+from millrank.solutions import BEST_CLASS_RULES
 from millrank.verify import THEOREM_AXIOMS
 from helpers import cmask, oracle_first_violation, oracle_sweep, rk, sel
 
@@ -157,9 +158,10 @@ class TestTheorem1Probe:
         assert witness is not None and witness.axiom in ("STAG", "SI", "DMON")
         assert replay(witness, rule).status == VIOLATED
 
-    def test_difference_scan_fills_the_selection_table(self, monkeypatch):
-        # The scan evaluates plurality once per ranking, and STAG, SI and
-        # DMON then read every selection from the table.
+    def test_plurality_reads_its_best_class_table(self, monkeypatch):
+        # Plurality is not scanned against itself: it runs once on the
+        # reduction of each of the 7 best classes at n = 2, and STAG, SI
+        # and DMON then read every selection from that table.
         calls = Counter()
         plurality = RULES["plurality"]
 
@@ -169,9 +171,10 @@ class TestTheorem1Probe:
 
         monkeypatch.setitem(RULES, "plurality", counting)
         report = theorem1_probe("plurality", 2)
-        assert report.equivalent is True
-        assert sum(calls.values()) == 13
+        assert report.equivalent is True and report.rankings_compared == 13
+        assert sum(calls.values()) == 7
         assert max(calls.values()) == 1
+        assert all(len(classes) == 2 or len(classes[0]) == 3 for classes in calls)
 
     def test_les_difference_instance(self):
         ranking = rk("12 / 1 / rest")
@@ -222,8 +225,34 @@ class TestWitnessSearch:
             sweep_cells([("obi", "SI"), ("split_plurality", "DMON")], 2)
             runs.append(Counter(rule_id for rule_id, _ in rule_calls.elements()))
         assert runs[0] == runs[1]
-        # plurality's scan, and les's up to its first difference, at index 10
-        assert runs[0]["plurality"] == 13 + 11
+        # plurality's best-class table, and les's scan up to its first
+        # difference, at index 10
+        assert runs[0]["plurality"] == 7 + 11
+
+
+class TestBestClassRules:
+    """A declared rule's passes read by best class; wrapped under another name, by stream index."""
+
+    @pytest.mark.parametrize("rule_id", sorted(BEST_CLASS_RULES))
+    def test_sweeps_match_the_rule_wrapped_undeclared(self, monkeypatch, rule_id):
+        rule = RULES[rule_id]
+        monkeypatch.setitem(RULES, "wrapped", lambda ranking: rule(ranking))
+        cells = [(name, axiom) for name in (rule_id, "wrapped") for axiom in ("STAG", "SI", "DMON")]
+        for n, mode in ((2, EXHAUSTIVE), (3, Sample(150, 41)), (4, Sample(20, 42))):
+            reports = sweep_cells(cells, n, mode, witness_cap=50)
+            assert n == 2 or rule_id != "split_plurality" or reports[1].witnesses  # SI fails
+            for declared, wrapped in zip(reports[:3], reports[3:]):
+                assert declared.premises_found == wrapped.premises_found
+                assert declared.violations == wrapped.violations
+                assert repr(declared.witnesses) == repr(wrapped.witnesses)
+
+    @pytest.mark.parametrize("mode", [EXHAUSTIVE, Sample(400, 43)], ids=["exhaustive", "sampled"])
+    def test_witness_search_matches_the_rule_wrapped_undeclared(self, monkeypatch, mode):
+        rule = RULES["split_plurality"]
+        monkeypatch.setitem(RULES, "wrapped", lambda ranking: rule(ranking))
+        found = find_violation("split_plurality", "SI", 3, mode)
+        assert found is not None
+        assert repr(found) == repr(find_violation("wrapped", "SI", 3, mode))
 
 
 class TestProp1:
