@@ -137,9 +137,8 @@ def _sources(rule, universe, table):
         top = table.__getitem__ if table else (
             lambda best: selection_mask(fn, best_class_reduction(universe, best)))
         return lambda classes, bits, *_: (None, bits, None, top(bits[0]), top)
-    n = universe.n
     return lambda classes, bits, remaining, before: table and (
-        table, bits, prefix_of(remaining, before, n), table[before[-1]], None)
+        table, bits, prefix_of(remaining, before, universe.n), table[before[-1]], None)
 
 
 def _sweep_chunk(cells, tally, cap, tables, universe, chunk):

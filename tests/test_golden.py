@@ -12,7 +12,8 @@ at small sizes, the exhaustive n = 3 ``prop3``, ``prop1`` and plurality
 through a two-worker pool, two sampled ``DMON`` sweeps split into three
 chunks and run through a two-worker pool, two sampled n = 3 ``theorem1``
 probes, every exhaustive n = 3 ``SI`` and ``DMON`` sweep through a
-two-worker pool, and the ``enumerate`` and ``sample`` listings. The ``verify independence --n 4`` cell takes about a minute to build, so
+two-worker pool, and the ``enumerate`` and ``sample`` listings. The
+``verify independence --n 4`` cell takes about a minute to build, so
 ``test_cli.py`` checks it against the session fixture instead of
 running it here. A mismatch is fixed in the code, never by recording
 the file again.
