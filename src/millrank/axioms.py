@@ -15,11 +15,10 @@ one scan over class bitsets. Given a source (the rule's complete
 selection table, with the walked stream's class bitsets and running
 index sums) the scan ranks each target inline and reads its selection
 from the table; without one it decodes the target and calls the rule.
-A rule that reads the best class alone brings instead its selection by
-best-class bitset, and a target that keeps the best class is counted,
-never read. SI judges a target by bit operations over the pairs the
-two selections meet; DMON counts a coalition's premises without its
-targets and reads them only while they could still give the witness.
+A best-class rule's source reads by best-class bitset, and skips each
+target that keeps the best class. SI judges targets by bit operations
+on the pairs both selections meet; DMON counts a coalition's premises
+without its targets, reading them only while they could give the witness.
 
 A verdict is one of three statuses: ``inapplicable`` (no premise
 instance exists), ``satisfied`` (every instance met its forced
@@ -526,11 +525,10 @@ def check_downward_monotonicity(ranking, rule, source=None) -> Verdict:
     smallest x lost so far and reads the placements of s only while s
     keeps an individual below it. Targets are ranked and read as in
     :func:`check_slide_independence`; the identity placement is counted
-    but not read. With ``top``, so is every placement that keeps the
-    best class: a best-class s sharing its class is read once, and one
-    alone at most twice, joining class 1 and then anywhere lower. A
-    ranking with more than _MAX_PLACEMENTS placements is refused with
-    UniverseTooLargeError before the rule runs.
+    but not read, nor with ``top`` any that keeps the best class: a
+    best-class s sharing its class is read once, one alone at most twice
+    (joining class 1, then anywhere lower). More than _MAX_PLACEMENTS
+    placements are refused with UniverseTooLargeError before the rule runs.
     """
     universe = ranking.universe
     if universe.full_mask**2 > _MAX_PLACEMENTS:  # else no ranking can have more

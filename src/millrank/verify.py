@@ -126,19 +126,18 @@ def _walk(universe, chunk):
 
 
 def _sources(rule, universe, table):
-    """The rule's SI and DMON source (see axioms._source) as a function of a walked ranking.
+    """The rule's SI and DMON source (see axioms._source) as a function of (bits, prefix, before).
 
-    A best-class rule reads its selection by best-class bitset from its
-    best-class ``table`` (see :func:`_tables`), or else on the reduction;
-    another rule reads its stream-indexed ``table``, if any.
+    A best-class rule reads its best-class ``table`` (see :func:`_tables`)
+    or else runs on the reduction; another reads its stream-indexed
+    ``table``, if any, with the prefix sums its caller builds once.
     """
     if rule in BEST_CLASS_RULES:
         fn = lookup_rule(rule)
         top = table.__getitem__ if table else (
             lambda best: selection_mask(fn, best_class_reduction(universe, best)))
-        return lambda classes, bits, *_: (None, bits, None, top(bits[0]), top)
-    return lambda classes, bits, remaining, before: table and (
-        table, bits, prefix_of(remaining, before, universe.n), table[before[-1]], None)
+        return lambda bits, *_: (None, bits, None, top(bits[0]), top)
+    return lambda bits, prefix, before: table and (table, bits, prefix, table[before[-1]], None)
 
 
 def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
@@ -162,9 +161,11 @@ def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
     results = [[0, 0, []] for _ in cells]
     tallies = []
     count = 0
+    walked = any(rule not in BEST_CLASS_RULES for rule in tables)  # a table read with prefix sums
     for classes, bits, remaining, before in _walk(universe, chunk):
         count += 1
         ranking = CoalitionalRanking._trusted(universe, classes)
+        prefix = prefix_of(remaining, before, universe.n) if walked else None
         listed, selected = {}, {}
 
         def instances(lister):
@@ -175,7 +176,7 @@ def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
 
         for (rule, axiom, fn, rule_fn, table, sources), result in zip(plans, results):
             if axiom not in PREMISE_AXIOMS:
-                verdict = fn(ranking, rule_fn, sources(classes, bits, remaining, before))
+                verdict = fn(ranking, rule_fn, sources(bits, prefix, before))
                 result[0] += verdict.premises_checked
                 if verdict.status != VIOLATED:
                     continue
@@ -263,10 +264,11 @@ def _tables(rules, universe, jobs):
     best-class rule's table holds it per best-class bitset instead.
     """
     tables = {}
+    if rules:  # refuse an n beyond MAX_EXHAUSTIVE_N before building any table
+        _stream(universe, EXHAUSTIVE)
     for rule in BEST_CLASS_RULES.intersection(rules):
-        fn = lookup_rule(rule)
         tops = (best_class_reduction(universe, top) for top in range(1, 1 << universe.full_mask))
-        tables[rule] = bytes([0, *(selection_mask(fn, ranking) for ranking in tops)])
+        tables[rule] = bytes([0, *(selection_mask(lookup_rule(rule), r) for r in tops)])
     rules = [rule for rule in rules if rule not in tables]
     scan = partial(_selection_chunk, rules, False)
     chunks = [parts for parts, _ in _run_chunks(universe, EXHAUSTIVE, scan, jobs)] if rules else []
@@ -383,15 +385,16 @@ def _first_violation(rule, axioms, universe, mode, jobs=1, table=None):
     stream = _stream(universe, mode)
     if table is None and mode == EXHAUSTIVE and any(a not in PREMISE_AXIOMS for a in axioms):
         table = _tables([rule], universe, jobs)[rule]
-    sources = _sources(rule, universe, table)
+    sources, walked = _sources(rule, universe, table), table and rule not in BEST_CLASS_RULES
     chunk = range(len(stream)) if mode == EXHAUSTIVE else stream.classes()
     for index, (classes, bits, remaining, before) in enumerate(_walk(universe, chunk)):
         ranking = CoalitionalRanking._trusted(universe, classes)
+        prefix = prefix_of(remaining, before, universe.n) if walked else None
         for axiom, check in zip(axioms, checks):
             if axiom in PREMISE_AXIOMS:
                 verdict = check(ranking, rule_fn)
             else:
-                verdict = check(ranking, rule_fn, sources(classes, bits, remaining, before))
+                verdict = check(ranking, rule_fn, sources(bits, prefix, before))
             if verdict.status == VIOLATED:
                 return index, verdict.witness
     return None
@@ -454,17 +457,16 @@ def theorem1_probe(
     """
     lookup_rule(rule)
     universe = universe or Universe(n)
-    # The scan calls the rule and plurality on each ranking up to the first
-    # difference; plurality, which never differs from itself, skips it.
     compared, difference = 0, None
-    scan = partial(_selection_chunk, [rule, "plurality"], True)
-    with closing(_run_chunks(universe, mode, scan, jobs)) as chunks:
-        for selections, ranking in chunks if rule != "plurality" else ():
-            compared += len(selections[0])
-            if ranking is not None:
-                masks = (mask_members(s[-1], universe.n) for s in selections)
-                difference = Difference(ranking, *masks)
-                break
+    if rule != "plurality":  # plurality never differs from itself
+        scan = partial(_selection_chunk, [rule, "plurality"], True)
+        with closing(_run_chunks(universe, mode, scan, jobs)) as chunks:
+            for selections, ranking in chunks:
+                compared += len(selections[0])
+                if ranking is not None:
+                    masks = (mask_members(s[-1], universe.n) for s in selections)
+                    difference = Difference(ranking, *masks)
+                    break
     if difference is None:  # the rule agrees with plurality on every ranking the sweeps check
         cells = [(rule, axiom) for axiom in THEOREM_AXIOMS]
         sweeps = _sweep_pass(cells, universe, mode, jobs, witness_cap)[0]

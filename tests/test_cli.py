@@ -298,12 +298,13 @@ class TestExhaustiveGuard:
 
     @pytest.fixture(autouse=True)
     def no_enumeration(self, monkeypatch):
-        # A regression fails here instead of starting the walk.
+        # A regression fails here instead of starting the walk or a best-class table.
         def refuse(*args):
             raise AssertionError("exhaustive enumeration started")
 
         monkeypatch.setattr(enumeration, "walk_stream", refuse)
         monkeypatch.setattr(verify, "walk_stream", refuse)
+        monkeypatch.setattr(verify, "best_class_reduction", refuse)
 
     @pytest.mark.parametrize(
         "argv",
@@ -312,6 +313,9 @@ class TestExhaustiveGuard:
             ("verify", "theorem1", "--rule", "plurality", "--n", "4"),
             ("verify", "prop3", "--n", "4"),
             ("enumerate", "--n", "4"),
+            ("sweep", "--rule", "plurality", "--axiom", "DMON", "--n", "5"),
+            ("sweep", "--rule", "split_plurality", "--axiom", "SI", "--n", "4"),
+            ("verify", "theorem1", "--rule", "const_x", "--n", "5"),
         ],
     )
     def test_n4_without_sample_is_refused(self, capsys, argv):

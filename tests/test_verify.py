@@ -69,6 +69,20 @@ class TestSweep:
         with pytest.raises(UniverseTooLargeError):
             sweep("les", "STAG", 5)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_refuses_best_class_tables_before_any_rule_call(self, rule_calls, n):
+        # A best-class table beyond the guard would hold 2**(2**n - 1) selections.
+        for run in (
+            lambda: sweep("plurality", "SI", n),
+            lambda: sweep_cells([("const_x", "DMON"), ("les", "SI")], n),
+            lambda: theorem1_probe("plurality", n),
+            lambda: theorem1_probe("split_plurality", n),
+            lambda: find_violation("const_x", "DMON", n),
+        ):
+            with pytest.raises(UniverseTooLargeError):
+                run()
+        assert not rule_calls
+
     def test_jobs_do_not_change_reports(self):
         one = sweep("obi", "TAG", 2, jobs=1)
         two = sweep("obi", "TAG", 2, jobs=2)
@@ -228,6 +242,24 @@ class TestWitnessSearch:
         # plurality's best-class table, and les's scan up to its first
         # difference, at index 10
         assert runs[0]["plurality"] == 7 + 11
+
+    def test_prefix_sums_are_built_once_per_walked_ranking(self, monkeypatch):
+        built = Counter()
+
+        def counted(remaining, before, n, prefix_of=verify.prefix_of):
+            built[before[-1]] += 1
+            return prefix_of(remaining, before, n)
+
+        monkeypatch.setattr(verify, "prefix_of", counted)
+        every_index = Counter(range(fubini(3)))
+        sweep_cells([("les", "SI"), ("les", "DMON"), ("obi", "SI"), ("plurality", "SI")], 2)
+        assert built == every_index
+        built.clear()
+        assert verify._first_violation("les", ("SI", "DMON"), verify.Universe(2), EXHAUSTIVE) is None
+        assert built == every_index
+        built.clear()
+        sweep_cells([("plurality", "SI"), ("const_x", "DMON")], 2)  # best-class tables only
+        assert not built
 
 
 class TestBestClassRules:
