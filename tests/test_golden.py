@@ -11,12 +11,12 @@ at small sizes, the exhaustive n = 3 ``prop3``, ``prop1`` and plurality
 2``), the exhaustive n = 3 ``theorem1`` campaign of every other rule
 through a two-worker pool, two sampled ``DMON`` sweeps split into three
 chunks and run through a two-worker pool, two sampled n = 3 ``theorem1``
-probes, every exhaustive n = 3 ``SI`` and ``DMON`` sweep through a
-two-worker pool, and the ``enumerate`` and ``sample`` listings. The
-``verify independence --n 4`` cell takes about a minute to build, so
-``test_cli.py`` checks it against the session fixture instead of
-running it here. A mismatch is fixed in the code, never by recording
-the file again.
+probes, every exhaustive n = 3 ``SI``, ``DMON`` and premise-only sweep
+through a two-worker pool, and the ``enumerate`` and ``sample``
+listings. The ``verify independence --n 4`` cell takes about a minute
+to build, so ``test_cli.py`` checks it against the session fixture
+instead of running it here. A mismatch is fixed in the code, never by
+recording the file again.
 """
 
 import hashlib
@@ -110,6 +110,12 @@ FIXED_CELLS = {
         for rule in RULE_IDS
         for axiom in ("SI", "DMON")
         if (rule, axiom) != ("obi", "DMON")
+    ),
+    # Every exhaustive n = 3 premise-only sweep through a two-worker pool.
+    "premise-exhaustive": tuple(
+        ("sweep", "--rule", rule, "--axiom", axiom, "--n", "3", "--jobs", "2")
+        for rule in RULE_IDS
+        for axiom in AXIOM_IDS[:9]
     ),
 }
 
