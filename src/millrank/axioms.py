@@ -4,11 +4,14 @@ Each axiom is a premise on the ranking plus a forced conclusion on the
 selection. The nine premise-only axioms (TAG, STAG, TDF, TJAD, CV, RAG,
 WRAG, RDF, RJAD) are one table, :data:`PREMISE_AXIOMS`: a premise lister
 that returns every premise instance of a ranking in the documented scan
-order, and a conclusion on id bitmasks: with an instance's forced
-individuals as ``f`` and the selection as ``sel``, "equals" fails when
-``f != sel`` and "contains" when ``f & ~sel`` is nonzero. The first
-failing instance is the witness, for :func:`judge_selection` and
+order, and a conclusion on id bitmasks. On one ranking all instances of
+one lister force the same individuals, one mask ``f``
+(:func:`forced_mask`); with the selection as ``sel``, "equals" fails
+when ``f != sel`` and "contains" when ``f & ~sel`` is nonzero, and the
+first instance is then the witness, for :func:`judge_selection` and
 sweeps alike; :func:`judge` lists and selects, then calls the former.
+The listers of :data:`BEST_CLASS_AXIOMS` read the best class alone, so
+a sweep lists them once per best class.
 The two transformation axioms, slide independence (SI) and downward
 monotonicity (DMON), judge the rule on transformed rankings too, each in
 one scan over class bitsets. Given a source (the rule's complete
@@ -206,39 +209,22 @@ def rag_premises(ranking):
     return [(s0, x) for j, x in _agreement_classes(ranking) for s0 in ranking.classes[j]]
 
 
-def _separation_bounds(ranking):
-    """Per individual: worst class holding them, best class avoiding them."""
-    n = ranking.universe.n
-    worst_with = [-1] * n
-    best_without = [len(ranking.classes)] * n
-    for j, cls in enumerate(ranking.classes):
-        for mask in cls:
-            for i in range(n):
-                if mask >> i & 1:
-                    if j > worst_with[i]:
-                        worst_with[i] = j
-                elif j < best_without[i]:
-                    best_without[i] = j
-    return worst_with, best_without
-
-
 def rdf_premises(ranking):
     """All (s0, x) pairs firing the relative-difference premise (RDF).
 
     Premise for (s0, x): every coalition containing x is strictly better
     than s0, and s0 is at least as good as every nonempty coalition
-    avoiding x. Conclusion: the selection is x alone. Premises are
-    scanned by individual, then by class of s0, then by mask.
+    avoiding x. Conclusion: the selection is x alone. That is, the
+    classes above some cut hold exactly the coalitions containing x, and
+    s0 is in the class just below it. Premises are scanned by
+    individual, then by mask.
     """
-    out = []
-    worst_with, best_without = _separation_bounds(ranking)
-    for x in range(ranking.universe.n):
-        lo, hi = worst_with[x], best_without[x]
-        if hi >= len(ranking.classes) or hi <= lo:
-            continue
-        # every coalition of class hi avoids x (x-coalitions all sit above lo < hi)
-        out.extend((s0, x) for s0 in ranking.classes[hi])
-    return out
+    classes, union, below = ranking.classes, 0, {}
+    for j, cls in enumerate(class_bits(classes[:-1]), 1):
+        union |= cls
+        below[union] = j  # the union of the classes above cut j
+    members = membership_bits(ranking.universe.n)
+    return [(s0, x) for x, m in enumerate(members) if m in below for s0 in classes[below[m]]]
 
 
 def rjad_premises(ranking):
@@ -291,6 +277,11 @@ PREMISE_AXIOMS = {
     "CV": (_concomitant_premises, ("concomitant",), True, "selection contains every individual of {}"),
 }
 
+# Premise-only axioms whose listers read the best class alone: each lists the
+# same on a ranking as on its solutions.best_class_reduction (TJAD's family
+# below is the complement of the best class).
+BEST_CLASS_AXIOMS = frozenset({"TAG", "STAG", "TDF", "TJAD"})
+
 
 def judge(axiom: str, ranking, rule) -> Verdict:
     """Verdict of one premise-only axiom on one ranking.
@@ -309,38 +300,41 @@ def judge_selection(axiom: str, ranking, instances, actual: tuple) -> Verdict:
 
     ``instances`` is the nonempty list the axiom's lister returned on
     ``ranking`` and ``actual`` the rule's selection there. Counts every
-    instance and judges each on id bitmasks (see :func:`first_failure`);
-    the first one whose conclusion fails is the witness.
+    instance and judges their one forced mask (see :func:`forced_mask`)
+    with one bit test; when it fails, the first instance is the witness.
     """
     selected = sum(1 << i for i in set(actual))
-    witness = premise_witness(axiom, ranking, instances, forced_masks(instances), selected)
+    witness = premise_witness(axiom, ranking, instances, forced_mask(instances), selected)
     return _verdict(len(instances), witness)
 
 
-def forced_masks(instances) -> list[int]:
-    """Each premise instance's forced individuals as an id bitmask, in scan order."""
-    return [1 << f if type(f) is int else sum(1 << i for i in f) for *_, f in instances]
+def forced_mask(instances) -> int:
+    """The individuals the premise instances force, as an id bitmask.
+
+    On one ranking every instance of one lister forces the same ones: the
+    superiors' intersection of RAG, WRAG and RJAD only shrinks, so once
+    it is exactly {x} it stays {x}; two individuals firing RDF would each
+    need their singleton strictly above the other's; every other lister
+    returns at most one instance.
+    """
+    f = instances[0][-1]
+    return 1 << f if type(f) is int else sum(1 << i for i in f)
 
 
-def first_failure(axiom: str, forced, selected: int) -> int:
-    """Index of the first :func:`forced_masks` entry the selection mask fails, or -1."""
-    contains = PREMISE_AXIOMS[axiom][2]
-    for i, f in enumerate(forced):
-        if f & ~selected if contains else f != selected:
-            return i
-    return -1
+def fails(axiom: str, forced: int, selected: int) -> bool:
+    """Whether the selection mask fails the axiom's conclusion on the forced mask."""
+    return bool(forced & ~selected) if PREMISE_AXIOMS[axiom][2] else forced != selected
 
 
-def premise_witness(axiom: str, ranking, instances, forced, selected: int) -> Witness | None:
-    """Witness of the :func:`first_failure` among the instances, or None."""
-    i = first_failure(axiom, forced, selected)
-    if i < 0:
+def premise_witness(axiom: str, ranking, instances, forced: int, selected: int) -> Witness | None:
+    """Witness of the first instance when the selection :func:`fails` the forced mask, or None."""
+    if not fails(axiom, forced, selected):
         return None
     _, keys, _, expected = PREMISE_AXIOMS[axiom]
     n = ranking.universe.n
-    spelled = expected.format(_spell(ranking, mask_members(forced[i], n)))
+    spelled = expected.format(_spell(ranking, mask_members(forced, n)))
     selection = {"selection": mask_members(selected, n)}
-    return Witness(axiom, ranking, dict(zip(keys, instances[i])), spelled, selection)
+    return Witness(axiom, ranking, dict(zip(keys, instances[0])), spelled, selection)
 
 
 def check_top_agreement(ranking, rule, strong: bool = False) -> Verdict:

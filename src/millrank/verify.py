@@ -4,8 +4,9 @@ A sweep judges one or more (rule, axiom) cells on every ranking of a
 stream, in one pass, and aggregates each cell's verdicts. Per ranking
 it builds the ranking once, lists each premise-only axiom's instances
 once for all cells, and evaluates each rule at most once, only when one
-of its cells has an instance; the ``SI`` and ``DMON`` cells run their
-checkers. An exhaustive pass with ``SI`` or ``DMON`` cells first builds
+of its cells has an instance; a best-class axiom or rule is listed or
+evaluated once per best class of a chunk. The ``SI`` and ``DMON`` cells
+run their checkers. An exhaustive pass with ``SI`` or ``DMON`` cells first builds
 those rules' selection tables and hands them to every chunk, whose
 cells of those rules read the rules' selections there, by best class
 alone for a rule of ``solutions.BEST_CLASS_RULES``. Nothing is kept
@@ -35,12 +36,13 @@ from typing import ClassVar, get_type_hints
 
 from .axioms import (
     AXIOMS,
+    BEST_CLASS_AXIOMS,
     PREMISE_AXIOMS,
     VIOLATED,
     Status,
     Witness,
-    first_failure,
-    forced_masks,
+    fails,
+    forced_mask,
     judge_slide,
     lookup_axiom,
     premise_witness,
@@ -126,39 +128,49 @@ def _walk(universe, chunk):
 
 
 def _sources(rule, universe, table):
-    """The rule's SI and DMON source (see axioms._source) as a function of (bits, prefix, before).
+    """(sources, top): the rule's SI and DMON source (see axioms._source) by (bits, prefix, before).
 
-    A best-class rule reads its best-class ``table`` (see :func:`_tables`)
-    or else runs on the reduction; another reads its stream-indexed
-    ``table``, if any, with the prefix sums its caller builds once.
+    A best-class rule's ``top``, its selection by best-class bitset, reads
+    its best-class ``table`` (see :func:`_tables`), or else runs it once
+    per new best class, on the reduction. Another rule has no ``top``; it
+    reads its stream-indexed ``table``, if any, with the prefix sums its
+    caller builds once.
     """
     if rule in BEST_CLASS_RULES:
         fn = lookup_rule(rule)
-        top = table.__getitem__ if table else (
+        top = table.__getitem__ if table else cache(
             lambda best: selection_mask(fn, best_class_reduction(universe, best)))
-        return lambda bits, *_: (None, bits, None, top(bits[0]), top)
-    return lambda bits, prefix, before: table and (table, bits, prefix, table[before[-1]], None)
+        return (lambda bits, *_: (None, bits, None, top(bits[0]), top)), top
+    return (lambda bits, prefix, before:
+            table and (table, bits, prefix, table[before[-1]], None)), None
 
 
 def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
     """Ranking count and per-cell [premises, violations, witnesses] of one chunk, and its ``tally`` totals.
 
-    Each ranking is built once, and each premise lister runs on it at
-    most once, whichever cells and ``tally`` ask for its instances, whose
-    forced individuals become id bitmasks once. A rule's selection, an id
-    bitmask, is read from its table (see :func:`_tables`) at the walked
-    stream index or best class, or else taken at most once per ranking,
-    when one of its premise-only cells has an instance there; such a cell
-    is judged by bit tests and builds a witness only while under ``cap``.
-    ``SI`` and ``DMON`` cells run their own checkers on their sources.
+    Each ranking is built once. Premise-only cells are grouped by lister:
+    each lister runs at most once per ranking, whichever cells and
+    ``tally`` ask for its instances, and a lister of
+    ``axioms.BEST_CLASS_AXIOMS`` at most once per best class in the
+    chunk. A listing's instances all force one id bitmask, so a cell is
+    one bit test, and a lister that lists nothing skips all its cells. A
+    rule's selection, an id bitmask, is read by best class for a rule of
+    ``solutions.BEST_CLASS_RULES`` (``top``, see :func:`_sources`), from
+    its stream-indexed table (see :func:`_tables`), or else taken at most
+    once per ranking, when one of its cells has an instance there. A
+    violated cell builds a witness only while under ``cap``. ``SI`` and
+    ``DMON`` cells run their own checkers on their sources.
     """
-    # Per cell: a premise-only axiom's lister or else its checker, the rule, its table, its sources.
-    plans = []
-    for rule, axiom in cells:
-        fn = PREMISE_AXIOMS[axiom][0] if axiom in PREMISE_AXIOMS else AXIOMS[axiom]
-        table = tables.get(rule)
-        plans.append((rule, axiom, fn, lookup_rule(rule), table, _sources(rule, universe, table)))
+    sources = {rule: _sources(rule, universe, tables.get(rule)) for rule, _ in cells}
     results = [[0, 0, []] for _ in cells]
+    groups, checks = {}, []  # cells by premise lister; SI and DMON cells
+    for (rule, axiom), result in zip(cells, results):
+        if axiom in PREMISE_AXIOMS:
+            groups.setdefault(PREMISE_AXIOMS[axiom][0], []).append((result, rule, axiom))
+        else:
+            checks.append((result, AXIOMS[axiom], lookup_rule(rule), sources[rule][0]))
+    by_best = {PREMISE_AXIOMS[axiom][0] for axiom in BEST_CLASS_AXIOMS}
+    best_listed = {}  # best-class bitset -> {lister: (instances, forced mask)}
     tallies = []
     count = 0
     walked = any(rule not in BEST_CLASS_RULES for rule in tables)  # a table read with prefix sums
@@ -166,39 +178,41 @@ def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
         count += 1
         ranking = CoalitionalRanking._trusted(universe, classes)
         prefix = prefix_of(remaining, before, universe.n) if walked else None
-        listed, selected = {}, {}
+        listed, selected, shared = {}, {}, best_listed.setdefault(bits[0], {})
 
-        def instances(lister):
-            if lister not in listed:
+        def listing(lister):
+            memo = shared if lister in by_best else listed
+            if lister not in memo:
                 found = lister(ranking)
-                listed[lister] = found, found and forced_masks(found)
-            return listed[lister][0]
+                memo[lister] = found, found and forced_mask(found)
+            return memo[lister]
 
-        for (rule, axiom, fn, rule_fn, table, sources), result in zip(plans, results):
-            if axiom not in PREMISE_AXIOMS:
-                verdict = fn(ranking, rule_fn, sources(bits, prefix, before))
-                result[0] += verdict.premises_checked
-                if verdict.status != VIOLATED:
-                    continue
-                witness = verdict.witness
-            else:
-                found = instances(fn)
-                if not found:
-                    continue
+        for lister, group in groups.items():
+            found, forced = listing(lister)
+            if not found:
+                continue
+            for result, rule, axiom in group:
                 if rule not in selected:
+                    top, table = sources[rule][1], tables.get(rule)
                     selected[rule] = (
-                        table[bits[0] if rule in BEST_CLASS_RULES else before[-1]] if table
-                        else selection_mask(rule_fn, ranking)
+                        top(bits[0]) if top else table[before[-1]] if table
+                        else selection_mask(lookup_rule(rule), ranking)
                     )
-                sel, forced, witness = selected[rule], listed[fn][1], None
                 result[0] += len(found)
-                if first_failure(axiom, forced, sel) < 0:
-                    continue
-            result[1] += 1
-            if len(result[2]) < cap:
-                result[2].append(witness or premise_witness(axiom, ranking, found, forced, sel))
+                if fails(axiom, forced, selected[rule]):
+                    result[1] += 1
+                    if len(result[2]) < cap:
+                        witness = premise_witness(axiom, ranking, found, forced, selected[rule])
+                        result[2].append(witness)
+        for result, check, rule_fn, source in checks:
+            verdict = check(ranking, rule_fn, source(bits, prefix, before))
+            result[0] += verdict.premises_checked
+            if verdict.status == VIOLATED:
+                result[1] += 1
+                if len(result[2]) < cap:
+                    result[2].append(verdict.witness)
         if tally is not None:
-            tallies.append(tally(instances))
+            tallies.append(tally(lambda lister: listing(lister)[0]))
     return count, results, tuple(map(sum, zip(*tallies)))
 
 
@@ -385,7 +399,7 @@ def _first_violation(rule, axioms, universe, mode, jobs=1, table=None):
     stream = _stream(universe, mode)
     if table is None and mode == EXHAUSTIVE and any(a not in PREMISE_AXIOMS for a in axioms):
         table = _tables([rule], universe, jobs)[rule]
-    sources, walked = _sources(rule, universe, table), table and rule not in BEST_CLASS_RULES
+    sources, walked = _sources(rule, universe, table)[0], table and rule not in BEST_CLASS_RULES
     chunk = range(len(stream)) if mode == EXHAUSTIVE else stream.classes()
     for index, (classes, bits, remaining, before) in enumerate(_walk(universe, chunk)):
         ranking = CoalitionalRanking._trusted(universe, classes)

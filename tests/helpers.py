@@ -271,6 +271,33 @@ def oracle_is_deterioration(ranking, ranking2, subject) -> bool:
     return True
 
 
+def oracle_rag_premises(ranking):
+    """(s0, x) pairs of the relative agreement premise, straight from its wording."""
+    classes = as_sets(ranking)
+    out = []
+    for j in range(1, len(classes)):
+        common = frozenset.intersection(*(s for cls in classes[:j] for s in cls))
+        if len(common) == 1:
+            (x,) = common
+            out.extend((s0, x) for s0 in ranking.classes[j])
+    return out
+
+
+def oracle_rdf_premises(ranking):
+    """(s0, x) pairs of the relative difference premise, straight from its wording.
+
+    Scanned by individual, then by class of s0, then by mask.
+    """
+    classes = as_sets(ranking)
+    out = []
+    for x in range(ranking.universe.n):
+        for j, cls in enumerate(classes):
+            with_x = all(x in s for c in classes[:j] for s in c)
+            if with_x and not any(x in s for c in classes[j:] for s in c):
+                out.extend((s0, x) for s0 in ranking.classes[j])
+    return out
+
+
 def oracle_rjad_premises(ranking):
     """(s0, x) pairs of the relative joint premise, straight from its wording."""
     classes = as_sets(ranking)

@@ -45,8 +45,10 @@ from millrank import (
     validate_ranking,
 )
 from millrank.axioms import (
+    BEST_CLASS_AXIOMS,
     PREMISE_AXIOMS,
     _balanced_by_gamma,
+    forced_mask,
     judge_selection,
     rdf_premises,
     rjad_premises,
@@ -61,6 +63,8 @@ from helpers import (
     cmask,
     oracle_downward_monotonicity,
     oracle_judge_selection,
+    oracle_rag_premises,
+    oracle_rdf_premises,
     oracle_rjad_premises,
     oracle_selection_table,
     oracle_slide_independence,
@@ -397,6 +401,70 @@ class TestPremiseJudge:
                 assert repr(verdict) == repr(oracle_judge_selection(axiom, ranking, instances, actual))
                 judged[verdict.status] += 1
         assert judged[VIOLATED] and judged[SATISFIED]
+
+
+# The listers that can return several instances, listed again from the premises' wording.
+ORACLE_LISTERS = {
+    "RAG": oracle_rag_premises,
+    "WRAG": oracle_rag_premises,
+    "RDF": oracle_rdf_premises,
+    "RJAD": oracle_rjad_premises,
+}
+
+
+def _assert_one_forced_mask(ranking):
+    """Every lister lists what its oracle lists, and all its instances force one mask."""
+    oracles = {fn: fn(ranking) for fn in set(ORACLE_LISTERS.values())}
+    for axiom, (lister, *_) in PREMISE_AXIOMS.items():
+        instances = lister(ranking)
+        oracle = oracles[ORACLE_LISTERS[axiom]] if axiom in ORACLE_LISTERS else instances
+        assert instances == oracle, (axiom, ranking)
+        assert axiom in ORACLE_LISTERS or len(instances) <= 1
+        masks = {forced_mask([instance]) for instance in oracle}
+        assert masks == ({forced_mask(instances)} if instances else set()), (axiom, ranking)
+
+
+def _lists_by_best_class(axiom, rankings):
+    """Whether the axiom's lister lists the same on each ranking as on its best-class reduction."""
+    lister = PREMISE_AXIOMS[axiom][0]
+    for ranking in rankings:
+        top = class_bits(ranking.classes[:1])[0]
+        if lister(ranking) != lister(best_class_reduction(ranking.universe, top)):
+            return False
+    return True
+
+
+class TestPremiseListings:
+    """One forced mask per lister and ranking, and the listers that read the best class alone."""
+
+    def test_one_forced_mask_exhaustive_n3(self, all_n3):
+        several = Counter()
+        for ranking in all_n3:
+            _assert_one_forced_mask(ranking)
+            several.update(a for a in ORACLE_LISTERS if len(PREMISE_AXIOMS[a][0](ranking)) > 1)
+        assert several == {"RAG": 20532, "WRAG": 20532, "RDF": 900, "RJAD": 900}
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(4, 6))
+    def test_one_forced_mask_sampled(self, seed, n):
+        _assert_one_forced_mask(sample_ranking(n, seed))
+
+    def test_declared_axioms_list_as_on_the_reduction_n3(self, all_n3):
+        assert BEST_CLASS_AXIOMS == {"TAG", "STAG", "TDF", "TJAD"}
+        for axiom in BEST_CLASS_AXIOMS:
+            assert _lists_by_best_class(axiom, all_n3), axiom
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(4, 6))
+    def test_declared_axioms_list_as_on_the_reduction_sampled(self, seed, n):
+        ranking = sample_ranking(n, seed)
+        for axiom in BEST_CLASS_AXIOMS:
+            assert _lists_by_best_class(axiom, [ranking]), axiom
+
+    @pytest.mark.parametrize("axiom", sorted(set(PREMISE_AXIOMS) - BEST_CLASS_AXIOMS))
+    def test_undeclared_axioms_read_below_the_best_class(self, all_n3, axiom):
+        # Declaring CV, RAG or any other relative axiom would change reports.
+        assert not _lists_by_best_class(axiom, all_n3)
 
 
 class TestTransformationCheckers:

@@ -7,6 +7,7 @@ from millrank import (
     AXIOMS,
     EXHAUSTIVE,
     RULES,
+    RankingStream,
     Sample,
     UniverseTooLargeError,
     UnknownAxiomError,
@@ -25,7 +26,9 @@ from millrank import (
     theorem1_probe,
 )
 from millrank import verify
+from millrank.axioms import BEST_CLASS_AXIOMS, PREMISE_AXIOMS
 from millrank.cli import to_json
+from millrank.core import class_bits
 from millrank.solutions import BEST_CLASS_RULES
 from millrank.verify import THEOREM_AXIOMS
 from helpers import cmask, oracle_first_violation, oracle_sweep, rk, sel
@@ -277,6 +280,36 @@ class TestBestClassRules:
                 assert declared.premises_found == wrapped.premises_found
                 assert declared.violations == wrapped.violations
                 assert repr(declared.witnesses) == repr(wrapped.witnesses)
+
+    @pytest.mark.parametrize("mode", [EXHAUSTIVE, Sample(400, 44)], ids=["exhaustive", "sampled"])
+    def test_declared_listers_and_rules_run_once_per_best_class(self, monkeypatch, mode):
+        # One chunk of every premise-only cell at n = 3: each declared lister
+        # and each declared rule runs at most once per best class it holds.
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapped(ranking):
+                calls[name, class_bits(ranking.classes[:1])[0]] += 1
+                return fn(ranking)
+            return wrapped
+
+        for axiom in BEST_CLASS_AXIOMS:
+            lister, *rest = PREMISE_AXIOMS[axiom]
+            monkeypatch.setitem(PREMISE_AXIOMS, axiom, (counted(axiom, lister), *rest))
+        for rule_id in BEST_CLASS_RULES:
+            monkeypatch.setitem(RULES, rule_id, counted(rule_id, RULES[rule_id]))
+        universe = verify.Universe(3)
+        if mode == EXHAUSTIVE:
+            chunk = range(verify._CHUNK)
+        else:
+            chunk = tuple(RankingStream(universe, mode).classes())
+        cells = [(rule_id, axiom) for rule_id in RULES for axiom in PREMISE_AXIOMS]
+        count, _, _ = verify._sweep_chunk(cells, None, 10, {}, universe, chunk)
+        tops = Counter(bits[0] for _, bits, *_ in verify._walk(universe, chunk))
+        assert count == sum(tops.values()) > 2 * len(tops)  # best classes repeat
+        assert {name for name, _ in calls} == BEST_CLASS_AXIOMS | BEST_CLASS_RULES
+        assert {top for _, top in calls} <= set(tops)
+        assert max(calls.values()) == 1
 
     @pytest.mark.parametrize("mode", [EXHAUSTIVE, Sample(400, 43)], ids=["exhaustive", "sampled"])
     def test_witness_search_matches_the_rule_wrapped_undeclared(self, monkeypatch, mode):
