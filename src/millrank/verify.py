@@ -1,18 +1,18 @@
 """Verification campaigns: axiom sweeps and the standing result reports.
 
 A sweep judges one or more (rule, axiom) cells on every ranking of a
-stream, in one pass, and aggregates each cell's verdicts. Per ranking
-it builds the ranking once, lists each premise-only axiom's instances
-once for all cells, and evaluates each rule at most once, only when one
-of its cells has an instance; a best-class axiom or rule is listed or
+stream, in one pass, and aggregates each cell's verdicts. Per ranking it
+builds the ranking once, lists each premise-only axiom's instances once
+for all cells, and evaluates each rule at most once, only when one of
+its cells has an instance; a best-class axiom or rule is listed or
 evaluated once per best class of a chunk. The ``SI`` and ``DMON`` cells
-run their checkers. An exhaustive pass with ``SI`` or ``DMON`` cells first builds
-those rules' selection tables and hands them to every chunk, whose
-cells of those rules read the rules' selections there, by best class
-alone for a rule of ``solutions.BEST_CLASS_RULES``. Nothing is kept
-between passes. Campaign functions bundle one such pass and pinned
-instances into the characterization probe, the incompatibility report,
-the satisfaction matrix and the independence report;
+run their checkers. An exhaustive pass with ``SI`` or ``DMON`` cells
+first builds those rules' selection tables and hands them to every
+chunk, whose cells of those rules read the rules' selections there, by
+best class alone for a rule of ``solutions.BEST_CLASS_RULES``. Nothing
+is kept between passes. Campaign functions bundle one such pass and
+pinned instances into the characterization probe, the incompatibility
+report, the satisfaction matrix and the independence report;
 :func:`find_violation` and the probe's witness share one serial search.
 
 All outputs are deterministic for fixed inputs. Ranking batches may be
@@ -198,12 +198,12 @@ def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
                         top(bits[0]) if top else table[before[-1]] if table
                         else selection_mask(lookup_rule(rule), ranking)
                     )
+                sel = selected[rule]
                 result[0] += len(found)
-                if fails(axiom, forced, selected[rule]):
+                if fails(axiom, forced, sel):
                     result[1] += 1
                     if len(result[2]) < cap:
-                        witness = premise_witness(axiom, ranking, found, forced, selected[rule])
-                        result[2].append(witness)
+                        result[2].append(premise_witness(axiom, ranking, found, forced, sel))
         for result, check, rule_fn, source in checks:
             verdict = check(ranking, rule_fn, source(bits, prefix, before))
             result[0] += verdict.premises_checked
