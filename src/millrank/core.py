@@ -50,9 +50,6 @@ class Universe:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def name_of(self, i: int) -> str:
-        return self.names[i]
-
     def id_of(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -116,7 +113,7 @@ class CoalitionalRanking:
     value (the canonical form used for equality and hashing).
     ``class_of[mask]`` gives the 0-based class index of each coalition.
     Instances are immutable; build them through :func:`validate_ranking`
-    or :meth:`from_classes` unless the input is already canonical.
+    unless the input is already canonical.
     """
 
     __slots__ = ("universe", "classes", "class_of")
@@ -142,10 +139,6 @@ class CoalitionalRanking:
                 class_of[mask] = k
         object.__setattr__(self, "class_of", tuple(class_of))
         return self
-
-    @classmethod
-    def from_classes(cls, universe, classes) -> "CoalitionalRanking":
-        return validate_ranking(classes, universe)
 
     @property
     def num_classes(self) -> int:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .core import CoalitionalRanking, Universe
+from .core import CoalitionalRanking, Universe, class_bits
 from .errors import UniverseTooLargeError
 
 MAX_EXHAUSTIVE_N = 3
@@ -198,11 +198,11 @@ EXHAUSTIVE = "exhaustive"
 
 
 class RankingStream:
-    """Iterable over rankings of one universe, exhaustive or sampled.
+    """The rankings of one universe, exhaustive or sampled, by stream index.
 
-    Exhaustive mode yields each ranking exactly once in the documented
-    canonical order; sample mode yields ``mode.count`` uniform draws,
-    reproducible from ``mode.seed``.
+    Exhaustive mode holds each ranking once, in the documented canonical
+    order; sample mode holds ``mode.count`` uniform draws, draw i made
+    from ``mode.seed`` and i alone. :meth:`walk` reads any index range.
     """
 
     def __init__(self, universe: Universe, mode=EXHAUSTIVE):
@@ -219,26 +219,27 @@ class RankingStream:
         self.mode = mode
 
     def __iter__(self):
+        universe = self.universe
         if self.mode == EXHAUSTIVE:
-            universe = self.universe
-            for classes in self.classes():
+            for classes, *_ in walk_stream(universe.n):
                 yield CoalitionalRanking._trusted(universe, classes)
         else:
             for i in range(self.mode.count):
-                yield sample_ranking(self.universe.n, _derive_seed(self.mode.seed, i), self.universe)
+                yield sample_ranking(universe.n, _derive_seed(self.mode.seed, i), universe)
 
-    def classes(self):
-        """Yield each ranking's classes, in stream order.
+    def walk(self, indices: range):
+        """Yield (classes, bits, remaining, before) of each ranking with stream index in ``indices``.
 
-        Exhaustive mode builds no ranking: it reads :func:`walk_stream`;
-        sample mode takes the classes of each draw.
+        Exhaustive mode is :func:`walk_stream` over the range. Sample
+        mode draws each index from its own seed; a draw has no walk, so
+        its ``remaining`` and ``before`` are None.
         """
+        universe = self.universe
         if self.mode == EXHAUSTIVE:
-            for classes, *_ in walk_stream(self.universe.n):
-                yield classes
-        else:
-            for ranking in self:
-                yield ranking.classes
+            return walk_stream(universe.n, indices.start, indices.stop)
+        seed = self.mode.seed
+        draws = (sample_ranking(universe.n, _derive_seed(seed, i), universe) for i in indices)
+        return ((ranking.classes, class_bits(ranking.classes), None, None) for ranking in draws)
 
     def __len__(self):
         if self.mode == EXHAUSTIVE:

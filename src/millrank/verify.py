@@ -12,13 +12,14 @@ chunk, whose cells of those rules read the rules' selections there, by
 best class alone for a rule of ``solutions.BEST_CLASS_RULES``. Nothing
 is kept between passes. Campaign functions bundle one such pass and
 pinned instances into the characterization probe, the incompatibility
-report, the satisfaction matrix and the independence report;
-:func:`find_violation` and the probe's witness share one serial search.
+report, the satisfaction matrix and the independence report; the
+witness search is such a pass, stopped at the first violating ranking.
 
-All outputs are deterministic for fixed inputs. Ranking batches may be
-checked by a pool of worker processes; partial tallies merge by addition
-as chunk results come back in stream order, so witnesses concatenate in
-stream order and the number of workers never changes a report.
+All outputs are deterministic for fixed inputs. Chunks of stream
+indices may be walked by a pool of worker processes; partial tallies
+merge by addition as chunk results come back in stream order, so
+witnesses concatenate in stream order and the number of workers never
+changes a report.
 
 Every report is a frozen dataclass; :func:`report_fields` names the
 keys of its JSON form.
@@ -30,7 +31,7 @@ import time
 from contextlib import closing
 from dataclasses import dataclass, field, fields
 from functools import cache, partial
-from itertools import islice, permutations
+from itertools import permutations
 from multiprocessing import get_context
 from typing import ClassVar, get_type_hints
 
@@ -52,9 +53,9 @@ from .axioms import (
     selection_mask,
 )
 from .core import (
-    CoalitionalRanking, Universe, class_bits, concomitant_set, mask_members, members_mask
+    CoalitionalRanking, Universe, concomitant_set, mask_members, members_mask
 )
-from .enumeration import EXHAUSTIVE, RankingStream, fubini, prefix_of, walk_stream
+from .enumeration import EXHAUSTIVE, RankingStream, fubini, prefix_of
 from .errors import UniverseTooLargeError
 from .solutions import BEST_CLASS_RULES, RULES, best_class_reduction, lookup_rule
 from .transforms import SlideMove, apply_slide
@@ -115,18 +116,6 @@ class SweepReport:
         return "satisfied" if self.premises_found else "inapplicable"
 
 
-def _walk(universe, chunk):
-    """(classes, bits, remaining, before) of each ranking of a chunk, in stream order.
-
-    An exhaustive chunk is a range of stream indices, walked here by
-    :func:`~millrank.enumeration.walk_stream`. A sampled chunk holds the
-    classes of its draws, with their bitsets and no walk: two Nones.
-    """
-    if isinstance(chunk, range):
-        return walk_stream(universe.n, chunk.start, chunk.stop)
-    return ((classes, class_bits(classes), None, None) for classes in chunk)
-
-
 def _sources(rule, universe, table):
     """(sources, top): the rule's SI and DMON source (see axioms._source) by (bits, prefix, before).
 
@@ -145,7 +134,7 @@ def _sources(rule, universe, table):
             table and (table, bits, prefix, table[before[-1]], None)), None
 
 
-def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
+def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
     """Ranking count and per-cell [premises, violations, witnesses] of one chunk, and its ``tally`` totals.
 
     Each ranking is built once. Premise-only cells are grouped by lister:
@@ -159,8 +148,11 @@ def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
     its stream-indexed table (see :func:`_tables`), or else taken at most
     once per ranking, when one of its cells has an instance there. A
     violated cell builds a witness only while under ``cap``. ``SI`` and
-    ``DMON`` cells run their own checkers on their sources.
+    ``DMON`` cells run their own checkers on their sources. With ``stop``
+    set, the chunk ends after the first ranking on which a cell is
+    violated, and the count includes that ranking.
     """
+    universe = stream.universe
     sources = {rule: _sources(rule, universe, tables.get(rule)) for rule, _ in cells}
     results = [[0, 0, []] for _ in cells]
     groups, checks = {}, []  # cells by premise lister; SI and DMON cells
@@ -172,9 +164,9 @@ def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
     by_best = {PREMISE_AXIOMS[axiom][0] for axiom in BEST_CLASS_AXIOMS}
     best_listed = {}  # best-class bitset -> {lister: (instances, forced mask)}
     tallies = []
-    count = 0
+    count, stopped = 0, False
     walked = any(rule not in BEST_CLASS_RULES for rule in tables)  # a table read with prefix sums
-    for classes, bits, remaining, before in _walk(universe, chunk):
+    for classes, bits, remaining, before in stream.walk(chunk):
         count += 1
         ranking = CoalitionalRanking._trusted(universe, classes)
         prefix = prefix_of(remaining, before, universe.n) if walked else None
@@ -202,6 +194,7 @@ def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
                 result[0] += len(found)
                 if fails(axiom, forced, sel):
                     result[1] += 1
+                    stopped = stop
                     if len(result[2]) < cap:
                         result[2].append(premise_witness(axiom, ranking, found, forced, sel))
         for result, check, rule_fn, source in checks:
@@ -209,10 +202,13 @@ def _sweep_chunk(cells, tally, cap, tables, universe, chunk):
             result[0] += verdict.premises_checked
             if verdict.status == VIOLATED:
                 result[1] += 1
+                stopped = stop
                 if len(result[2]) < cap:
                     result[2].append(verdict.witness)
         if tally is not None:
             tallies.append(tally(lambda lister: listing(lister)[0]))
+        if stopped:
+            break
     return count, results, tuple(map(sum, zip(*tallies)))
 
 
@@ -226,30 +222,29 @@ def _stream(universe, mode) -> RankingStream:
 
 
 def _run_chunks(universe, mode, worker, jobs):
-    """Yield ``worker(universe, chunk)`` for each stream chunk, inline or from a fork pool.
+    """Yield ``worker(stream, chunk)`` for each stream chunk, inline or from a fork pool.
 
-    Both ways yield the results in stream order. An exhaustive chunk is
-    a range of _CHUNK stream indices, which the worker walks itself; a
-    sampled chunk carries the classes of its draws. Either way the
-    worker builds each ranking once. Closing the generator early
-    terminates the pool.
+    Both ways yield the results in stream order. A chunk is a range of
+    _CHUNK stream indices, in either mode; the worker walks it itself
+    with ``stream.walk``, so a sampled worker draws its own rankings.
+    Closing the generator early cancels the chunks no worker has started
+    and waits for the others. Terminating the workers instead can kill
+    one that holds the lock of the result queue, and the pool then hangs.
     """
     stream, size = _stream(universe, mode), _CHUNK
-    if mode == EXHAUSTIVE:
-        total = len(stream)
-        chunks = (range(start, min(start + size, total)) for start in range(0, total, size))
-    else:
-        classes = stream.classes()
-        chunks = iter(lambda: tuple(islice(classes, size)), ())
-    work = partial(worker, universe)
+    total = len(stream)
+    chunks = (range(start, min(start + size, total)) for start in range(0, total, size))
+    work = partial(worker, stream)
     if jobs > 1:
-        with get_context("fork").Pool(jobs) as pool:
-            yield from pool.imap(work, chunks)
+        from concurrent.futures import ProcessPoolExecutor  # imported on use: about 10 ms
+
+        with ProcessPoolExecutor(jobs, get_context("fork")) as pool:
+            yield from pool.map(work, chunks)
     else:
         yield from map(work, chunks)
 
 
-def _selection_chunk(rules, stop, universe, chunk):
+def _selection_chunk(rules, stop, stream, chunk):
     """Each named rule's selections on a chunk, as id-bitmask bytes, and where they first differ.
 
     Returns (selections, ranking): one bytes value per rule, in stream
@@ -257,10 +252,10 @@ def _selection_chunk(rules, stop, universe, chunk):
     the first and last rules select apart, and ``ranking`` is that
     ranking; otherwise, or when they never differ, it is None.
     """
-    fns = [lookup_rule(rule) for rule in rules]
+    fns, universe = [lookup_rule(rule) for rule in rules], stream.universe
     selections = [bytearray() for _ in rules]
     first, last = selections[0], selections[-1]
-    for classes, *_ in _walk(universe, chunk):
+    for classes, *_ in stream.walk(chunk):
         ranking = CoalitionalRanking._trusted(universe, classes)
         for fn, out in zip(fns, selections):
             out.append(selection_mask(fn, ranking))
@@ -269,15 +264,17 @@ def _selection_chunk(rules, stop, universe, chunk):
     return [bytes(out) for out in selections], None
 
 
-def _tables(rules, universe, jobs):
-    """{rule: its selection table} for each named rule, from one exhaustive pass.
+def _tables(cells, universe, mode, jobs):
+    """{rule: its selection table} for each rule with an ``SI`` or ``DMON`` cell, from one exhaustive pass.
 
     A rule's table is a bytes value holding its selection, as an id
     bitmask, on the ranking of each stream index; it is built only up to
     MAX_EXHAUSTIVE_N individuals, where the exhaustive stream exists. A
-    best-class rule's table holds it per best-class bitset instead.
+    best-class rule's table holds it per best-class bitset instead. A
+    sampled pass has no tables.
     """
-    tables = {}
+    transformed = (rule for rule, axiom in cells if axiom not in PREMISE_AXIOMS)
+    tables, rules = {}, dict.fromkeys(transformed if mode == EXHAUSTIVE else ())
     if rules:  # refuse an n beyond MAX_EXHAUSTIVE_N before building any table
         _stream(universe, EXHAUSTIVE)
     for rule in BEST_CLASS_RULES.intersection(rules):
@@ -296,9 +293,8 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=Non
     memoized premise listing and returns a tuple of counts; the second
     return value is their sum over the stream (empty without ``tally``).
     ``tables`` holds the selection tables of the pass (see
-    :func:`_sweep_chunk`); when None, an exhaustive pass builds those of
-    the rules with ``SI`` or ``DMON`` cells, and a sampled pass has none.
-    The tables travel to the workers with each chunk.
+    :func:`_sweep_chunk`), built by :func:`_tables` when None. The
+    tables travel to the workers with each chunk.
     """
     cells = [(rule, axiom.upper()) for rule, axiom in cells]
     for rule, axiom in cells:
@@ -306,11 +302,10 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=Non
         lookup_axiom(axiom)
     started = time.perf_counter()
     if tables is None:
-        transformed = dict.fromkeys(rule for rule, axiom in cells if axiom not in PREMISE_AXIOMS)
-        tables = _tables(transformed if mode == EXHAUSTIVE else (), universe, jobs)
+        tables = _tables(cells, universe, mode, jobs)
     checked, tallies = 0, []
     merged = [[0, 0, []] for _ in cells]
-    worker = partial(_sweep_chunk, cells, tally, witness_cap, tables)
+    worker = partial(_sweep_chunk, cells, tally, witness_cap, tables, False)
     for count, results, counts in _run_chunks(universe, mode, worker, jobs):
         checked += count
         tallies.append(counts)
@@ -385,32 +380,28 @@ def check_single(rule: str, axiom: str, ranking: CoalitionalRanking):
     return lookup_axiom(axiom)(ranking, lookup_rule(rule))
 
 
-def _first_violation(rule, axioms, universe, mode, jobs=1, table=None):
+def _first_violation(rule, axioms, universe, mode, jobs=1, tables=None):
     """First (stream index, witness) where the rule violates one of the axioms, or None.
 
-    One serial walk of the stream: exhaustive mode walks every stream
-    index, sampled mode the draws. Each ranking is judged on the axioms
-    in the given order, so on one ranking the earlier axiom wins. In
-    exhaustive mode the ``SI`` and ``DMON`` checkers read the rule's
-    selection ``table`` (see :func:`_tables`), built first when not given.
+    A pass of one cell per axiom through :func:`_sweep_chunk`, with
+    witness cap 1 and chunks that stop after their first violating
+    ranking, so it reads selections as sweeps do. The first chunk with a
+    violation ends the search; on its last ranking the earliest violated
+    axiom wins. The rule's selection table, if ``tables`` has one, serves
+    every cell; when ``tables`` is None, :func:`_tables` builds them.
     """
-    rule_fn = lookup_rule(rule)
-    checks = [AXIOMS[axiom] for axiom in axioms]
-    stream = _stream(universe, mode)
-    if table is None and mode == EXHAUSTIVE and any(a not in PREMISE_AXIOMS for a in axioms):
-        table = _tables([rule], universe, jobs)[rule]
-    sources, walked = _sources(rule, universe, table)[0], table and rule not in BEST_CLASS_RULES
-    chunk = range(len(stream)) if mode == EXHAUSTIVE else stream.classes()
-    for index, (classes, bits, remaining, before) in enumerate(_walk(universe, chunk)):
-        ranking = CoalitionalRanking._trusted(universe, classes)
-        prefix = prefix_of(remaining, before, universe.n) if walked else None
-        for axiom, check in zip(axioms, checks):
-            if axiom in PREMISE_AXIOMS:
-                verdict = check(ranking, rule_fn)
-            else:
-                verdict = check(ranking, rule_fn, sources(bits, prefix, before))
-            if verdict.status == VIOLATED:
-                return index, verdict.witness
+    lookup_rule(rule)
+    cells = [(rule, axiom) for axiom in axioms]
+    if tables is None:
+        tables = _tables(cells, universe, mode, jobs)
+    worker = partial(_sweep_chunk, cells, None, 1, tables, True)
+    index = 0
+    with closing(_run_chunks(universe, mode, worker, jobs)) as chunks:
+        for count, results, _ in chunks:
+            index += count
+            for _, violations, witnesses in results:
+                if violations:
+                    return index - 1, witnesses[0]
     return None
 
 
@@ -776,7 +767,7 @@ def independence_report(
     claims = []
     # One table per rule serves the sweeps and the f_star x DMON search.
     universe = Universe(3)
-    tables = _tables(dict.fromkeys(rule for rule, _ in INDEPENDENCE_SWEEPS), universe, jobs)
+    tables = _tables(INDEPENDENCE_SWEEPS, universe, EXHAUSTIVE, jobs)
     sweeps = _sweep_pass(INDEPENDENCE_SWEEPS, universe, EXHAUSTIVE, jobs, witness_cap, tables=tables)
     reports = dict(zip(INDEPENDENCE_SWEEPS, sweeps[0]))
 
@@ -790,7 +781,7 @@ def independence_report(
 
     add_sweep_claim("f_star", "STAG")
     add_sweep_claim("f_star", "SI")
-    found = _first_violation("f_star", ("DMON",), universe, EXHAUSTIVE, table=tables["f_star"])
+    found = _first_violation("f_star", ("DMON",), universe, EXHAUSTIVE, jobs, tables)
     verdict = "violated" if found else "satisfied"
     add_claim("f_star", "DMON", "violated", "witness_search", verdict, found[1] if found else None)
 

@@ -5,7 +5,8 @@ The oracles recompute everything from frozenset-of-ints first principles
 code paths they are used to check. Thirteen declared oracles are instead
 the direct loops that faster code replaced: :func:`oracle_sweep`,
 :func:`oracle_judge_selection` (premise-only verdicts on id sets),
-:func:`oracle_first_violation` (the serial witness search),
+:func:`oracle_first_violation` (the serial witness search the chunked
+one replaced),
 :func:`oracle_sample_classes`, :func:`oracle_ordered_partitions` (the
 exhaustive stream order), :func:`oracle_stream_prefix` and
 :func:`oracle_stream_index` (a ranking's stream index from its class

@@ -303,7 +303,6 @@ class TestExhaustiveGuard:
             raise AssertionError("exhaustive enumeration started")
 
         monkeypatch.setattr(enumeration, "walk_stream", refuse)
-        monkeypatch.setattr(verify, "walk_stream", refuse)
         monkeypatch.setattr(verify, "best_class_reduction", refuse)
 
     @pytest.mark.parametrize(

@@ -88,9 +88,22 @@ class TestStreamIndex:
         for i, classes in enumerate(oracle_ordered_partitions(tuple(range(1, 1 << n)))):
             assert oracle_stream_index(class_bits(classes), n) == i
 
-    def test_classes_come_without_building(self, all_n3):
+    def test_walk_covers_the_exhaustive_stream(self, all_n3):
         stream = RankingStream(Universe(3))
-        assert list(stream.classes()) == [ranking.classes for ranking in all_n3]
+        walked = list(stream.walk(range(len(stream))))
+        assert [classes for classes, *_ in walked] == [ranking.classes for ranking in all_n3]
+        for index, (classes, bits, remaining, before) in enumerate(walked):
+            assert bits == class_bits(classes)
+            assert remaining[-1] == 0 and before[-1] == index
+
+    def test_walk_draws_a_sampled_range(self):
+        stream = RankingStream(Universe(4), Sample(30, 5))
+        draws = [ranking.classes for ranking in stream]
+        walked = list(stream.walk(range(10, 25)))
+        assert [classes for classes, *_ in walked] == draws[10:25]
+        for classes, bits, remaining, before in walked:
+            assert bits == class_bits(classes)
+            assert remaining is before is None
 
     def test_bitsets_round_trip(self, all_n3):
         for ranking in all_n3[::97]:

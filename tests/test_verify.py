@@ -1,5 +1,8 @@
 import json
+import time
 from collections import Counter
+from contextlib import closing
+from functools import partial
 
 import pytest
 
@@ -34,6 +37,14 @@ from millrank.verify import THEOREM_AXIOMS
 from helpers import cmask, oracle_first_violation, oracle_sweep, rk, sel
 
 ALL_CELLS = [(rule, axiom) for rule in RULES for axiom in AXIOMS]
+
+
+def mark_chunk(folder, stream, chunk):
+    """A pool worker that marks when it starts and ends a chunk."""
+    (folder / f"{chunk.start}.started").touch()
+    time.sleep(0.05)
+    (folder / f"{chunk.start}.ended").touch()
+    return chunk.start
 
 
 class TestSweep:
@@ -222,6 +233,42 @@ class TestWitnessSearch:
         assert to_json(report.witness) == to_json(found and found[1])
         assert report.equivalent == (found is None)
 
+    @pytest.mark.parametrize(
+        "n, mode, chunk",
+        [(2, EXHAUSTIVE, 4), (3, Sample(60, 13), 8), (4, Sample(12, 9), 5)],
+        ids=["exhaustive-n2", "sampled-n3", "sampled-n4"],
+    )
+    def test_chunked_search_matches_the_oracle(self, monkeypatch, n, mode, chunk):
+        # Several chunks, inline and pooled: the first violating ranking,
+        # and on it the earliest axiom, wherever the chunks split the stream.
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        universe, earlier_won = verify.Universe(n), 0
+        for rule_id in RULES:
+            for axioms in (THEOREM_AXIOMS, tuple(AXIOMS), *((axiom,) for axiom in AXIOMS)):
+                expected = oracle_first_violation(rule_id, axioms, n, mode)
+                for jobs in (1, 2):
+                    found = verify._first_violation(rule_id, axioms, universe, mode, jobs)
+                    assert to_json(found) == to_json(expected), (rule_id, axioms, jobs)
+                if expected and len(axioms) > 1:
+                    index, witness = expected
+                    later = axioms[axioms.index(witness.axiom) + 1:]
+                    rule = lookup_rule(rule_id)
+                    earlier_won += any(
+                        AXIOMS[axiom](witness.ranking, rule).status == VIOLATED for axiom in later
+                    )
+        assert earlier_won
+
+    def test_closing_a_pooled_pass_early_kills_no_worker(self, monkeypatch, tmp_path):
+        # A worker killed mid-chunk can die holding a queue lock and hang
+        # the pool: chunks not started are cancelled, started ones end.
+        monkeypatch.setattr(verify, "_CHUNK", 1)
+        worker = partial(mark_chunk, tmp_path)
+        with closing(verify._run_chunks(verify.Universe(2), EXHAUSTIVE, worker, 2)) as chunks:
+            assert next(chunks) == 0
+        started = {path.stem for path in tmp_path.glob("*.started")}
+        assert started == {path.stem for path in tmp_path.glob("*.ended")}
+        assert len(started) < fubini(3)
+
     def test_earlier_axiom_wins_on_one_ranking(self):
         # obi's first n = 3 ranking violates both STAG and DMON.
         report = theorem1_probe("obi", 3)
@@ -245,6 +292,9 @@ class TestWitnessSearch:
         # plurality's best-class table, and les's scan up to its first
         # difference, at index 10
         assert runs[0]["plurality"] == 7 + 11
+        # les's selection table, read by the STAG, SI and DMON witness
+        # search, and its difference scan
+        assert runs[0]["les"] == 13 + 11
 
     def test_prefix_sums_are_built_once_per_walked_ranking(self, monkeypatch):
         built = Counter()
@@ -298,14 +348,11 @@ class TestBestClassRules:
             monkeypatch.setitem(PREMISE_AXIOMS, axiom, (counted(axiom, lister), *rest))
         for rule_id in BEST_CLASS_RULES:
             monkeypatch.setitem(RULES, rule_id, counted(rule_id, RULES[rule_id]))
-        universe = verify.Universe(3)
-        if mode == EXHAUSTIVE:
-            chunk = range(verify._CHUNK)
-        else:
-            chunk = tuple(RankingStream(universe, mode).classes())
+        stream = RankingStream(verify.Universe(3), mode)
+        chunk = range(min(verify._CHUNK, len(stream)))
         cells = [(rule_id, axiom) for rule_id in RULES for axiom in PREMISE_AXIOMS]
-        count, _, _ = verify._sweep_chunk(cells, None, 10, {}, universe, chunk)
-        tops = Counter(bits[0] for _, bits, *_ in verify._walk(universe, chunk))
+        count, _, _ = verify._sweep_chunk(cells, None, 10, {}, False, stream, chunk)
+        tops = Counter(bits[0] for _, bits, *_ in stream.walk(chunk))
         assert count == sum(tops.values()) > 2 * len(tops)  # best classes repeat
         assert {name for name, _ in calls} == BEST_CLASS_AXIOMS | BEST_CLASS_RULES
         assert {top for _, top in calls} <= set(tops)
