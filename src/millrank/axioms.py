@@ -18,10 +18,11 @@ one scan over class bitsets. Given a source (the rule's complete
 selection table, with the walked stream's class bitsets and running
 index sums) the scan ranks each target inline and reads its selection
 from the table; without one it decodes the target and calls the rule.
-A best-class rule's source reads by best-class bitset, and skips each
-target that keeps the best class. SI judges targets by bit operations
-on the pairs both selections meet; DMON counts a coalition's premises
-without its targets, reading them only while they could give the witness.
+A best-class rule's source reads by best-class bitset, skips each target
+that keeps the best class and sums SI per class once per best class. SI
+judges targets by bit operations on the pairs both selections meet; DMON
+counts a coalition's premises without its targets, reading them only
+while they could give the witness.
 
 A verdict is one of three statuses: ``inapplicable`` (no premise
 instance exists), ``satisfied`` (every instance met its forced
@@ -388,11 +389,12 @@ def selection_mask(rule, ranking) -> int:
 def _source(ranking, rule):
     """(table, bits, prefix, base, top): what an SI or DMON scan reads, here without a table.
 
-    A walked source holds the rule's complete selection table (id
-    bitmasks by stream index), the ranking's class bitsets, their
-    :class:`~millrank.enumeration.StreamPrefix` and the rule's selection
-    on the ranking as an id bitmask; a best-class rule has ``top``, its
-    selection by best-class bitset, where others have table and prefix.
+    A walked source holds the rule's complete selection table (id bitmasks
+    by stream index), the ranking's class bitsets, their
+    :class:`~millrank.enumeration.StreamPrefix` and the rule's selection on
+    the ranking as an id bitmask; a best-class rule has ``top``, its
+    selection by best-class bitset, where others have table and prefix, and
+    may add SI's memo.
     """
     return None, class_bits(ranking.classes), None, selection_mask(rule, ranking), None
 
@@ -422,25 +424,54 @@ def _balanced_by_gamma(n: int) -> tuple[int, ...]:
     return tuple(_balanced(n, gamma) for gamma in range(1 << ((1 << n) - 1)))
 
 
+def _slide_witness(ranking, base, k1: int, k2: int, gamma: int, after: int, violated: int) -> Witness:
+    """SI witness of the first violated pair when the gamma bitset slides from class k1 to k2."""
+    n = ranking.universe.n
+    x, y, _ = _pairs(n)[0][(violated & -violated).bit_length() - 1]
+    move = SlideMove(k1, k2, bits_classes((gamma,))[0])
+    selections = set(mask_members(base, n)), set(mask_members(after, n))
+    return judge_slide(ranking, move, apply_slide(ranking, move), *selections, x, y)
+
+
+def _class_slides(n: int, best: int, cls: int, base: int, top) -> tuple:
+    """(fired, balanced, hit) of a best-class rule's slides out of class bitset ``cls``.
+
+    Each gamma is read where ``best`` becomes best ^ gamma, or best | gamma
+    from a lower class; ``hit`` is the first (gamma, after, violated pairs).
+    """
+    meets, balanced_of = _pairs(n)[1], _balanced_by_gamma(n) if n <= MAX_EXHAUSTIVE_N else None
+    fired_sum, balanced_sum, hit = 0, 0, None
+    for gamma in slide_gamma_bits(cls):
+        balanced = (balanced_of[gamma] if balanced_of else _balanced(n, gamma)) & meets[base]
+        if not balanced:
+            continue
+        after = top(best ^ gamma if cls == best else best | gamma)
+        fired = balanced & meets[after]
+        fired_sum, balanced_sum = fired_sum + fired.bit_count(), balanced_sum + balanced.bit_count()
+        if hit is None and fired & meets[base ^ after]:
+            hit = gamma, after, fired & meets[base ^ after]
+    return fired_sum, balanced_sum, hit
+
+
 def check_slide_independence(ranking, rule, source=None) -> Verdict:
     """Stability of pairwise selection under balanced slides.
 
-    For each pair {x, y} and each slide of a gamma balanced between x and
-    y, a premise fires when both the original and the slid selection meet
-    {x, y}; the two intersections must then coincide. Premises are
-    scanned by source class, gamma bit pattern, destination class, then
-    pair; the witness is the first violation in that order. With a
-    table in ``source`` (see :func:`_source`), each slid ranking is
-    ranked from the running index sums, adding the slide's terms as the
-    destination moves one class away from k1, and its selection read
-    from the table; rankings are built for the witness only. With
-    ``top`` instead, one target per gamma is read: destination 0 from
-    class k1 > 0, whose other targets keep the base selection, or else
-    destination 1, whose best class bits[0] ^ gamma all targets share.
-    A target is judged by bit operations over the pairs each selection
-    meets, and each gamma's balanced pairs are read from a map built
-    once per n up to MAX_EXHAUSTIVE_N. A ranking with more than
-    _MAX_SLIDES slides is refused with UniverseTooLargeError first.
+    For each pair {x, y} and each slide of a gamma balanced between x and y,
+    a premise fires when both the original and the slid selection meet
+    {x, y}; the two intersections must then coincide. Premises are scanned
+    by source class, gamma bit pattern, destination class, then pair; the
+    witness is the first violation in that order. With a table in ``source``
+    (see :func:`_source`), each slid ranking is ranked from the running
+    index sums, adding the slide's terms as the destination moves one class
+    away from k1, and its selection read from the table; rankings are built
+    for the witness only. With ``top`` instead, each class is one
+    :func:`_class_slides`, kept in the source's memo while the best class
+    stays: a best-class gamma fires alike at all l - 1 destinations, a lower
+    one at 0 and, with the base selection, at the other l - 2. A target is
+    judged by bit operations over the pairs each selection meets, and each
+    gamma's balanced pairs are read from a map built once per n up to
+    MAX_EXHAUSTIVE_N. A ranking with more than _MAX_SLIDES slides is refused
+    with UniverseTooLargeError first.
     """
     universe = ranking.universe
     n = universe.n
@@ -451,21 +482,32 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
             raise UniverseTooLargeError(
                 f"slide independence checks at most {_MAX_SLIDES} slides per ranking, got {slides}"
             )
-    table, bits, prefix, base, top = source or _source(ranking, rule)
-    pairs, meets = _pairs(n)
+    table, bits, prefix, base, top, *memo = source or _source(ranking, rule)
+    meets = _pairs(n)[1]
     relevant = meets[base]  # no pair the base selection misses can fire
     l = len(bits)
     if not relevant or l < 2:
         return Verdict(INAPPLICABLE, 0)
+    premises, witness = 0, None
+    if top is not None:
+        memo = memo[0] if memo else {}
+        if bits[0] not in memo:  # a new best class: drop the last one's summaries
+            memo.clear()
+        summaries = memo.setdefault(bits[0], {})
+        for k1, cls in enumerate(bits):
+            if cls not in summaries:
+                summaries[cls] = _class_slides(n, bits[0], cls, base, top)
+            fired, balanced, hit = summaries[cls]
+            premises += fired * (l - 1) if k1 == 0 else fired + balanced * (l - 2)
+            if hit and witness is None:
+                witness = _slide_witness(ranking, base, k1, 0 if k1 else 1, *hit)
+        return _verdict(premises, witness)
     balanced_of = _balanced_by_gamma(n) if n <= MAX_EXHAUSTIVE_N else None
     if table is not None:
         offsets, remaining, before, rest = prefix
-    premises, witness = 0, None
     for k1, cls in enumerate(bits):
         # Downward destinations, then upward ones, each moving away from k1.
         destinations = (*range(k1 + 1, l), *range(k1 - 1, -1, -1))
-        if top is not None:  # only the first to change the best class
-            destinations = destinations[-1:] if k1 else destinations[:1]
         for gamma in slide_gamma_bits(cls):
             balanced = (balanced_of[gamma] if balanced_of else _balanced(n, gamma)) & relevant
             if not balanced:
@@ -477,9 +519,7 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
                 tail = offsets[remaining[k1] & ~gamma][cls ^ gamma] + rest[k1 + 1]
             hit = None
             for k2 in destinations:
-                if top is not None:
-                    after = top(bits[0] | gamma if k1 else bits[0] ^ gamma)
-                elif table is None:
+                if table is None:
                     after = selection_mask(rule, _decode(universe, slide_bits(bits, k1, k2, gamma)))
                 elif k2 > k1:
                     row = offsets[remaining[k2] | gamma]
@@ -495,15 +535,9 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
                 if witness is None and (hit is None or k2 < hit[0]):
                     violated = fired & meets[base ^ after]
                     if violated:
-                        hit = k2, after, violated
-            if top is not None:  # the other l - 2 select as the one read, or as the base
-                premises += (balanced if k1 else fired).bit_count() * (l - 2)
+                        hit = k2, gamma, after, violated
             if hit:
-                k2, after, violated = hit
-                x, y, _ = pairs[(violated & -violated).bit_length() - 1]
-                move = SlideMove(k1, k2, bits_classes((gamma,))[0])
-                selections = set(mask_members(base, n)), set(mask_members(after, n))
-                witness = judge_slide(ranking, move, apply_slide(ranking, move), *selections, x, y)
+                witness = _slide_witness(ranking, base, k1, *hit)
     return _verdict(premises, witness)
 
 
@@ -536,7 +570,7 @@ def check_downward_monotonicity(ranking, rule, source=None) -> Verdict:
                 "downward monotonicity checks at most"
                 f" {_MAX_PLACEMENTS} placements per ranking, got {placements}"
             )
-    table, bits, prefix, base, top = source or _source(ranking, rule)
+    table, bits, prefix, base, top, *_ = source or _source(ranking, rule)
     if not base:
         return Verdict(INAPPLICABLE, 0)
     if table is not None:

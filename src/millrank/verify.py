@@ -121,15 +121,16 @@ def _sources(rule, universe, table):
 
     A best-class rule's ``top``, its selection by best-class bitset, reads
     its best-class ``table`` (see :func:`_tables`), or else runs it once
-    per new best class, on the reduction. Another rule has no ``top``; it
-    reads its stream-indexed ``table``, if any, with the prefix sums its
-    caller builds once.
+    per new best class, on the reduction; its source adds the chunk's SI
+    memo. Another rule has no ``top``; it reads its stream-indexed
+    ``table``, if any, with the prefix sums its caller builds once.
     """
     if rule in BEST_CLASS_RULES:
         fn = lookup_rule(rule)
         top = table.__getitem__ if table else cache(
             lambda best: selection_mask(fn, best_class_reduction(universe, best)))
-        return (lambda bits, *_: (None, bits, None, top(bits[0]), top)), top
+        memo = {}
+        return (lambda bits, *_: (None, bits, None, top(bits[0]), top, memo)), top
     return (lambda bits, prefix, before:
             table and (table, bits, prefix, table[before[-1]], None)), None
 

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -562,6 +563,35 @@ class TestTransformationCheckers:
             statuses[want.status] += 1
         if (rule_id, axiom) in (("hashed_top", "SI"), ("hashed_top", "DMON"), ("split_plurality", "SI")):
             assert statuses[VIOLATED] >= 3, statuses
+
+    @pytest.mark.parametrize("rule_id", [*sorted(BEST_CLASS_RULES), "hashed_top"])
+    def test_slide_memo_shared_across_rankings(self, monkeypatch, rule_id):
+        # One SI memo per universe for the whole walk, as a chunk keeps it:
+        # every n = 3 ranking in stream order against the table path, then a
+        # seeded n = 4 sample, grouped by best class so that the memo is
+        # reused, against the no-table path. Verdicts, witnesses included,
+        # must be equal, and the memo keeps the current best class alone.
+        monkeypatch.setitem(RULES, "hashed_top", _hashed_top)
+        rule, table = RULES[rule_id], oracle_selection_table(rule_id, 3)
+        sample = RankingStream(Universe(4), Sample(120, 39))
+        sample = [(r.classes, class_bits(r.classes), None, None) for r in sample]
+        phases = [(3, walk_stream(3)), (4, sorted(sample, key=lambda drawn: drawn[1][0]))]
+        walked, reused, statuses = 0, 0, Counter()
+        for n, rankings in phases:
+            universe, memo = Universe(n), {}
+            top = cache(lambda best: selection_mask(rule, best_class_reduction(universe, best)))
+            for classes, bits, remaining, before in rankings:
+                ranking = CoalitionalRanking._trusted(universe, classes)
+                walked, reused = walked + 1, reused + (bits[0] in memo)
+                source = None, bits, None, top(bits[0]), top, memo
+                got = check_slide_independence(ranking, rule, source)
+                general = n == 3 and (table, bits, prefix_of(remaining, before, 3), table[before[-1]], None)
+                want = check_slide_independence(ranking, lambda r: rule(r), general or None)
+                assert repr(got) == repr(want), ranking
+                assert list(memo) == [bits[0]] if want.premises_checked else len(memo) <= 1
+                statuses[want.status] += 1
+        assert reused > walked // 2
+        assert statuses[VIOLATED] >= (3 if rule_id in ("split_plurality", "hashed_top") else 0)
 
     @pytest.mark.parametrize("n, shorthand", [(2, "1 12 / 2"), (3, "1 2 3 12 13 23 / 123")])
     def test_slide_conclusions_match_pair_by_pair_readings(self, n, shorthand):

@@ -28,11 +28,12 @@ from millrank import (
     sweep_cells,
     theorem1_probe,
 )
-from millrank import verify
+from millrank import axioms, verify
 from millrank.axioms import BEST_CLASS_AXIOMS, PREMISE_AXIOMS
 from millrank.cli import to_json
 from millrank.core import class_bits
 from millrank.solutions import BEST_CLASS_RULES
+from millrank.transforms import slide_gamma_bits
 from millrank.verify import THEOREM_AXIOMS
 from helpers import cmask, oracle_first_violation, oracle_sweep, rk, sel
 
@@ -357,6 +358,43 @@ class TestBestClassRules:
         assert {name for name, _ in calls} == BEST_CLASS_AXIOMS | BEST_CLASS_RULES
         assert {top for _, top in calls} <= set(tops)
         assert max(calls.values()) == 1
+
+    @pytest.mark.parametrize("mode", [EXHAUSTIVE, Sample(400, 45)], ids=["exhaustive", "sampled"])
+    @pytest.mark.parametrize("rule_id", sorted(BEST_CLASS_RULES))
+    def test_slide_summaries_run_once_per_best_class_and_class(self, monkeypatch, mode, rule_id):
+        # One chunk of a declared rule's SI cell at n = 3: each class's summary
+        # runs at most once per (best class, class) and run of rankings with
+        # that best class, which the exhaustive walk visits in one run, and
+        # top, a counted best-class table, is read at most once per ranking
+        # plus once per gamma with a balanced pair the base selection meets,
+        # as a scan over every ranking's gammas reads it.
+        summaries, reads = Counter(), Counter()
+
+        class Counted(bytes):
+            def __getitem__(self, best):
+                reads[best] += 1
+                return super().__getitem__(best)
+
+        def counted(n, best, cls, base, top, summarize=axioms._class_slides):
+            summaries[best, cls] += 1
+            return summarize(n, best, cls, base, top)
+
+        monkeypatch.setattr(axioms, "_class_slides", counted)
+        stream = RankingStream(verify.Universe(3), mode)
+        chunk = range(min(verify._CHUNK, len(stream)))
+        table = verify._tables([(rule_id, "SI")], stream.universe, EXHAUSTIVE, 1)[rule_id]
+        verify._sweep_chunk([(rule_id, "SI")], None, 10, {rule_id: Counted(table)}, False, stream, chunk)
+        meets, balanced_of = axioms._pairs(3)[1], axioms._balanced_by_gamma(3)
+        runs, last, scanned = Counter(), None, 0
+        for _, bits, *_ in stream.walk(chunk):
+            runs[bits[0]] += bits[0] != last
+            last, relevant = bits[0], meets[table[bits[0]]]
+            scanned += 1 + (len(bits) > 1) * sum(
+                bool(balanced_of[gamma] & relevant) for cls in bits for gamma in slide_gamma_bits(cls)
+            )
+        assert mode != EXHAUSTIVE or max(runs.values()) == 1
+        assert all(count <= runs[best] for (best, _), count in summaries.items())
+        assert len(chunk) < sum(reads.values()) <= scanned
 
     @pytest.mark.parametrize("mode", [EXHAUSTIVE, Sample(400, 43)], ids=["exhaustive", "sampled"])
     def test_witness_search_matches_the_rule_wrapped_undeclared(self, monkeypatch, mode):
