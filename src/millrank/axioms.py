@@ -11,7 +11,9 @@ when ``f != sel`` and "contains" when ``f & ~sel`` is nonzero, and the
 first instance is then the witness, for :func:`judge_selection` and
 sweeps alike; :func:`judge` lists and selects, then calls the former.
 The listers of :data:`BEST_CLASS_AXIOMS` read the best class alone, so
-a sweep lists them once per best class.
+a sweep lists them once per best class; RAG, WRAG and RJAD read one set
+of agreement levels, which a sweep computes once per ranking, and RDF
+reads the ranking's carried class bitsets.
 The two transformation axioms, slide independence (SI) and downward
 monotonicity (DMON), judge the rule on transformed rankings too, each in
 one scan over class bitsets. Given a source (the rule's complete
@@ -44,7 +46,6 @@ from typing import Literal
 from .core import (
     CoalitionalRanking,
     bits_classes,
-    class_bits,
     concomitant_set,
     mask_members,
     top_intersection,
@@ -186,7 +187,7 @@ def _concomitant_premises(ranking):
 
 
 def _agreement_classes(ranking):
-    """(j, x) for every class j > 0 whose strict superiors share exactly x."""
+    """(j, x) for every class j > 0 whose strict superiors share exactly x: the agreement levels."""
     out = []
     inter = ranking.universe.full_mask
     for j in range(1, len(ranking.classes)):
@@ -199,15 +200,17 @@ def _agreement_classes(ranking):
     return out
 
 
-def rag_premises(ranking):
+def rag_premises(ranking, levels=None):
     """All (s0, x) pairs firing the relative-agreement premise (RAG, WRAG).
 
     Premise for (s0, x): the strict superiors of s0 have exactly one
     common individual x. The selection must be x alone (weak form: must
     at least include x). References with no strict superior never fire.
-    Premises are scanned by class of s0, then by mask.
+    Premises are scanned by class of s0, then by mask. A sweep passes the
+    ``levels`` (:func:`_agreement_classes`) it holds for RAG, WRAG and RJAD.
     """
-    return [(s0, x) for j, x in _agreement_classes(ranking) for s0 in ranking.classes[j]]
+    levels = _agreement_classes(ranking) if levels is None else levels
+    return [(s0, x) for j, x in levels for s0 in ranking.classes[j]]
 
 
 def rdf_premises(ranking):
@@ -221,22 +224,23 @@ def rdf_premises(ranking):
     individual, then by mask.
     """
     classes, union, below = ranking.classes, 0, {}
-    for j, cls in enumerate(class_bits(classes[:-1]), 1):
+    for j, cls in enumerate(ranking.bits[:-1], 1):
         union |= cls
         below[union] = j  # the union of the classes above cut j
     members = membership_bits(ranking.universe.n)
     return [(s0, x) for x, m in enumerate(members) if m in below for s0 in classes[below[m]]]
 
 
-def rjad_premises(ranking):
+def rjad_premises(ranking, levels=None):
     """All (s0, x) pairs firing the relative-joint premise (RJAD).
 
     Premise for (s0, x): the strict superiors of s0 share exactly the
     individual x, the remaining coalitions share nobody, and none of the
     remaining coalitions contains x. Conclusion: the selection is x
-    alone. Scanned by class of s0, then by mask.
+    alone: RAG's premise plus a condition on the coalitions below, so it
+    filters RAG's agreement ``levels``. Scanned by class of s0, then by mask.
     """
-    levels = _agreement_classes(ranking)
+    levels = _agreement_classes(ranking) if levels is None else levels
     if not levels:
         return []
     classes = ranking.classes
@@ -322,16 +326,11 @@ def forced_mask(instances) -> int:
     return 1 << f if type(f) is int else sum(1 << i for i in f)
 
 
-def fails(axiom: str, forced: int, selected: int) -> bool:
-    """Whether the selection mask fails the axiom's conclusion on the forced mask."""
-    return bool(forced & ~selected) if PREMISE_AXIOMS[axiom][2] else forced != selected
-
-
 def premise_witness(axiom: str, ranking, instances, forced: int, selected: int) -> Witness | None:
-    """Witness of the first instance when the selection :func:`fails` the forced mask, or None."""
-    if not fails(axiom, forced, selected):
+    """Witness of the first instance when the selection mask fails the forced mask, or None."""
+    _, keys, contains, expected = PREMISE_AXIOMS[axiom]
+    if not (forced & ~selected if contains else forced != selected):
         return None
-    _, keys, _, expected = PREMISE_AXIOMS[axiom]
     n = ranking.universe.n
     spelled = expected.format(_spell(ranking, mask_members(forced, n)))
     selection = {"selection": mask_members(selected, n)}
@@ -396,7 +395,7 @@ def _source(ranking, rule):
     selection by best-class bitset, where others have table and prefix, and
     may add SI's memo.
     """
-    return None, class_bits(ranking.classes), None, selection_mask(rule, ranking), None
+    return None, ranking.bits, None, selection_mask(rule, ranking), None
 
 
 @cache

@@ -111,28 +111,29 @@ class CoalitionalRanking:
 
     ``classes`` is a tuple of tuples of masks, each class sorted by mask
     value (the canonical form used for equality and hashing).
-    ``class_of[mask]`` gives the 0-based class index of each coalition.
-    Instances are immutable; build them through :func:`validate_ranking`
-    unless the input is already canonical.
+    ``class_of[mask]`` gives the 0-based class index of each coalition,
+    and ``bits`` each class as a bitset (:func:`class_bits`), computed
+    once per ranking. Instances are immutable; build them through
+    :func:`validate_ranking` unless the input is already canonical.
     """
 
-    __slots__ = ("universe", "classes", "class_of")
+    __slots__ = ("universe", "classes", "class_of", "bits")
 
     def __init__(self, universe: Universe, classes):
         validated = validate_ranking(classes, universe)
-        object.__setattr__(self, "universe", validated.universe)
-        object.__setattr__(self, "classes", validated.classes)
-        object.__setattr__(self, "class_of", validated.class_of)
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(validated, name))
 
     def __setattr__(self, *_):
         raise AttributeError("CoalitionalRanking is immutable")
 
     @classmethod
-    def _trusted(cls, universe, classes) -> "CoalitionalRanking":
-        # Fast path for generators that already produce canonical classes.
+    def _trusted(cls, universe, classes, bits=None) -> "CoalitionalRanking":
+        # Fast path for canonical classes; walks and decodes also pass their bitsets.
         self = object.__new__(cls)
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "bits", class_bits(classes) if bits is None else tuple(bits))
         class_of = [-1] * (1 << universe.n)
         for k, group in enumerate(classes):
             for mask in group:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .core import CoalitionalRanking, Universe, class_bits
+from .core import CoalitionalRanking, Universe
 from .errors import UniverseTooLargeError
 
 MAX_EXHAUSTIVE_N = 3
@@ -219,27 +219,24 @@ class RankingStream:
         self.mode = mode
 
     def __iter__(self):
-        universe = self.universe
-        if self.mode == EXHAUSTIVE:
-            for classes, *_ in walk_stream(universe.n):
-                yield CoalitionalRanking._trusted(universe, classes)
-        else:
-            for i in range(self.mode.count):
-                yield sample_ranking(universe.n, _derive_seed(self.mode.seed, i), universe)
+        for ranking, *_ in self.walk(range(len(self))):
+            yield ranking
 
     def walk(self, indices: range):
-        """Yield (classes, bits, remaining, before) of each ranking with stream index in ``indices``.
+        """Yield (ranking, remaining, before) of each ranking with stream index in ``indices``.
 
-        Exhaustive mode is :func:`walk_stream` over the range. Sample
+        Each ranking is built once and carries its class bitsets: exhaustive
+        mode builds it from :func:`walk_stream` over the range. Sample
         mode draws each index from its own seed; a draw has no walk, so
         its ``remaining`` and ``before`` are None.
         """
-        universe = self.universe
+        universe, n, trusted = self.universe, self.universe.n, CoalitionalRanking._trusted
         if self.mode == EXHAUSTIVE:
-            return walk_stream(universe.n, indices.start, indices.stop)
+            walked = walk_stream(n, indices.start, indices.stop)
+            return ((trusted(universe, classes, bits), remaining, before)
+                    for classes, bits, remaining, before in walked)
         seed = self.mode.seed
-        draws = (sample_ranking(universe.n, _derive_seed(seed, i), universe) for i in indices)
-        return ((ranking.classes, class_bits(ranking.classes), None, None) for ranking in draws)
+        return ((sample_ranking(n, _derive_seed(seed, i), universe), None, None) for i in indices)
 
     def __len__(self):
         if self.mode == EXHAUSTIVE:

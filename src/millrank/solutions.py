@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .core import CoalitionalRanking, _members_table, bits_classes, top_intersection
 from .errors import UnknownRuleError
+from .transforms import membership_bits
 
 
 def _argmax(scores) -> tuple[int, ...]:
@@ -36,12 +37,20 @@ def plurality(ranking: CoalitionalRanking) -> tuple[int, ...]:
 def les(ranking: CoalitionalRanking) -> tuple[int, ...]:
     """Lexicographic excellence: maximize the per-class appearance vector.
 
-    Compares the whole vector of per-class counts, best class first, so
-    ties under :func:`plurality` are broken by deeper classes. The result
-    is always a subset of the plurality selection. One pass over the
-    classes counts every vector (:func:`~millrank.core.theta`).
+    Compares the vectors of per-class counts (:func:`~millrank.core.theta`),
+    best class first, so ties under :func:`plurality` are broken by deeper
+    classes; the result is a subset of the plurality selection. The tie
+    narrows one class at a time and stops at the class that leaves one
+    individual; the last class never decides, as every vector sums to 2**(n-1).
     """
-    return _argmax(list(zip(*[_counts(cls, ranking.universe.n) for cls in ranking.classes])))
+    members, tied = membership_bits(ranking.universe.n), range(ranking.universe.n)
+    for cls in ranking.bits[:-1]:
+        counts = [(cls & members[i]).bit_count() for i in tied]
+        best = max(counts)
+        tied = [i for i, count in zip(tied, counts) if count == best]
+        if len(tied) == 1:
+            break
+    return tuple(tied)
 
 
 def obi(ranking: CoalitionalRanking) -> tuple[int, ...]:
@@ -115,7 +124,8 @@ BEST_CLASS_RULES = frozenset({"plurality", "split_plurality", "const_x"})
 def best_class_reduction(universe, top: int) -> CoalitionalRanking:
     """The ranking with best class bitset ``top`` and every other coalition in one class below."""
     rest = ((1 << universe.full_mask) - 1) ^ top
-    return CoalitionalRanking._trusted(universe, bits_classes((top, rest) if rest else (top,)))
+    bits = (top, rest) if rest else (top,)
+    return CoalitionalRanking._trusted(universe, bits_classes(bits), bits)
 
 
 def lookup_rule(rule_id: str):

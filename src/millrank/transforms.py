@@ -22,7 +22,7 @@ from .errors import InvalidMoveError, UniverseMismatchError
 
 def _decode(universe, bits) -> CoalitionalRanking:
     """The ranking whose classes are the given class bitsets."""
-    return CoalitionalRanking._trusted(universe, bits_classes(bits))
+    return CoalitionalRanking._trusted(universe, bits_classes(bits), bits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,8 +53,8 @@ def apply_slide(ranking: CoalitionalRanking, move: SlideMove) -> CoalitionalRank
     source = set(classes[move.k1])
     if not gamma < source:
         raise InvalidMoveError("gamma must be a proper subset of the source class")
-    bits, (gamma_bits,) = class_bits(classes), class_bits((gamma,))
-    return _decode(ranking.universe, slide_bits(bits, move.k1, move.k2, gamma_bits))
+    (gamma_bits,) = class_bits((gamma,))
+    return _decode(ranking.universe, slide_bits(ranking.bits, move.k1, move.k2, gamma_bits))
 
 
 @cache
@@ -154,8 +154,7 @@ def deterioration_placements(j: int, l: int, alone: bool) -> tuple[tuple[str, in
 
 def _placements(ranking: CoalitionalRanking, subject: int):
     """(class bitsets, class of the subject, the subject's deterioration placements)."""
-    j = ranking.index_of(subject)
-    bits = class_bits(ranking.classes)
+    j, bits = ranking.index_of(subject), ranking.bits
     return bits, j, deterioration_placements(j, len(bits), bits[j] == 1 << (subject - 1))
 
 
@@ -202,7 +201,7 @@ def is_deterioration(
     j = ranking.index_of(subject)
     j2 = ranking2.class_of[subject]
     bit = 1 << (subject - 1)
-    bits, bits2 = class_bits(ranking.classes), class_bits(ranking2.classes)
+    bits, bits2 = ranking.bits, ranking2.bits
     rest = [cls & ~bit for cls in bits if cls != bit]
     if rest != [cls & ~bit for cls in bits2 if cls != bit]:
         return False

@@ -42,7 +42,7 @@ from .axioms import (
     VIOLATED,
     Status,
     Witness,
-    fails,
+    _agreement_classes,
     forced_mask,
     judge_slide,
     lookup_axiom,
@@ -138,62 +138,73 @@ def _sources(rule, universe, table):
 def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
     """Ranking count and per-cell [premises, violations, witnesses] of one chunk, and its ``tally`` totals.
 
-    Each ranking is built once. Premise-only cells are grouped by lister:
-    each lister runs at most once per ranking, whichever cells and
-    ``tally`` ask for its instances, and a lister of
+    The cells are compiled once per chunk into a plan: premise-only cells
+    grouped by lister, each as (result, rule slot, contains flag, axiom).
+    Each lister runs at most once per ranking, whichever cells and
+    ``tally`` ask for its instances, a lister of
     ``axioms.BEST_CLASS_AXIOMS`` at most once per best class in the
-    chunk. A listing's instances all force one id bitmask, so a cell is
-    one bit test, and a lister that lists nothing skips all its cells. A
-    rule's selection, an id bitmask, is read by best class for a rule of
-    ``solutions.BEST_CLASS_RULES`` (``top``, see :func:`_sources`), from
-    its stream-indexed table (see :func:`_tables`), or else taken at most
-    once per ranking, when one of its cells has an instance there. A
-    violated cell builds a witness only while under ``cap``. ``SI`` and
-    ``DMON`` cells run their own checkers on their sources. With ``stop``
-    set, the chunk ends after the first ranking on which a cell is
-    violated, and the count includes that ranking.
+    chunk, and RAG, WRAG and RJAD share one set of agreement levels per
+    ranking. A listing's instances all force one id bitmask, so a cell is
+    one inline bit test, and a lister that lists nothing skips all its
+    cells. A rule's selection, an id bitmask kept in its slot, is read by
+    best class for a rule of ``solutions.BEST_CLASS_RULES`` (``top``, see
+    :func:`_sources`), from its stream-indexed table (see :func:`_tables`),
+    or else taken at most once per ranking, when one of its cells has an
+    instance there. A violated cell builds a witness only while under
+    ``cap``. ``SI`` and ``DMON`` cells run their own checkers on their
+    sources. With ``stop`` set, the chunk ends after the first ranking on
+    which a cell is violated, and the count includes that ranking.
     """
     universe = stream.universe
-    sources = {rule: _sources(rule, universe, tables.get(rule)) for rule, _ in cells}
+    rules = list(dict.fromkeys(rule for rule, _ in cells))
+    readers = [  # per rule slot: its SI and DMON source, top, table and function
+        (*_sources(rule, universe, tables.get(rule)), tables.get(rule), lookup_rule(rule))
+        for rule in rules
+    ]
     results = [[0, 0, []] for _ in cells]
-    groups, checks = {}, []  # cells by premise lister; SI and DMON cells
+    plan, checks = {}, []  # cells by premise lister; SI and DMON cells
     for (rule, axiom), result in zip(cells, results):
+        slot = rules.index(rule)
         if axiom in PREMISE_AXIOMS:
-            groups.setdefault(PREMISE_AXIOMS[axiom][0], []).append((result, rule, axiom))
+            lister, _, contains, _ = PREMISE_AXIOMS[axiom]
+            plan.setdefault(lister, []).append((result, slot, contains, axiom))
         else:
-            checks.append((result, AXIOMS[axiom], lookup_rule(rule), sources[rule][0]))
+            checks.append((result, AXIOMS[axiom], readers[slot][3], readers[slot][0]))
     by_best = {PREMISE_AXIOMS[axiom][0] for axiom in BEST_CLASS_AXIOMS}
+    levelled = {PREMISE_AXIOMS[axiom][0] for axiom in ("RAG", "RJAD")}  # take agreement levels
     best_listed = {}  # best-class bitset -> {lister: (instances, forced mask)}
     tallies = []
     count, stopped = 0, False
     walked = any(rule not in BEST_CLASS_RULES for rule in tables)  # a table read with prefix sums
-    for classes, bits, remaining, before in stream.walk(chunk):
+
+    def listing(lister):  # (instances, forced mask) of the current ranking
+        memo = shared if lister in by_best else listed
+        if lister not in memo:
+            if lister in levelled and _agreement_classes not in listed:  # kept beside the listings
+                listed[_agreement_classes] = _agreement_classes(ranking)
+            found = lister(ranking, listed[_agreement_classes]) if lister in levelled else lister(ranking)
+            memo[lister] = found, found and forced_mask(found)
+        return memo[lister]
+
+    for ranking, remaining, before in stream.walk(chunk):
         count += 1
-        ranking = CoalitionalRanking._trusted(universe, classes)
+        bits = ranking.bits
         prefix = prefix_of(remaining, before, universe.n) if walked else None
-        listed, selected, shared = {}, {}, best_listed.setdefault(bits[0], {})
-
-        def listing(lister):
-            memo = shared if lister in by_best else listed
-            if lister not in memo:
-                found = lister(ranking)
-                memo[lister] = found, found and forced_mask(found)
-            return memo[lister]
-
-        for lister, group in groups.items():
+        listed, selected, shared = {}, [None] * len(rules), best_listed.setdefault(bits[0], {})
+        for lister, group in plan.items():
             found, forced = listing(lister)
             if not found:
                 continue
-            for result, rule, axiom in group:
-                if rule not in selected:
-                    top, table = sources[rule][1], tables.get(rule)
-                    selected[rule] = (
+            for result, slot, contains, axiom in group:
+                sel = selected[slot]
+                if sel is None:
+                    _, top, table, rule_fn = readers[slot]
+                    sel = selected[slot] = (
                         top(bits[0]) if top else table[before[-1]] if table
-                        else selection_mask(lookup_rule(rule), ranking)
+                        else selection_mask(rule_fn, ranking)
                     )
-                sel = selected[rule]
                 result[0] += len(found)
-                if fails(axiom, forced, sel):
+                if forced & ~sel if contains else forced != sel:
                     result[1] += 1
                     stopped = stop
                     if len(result[2]) < cap:
@@ -207,7 +218,7 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
                 if len(result[2]) < cap:
                     result[2].append(verdict.witness)
         if tally is not None:
-            tallies.append(tally(lambda lister: listing(lister)[0]))
+            tallies.append(tally(listing))
         if stopped:
             break
     return count, results, tuple(map(sum, zip(*tallies)))
@@ -253,11 +264,10 @@ def _selection_chunk(rules, stop, stream, chunk):
     the first and last rules select apart, and ``ranking`` is that
     ranking; otherwise, or when they never differ, it is None.
     """
-    fns, universe = [lookup_rule(rule) for rule in rules], stream.universe
+    fns = [lookup_rule(rule) for rule in rules]
     selections = [bytearray() for _ in rules]
     first, last = selections[0], selections[-1]
-    for classes, *_ in stream.walk(chunk):
-        ranking = CoalitionalRanking._trusted(universe, classes)
+    for ranking, *_ in stream.walk(chunk):
         for fn, out in zip(fns, selections):
             out.append(selection_mask(fn, ranking))
         if stop and first[-1] != last[-1]:
@@ -290,9 +300,10 @@ def _tables(cells, universe, mode, jobs):
 def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=None):
     """Sweep reports of every (rule, axiom) cell from one pass over the stream.
 
-    ``tally(instances)``, when given, runs on every ranking with its
-    memoized premise listing and returns a tuple of counts; the second
-    return value is their sum over the stream (empty without ``tally``).
+    ``tally(listing)``, when given, runs on every ranking with its
+    memoized premise listing, ``listing(lister)`` = (instances, forced
+    mask), and returns a tuple of counts; the second return value is
+    their sum over the stream (empty without ``tally``).
     ``tables`` holds the selection tables of the pass (see
     :func:`_sweep_chunk`), built by :func:`_tables` when None. The
     tables travel to the workers with each chunk.
@@ -481,12 +492,12 @@ def theorem1_probe(
     return Theorem1Report(rule, n, mode, compared, difference, found and found[1], None)
 
 
-def _relative_lemma_counts(instances):
+def _relative_lemma_counts(listing):
     """RDF and RJAD premises of one ranking, and how many are not RAG premises."""
-    rdf, rjad = instances(rdf_premises), instances(rjad_premises)
+    rdf, rjad = listing(rdf_premises)[0], listing(rjad_premises)[0]
     counterexamples = 0
     if rdf or rjad:
-        agreement = set(instances(rag_premises))
+        agreement = set(listing(rag_premises)[0])
         counterexamples = sum(premise not in agreement for premise in rdf + rjad)
     return len(rdf), len(rjad), counterexamples
 

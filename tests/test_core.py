@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,12 @@ from millrank import (
     theta,
     validate_ranking,
 )
+from millrank import core
+from millrank.core import CoalitionalRanking, class_bits
+from millrank.enumeration import RankingStream, Sample
+from millrank.solutions import best_class_reduction
+from millrank.textio import parse_ranking, render_ranking
+from millrank.transforms import _decode
 from helpers import (
     cmask,
     oracle_banzhaf,
@@ -243,3 +250,52 @@ class TestRelabel:
         for i, p in enumerate(swap):
             inverse[p] = i
         assert relabel(relabel(ranking, swap), inverse) == ranking
+
+
+class TestCarriedBits:
+    """A ranking carries ``class_bits(classes)`` whichever way it was built."""
+
+    @staticmethod
+    def assert_carries(ranking):
+        assert ranking.bits == class_bits(ranking.classes)
+        assert type(ranking.bits) is tuple
+
+    def test_validated_and_parsed(self):
+        for ranking in (EX2, TIE3, rk("1 2 / 12 3 / rest"), CoalitionalRanking(Universe(2), [[3], [2, 1]])):
+            self.assert_carries(ranking)
+            self.assert_carries(parse_ranking(render_ranking(ranking)))
+
+    def test_decoded_sampled_reduced_and_relabelled(self):
+        for seed in range(40):
+            ranking = sample_ranking(4, seed)
+            self.assert_carries(ranking)
+            self.assert_carries(_decode(ranking.universe, list(ranking.bits)))
+            self.assert_carries(best_class_reduction(ranking.universe, ranking.bits[0]))
+            self.assert_carries(relabel(ranking, (3, 1, 0, 2)))
+
+    def test_walked_in_both_modes(self):
+        for stream in (RankingStream(Universe(3)), RankingStream(Universe(4), Sample(30, 2))):
+            walked = [ranking for ranking, *_ in stream.walk(range(len(stream)))]
+            assert len(walked) == len(stream)
+            for ranking in walked:
+                self.assert_carries(ranking)
+        assert walked == list(RankingStream(Universe(4), Sample(30, 2)))
+
+    def test_walks_and_decodes_hand_over_their_bitsets(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(core, "class_bits", lambda classes: calls.append(classes))
+        stream = RankingStream(Universe(3))
+        for ranking, *_ in stream.walk(range(5000, 7000)):
+            assert _decode(ranking.universe, ranking.bits).bits == ranking.bits
+            assert best_class_reduction(ranking.universe, ranking.bits[0]).bits[0] == ranking.bits[0]
+        assert calls == []
+
+    def test_unpickled(self):
+        for ranking in (EX2, sample_ranking(5, 3)):
+            copy = pickle.loads(pickle.dumps(ranking))
+            assert copy == ranking
+            self.assert_carries(copy)
+
+    def test_bits_are_read_only(self):
+        with pytest.raises(AttributeError):
+            EX2.bits = ()

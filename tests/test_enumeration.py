@@ -91,18 +91,18 @@ class TestStreamIndex:
     def test_walk_covers_the_exhaustive_stream(self, all_n3):
         stream = RankingStream(Universe(3))
         walked = list(stream.walk(range(len(stream))))
-        assert [classes for classes, *_ in walked] == [ranking.classes for ranking in all_n3]
-        for index, (classes, bits, remaining, before) in enumerate(walked):
-            assert bits == class_bits(classes)
+        assert [ranking for ranking, *_ in walked] == all_n3
+        for index, (ranking, remaining, before) in enumerate(walked):
+            assert ranking.bits == class_bits(ranking.classes)
             assert remaining[-1] == 0 and before[-1] == index
 
     def test_walk_draws_a_sampled_range(self):
         stream = RankingStream(Universe(4), Sample(30, 5))
         draws = [ranking.classes for ranking in stream]
         walked = list(stream.walk(range(10, 25)))
-        assert [classes for classes, *_ in walked] == draws[10:25]
-        for classes, bits, remaining, before in walked:
-            assert bits == class_bits(classes)
+        assert [ranking.classes for ranking, *_ in walked] == draws[10:25]
+        for ranking, remaining, before in walked:
+            assert ranking.bits == class_bits(ranking.classes)
             assert remaining is before is None
 
     def test_bitsets_round_trip(self, all_n3):

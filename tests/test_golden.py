@@ -7,9 +7,9 @@ settings (exhaustive at n = 2, sampled at n = 3 and at n = 4 under
 fixed seeds), every rule x axiom ``check`` and every rule's ``solve``
 on the pinned instances of ``test_verify.py``, the ``verify`` campaigns
 at small sizes, the exhaustive n = 3 ``prop3``, ``prop1`` and plurality
-``theorem1`` campaigns (``prop3`` and ``theorem1`` also with ``--jobs
-2``), the exhaustive n = 3 ``theorem1`` campaign of every other rule
-through a two-worker pool, two sampled ``DMON`` sweeps split into three
+``theorem1`` campaigns (each also with ``--jobs 2``), the exhaustive
+n = 3 ``theorem1`` campaign of every other rule through a two-worker
+pool, two sampled ``DMON`` sweeps split into three
 chunks and run through a two-worker pool, two sampled n = 3 ``theorem1``
 probes, every exhaustive n = 3 ``SI``, ``DMON`` and premise-only sweep
 through a two-worker pool, and the ``enumerate`` and ``sample``
@@ -68,11 +68,12 @@ FIXED_CELLS = {
         ("enumerate", "--n", "3", "--count-only"),
         ("sample", "--n", "4", "--seed", "3", "--count", "5"),
     ),
-    # The exhaustive n = 3 premise campaigns, one of them through a two-worker pool.
+    # The exhaustive n = 3 premise campaigns, inline and through a two-worker pool.
     "campaigns-exhaustive": (
         ("verify", "prop3", "--n", "3"),
         ("verify", "prop3", "--n", "3", "--jobs", "2"),
         ("verify", "prop1", "--n", "3"),
+        ("verify", "prop1", "--n", "3", "--jobs", "2"),
     ),
     # The exhaustive n = 3 SI and DMON campaign, inline and through a two-worker pool.
     "theorem1-exhaustive": (

@@ -28,7 +28,7 @@ from millrank import (
     sweep_cells,
     theorem1_probe,
 )
-from millrank import axioms, verify
+from millrank import axioms, core, verify
 from millrank.axioms import BEST_CLASS_AXIOMS, PREMISE_AXIOMS
 from millrank.cli import to_json
 from millrank.core import class_bits
@@ -54,6 +54,26 @@ class TestSweep:
         assert report.rankings_checked == 47293
         assert report.violations == 0
         assert report.verdict == "satisfied"
+
+    @pytest.mark.parametrize("worker", [
+        partial(verify._sweep_chunk, [("les", "TAG"), ("obi", "RDF"), ("f_star", "CV")], None, 10, {}, False),
+        partial(verify._selection_chunk, ["les", "plurality"], False),
+    ], ids=["sweep", "selections"])
+    def test_sampled_chunks_build_each_draw_once(self, monkeypatch, worker):
+        # The walk yields each drawn ranking built, with its bitsets, and
+        # neither chunk worker builds it a second time.
+        builds = []
+        trusted = core.CoalitionalRanking.__dict__["_trusted"].__func__
+
+        def counted(cls, universe, classes, bits=None):
+            builds.append(classes)
+            return trusted(cls, universe, classes, bits)
+
+        stream = RankingStream(verify.Universe(4), Sample(40, 6))
+        drawn = [ranking.classes for ranking in stream]
+        monkeypatch.setattr(core.CoalitionalRanking, "_trusted", classmethod(counted))
+        worker(stream, range(len(stream)))
+        assert builds == drawn
 
     def test_les_concomitant_witness_set_includes_known_instance(self):
         report = sweep("les", "CV", 3, witness_cap=10**9)
@@ -353,7 +373,7 @@ class TestBestClassRules:
         chunk = range(min(verify._CHUNK, len(stream)))
         cells = [(rule_id, axiom) for rule_id in RULES for axiom in PREMISE_AXIOMS]
         count, _, _ = verify._sweep_chunk(cells, None, 10, {}, False, stream, chunk)
-        tops = Counter(bits[0] for _, bits, *_ in stream.walk(chunk))
+        tops = Counter(ranking.bits[0] for ranking, *_ in stream.walk(chunk))
         assert count == sum(tops.values()) > 2 * len(tops)  # best classes repeat
         assert {name for name, _ in calls} == BEST_CLASS_AXIOMS | BEST_CLASS_RULES
         assert {top for _, top in calls} <= set(tops)
@@ -386,7 +406,8 @@ class TestBestClassRules:
         verify._sweep_chunk([(rule_id, "SI")], None, 10, {rule_id: Counted(table)}, False, stream, chunk)
         meets, balanced_of = axioms._pairs(3)[1], axioms._balanced_by_gamma(3)
         runs, last, scanned = Counter(), None, 0
-        for _, bits, *_ in stream.walk(chunk):
+        for ranking, *_ in stream.walk(chunk):
+            bits = ranking.bits
             runs[bits[0]] += bits[0] != last
             last, relevant = bits[0], meets[table[bits[0]]]
             scanned += 1 + (len(bits) > 1) * sum(
@@ -433,6 +454,36 @@ class TestProp1:
         lemma = verify.prop1_report(3).lemma
         assert (lemma.rdf_premises, lemma.rjad_premises) == (4050, 4050)
         assert lemma.counterexamples == 8100
+
+    def test_each_rankings_facts_are_computed_once(self, monkeypatch):
+        # One exhaustive n = 3 pass: the agreement levels that RAG (the WRAG
+        # cell and the lemma) and RJAD read are computed once per ranking, and
+        # RDF reads the ranking's carried bitsets instead of building them.
+        levels, bits_calls, in_rdf = Counter(), [0], [False]
+
+        def counted_levels(ranking, original=axioms._agreement_classes):
+            levels[ranking.classes] += 1
+            return original(ranking)
+
+        def counted_bits(classes, original=core.class_bits):
+            bits_calls[0] += in_rdf[0]
+            return original(classes)
+
+        def watched_rdf(ranking, original=axioms.rdf_premises):
+            in_rdf[0] = True
+            try:
+                return original(ranking)
+            finally:
+                in_rdf[0] = False
+
+        for module in (axioms, verify):
+            monkeypatch.setattr(module, "_agreement_classes", counted_levels)
+        monkeypatch.setattr(core, "class_bits", counted_bits)
+        monkeypatch.setattr(verify, "rdf_premises", watched_rdf)
+        lemma = verify.prop1_report(3).lemma
+        assert (lemma.rankings_checked, lemma.counterexamples) == (47293, 0)
+        assert len(levels) == 47293 and set(levels.values()) == {1}
+        assert lemma.rdf_premises > 0 and bits_calls == [0]
 
     def test_small_universes_rejected(self):
         with pytest.raises(ValueError):
