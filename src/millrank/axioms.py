@@ -8,23 +8,25 @@ order, and a conclusion on id bitmasks. On one ranking all instances of
 one lister force the same individuals, one mask ``f``
 (:func:`forced_mask`); with the selection as ``sel``, "equals" fails
 when ``f != sel`` and "contains" when ``f & ~sel`` is nonzero, and the
-first instance is then the witness, for :func:`judge_selection` and
-sweeps alike; :func:`judge` lists and selects, then calls the former.
+first instance is then the witness (:func:`premise_witness`), for
+:func:`judge` and sweeps alike.
 The listers of :data:`BEST_CLASS_AXIOMS` read the best class alone, so
 a sweep lists them once per best class; RAG, WRAG and RJAD read one set
 of agreement levels, which a sweep computes once per ranking, and RDF
 reads the ranking's carried class bitsets.
 The two transformation axioms, slide independence (SI) and downward
 monotonicity (DMON), judge the rule on transformed rankings too, each in
-one scan over class bitsets. Given a source (the rule's complete
-selection table, with the walked stream's class bitsets and running
-index sums) the scan ranks each target inline and reads its selection
-from the table; without one it decodes the target and calls the rule.
-A best-class rule's source reads by best-class bitset, skips each target
-that keeps the best class and sums SI per class once per best class. SI
-judges targets by bit operations on the pairs both selections meet; DMON
-counts a coalition's premises without its targets, reading them only
-while they could give the witness.
+one scan over the ranking's class bitsets. Their checkers take the
+rule's selection on the ranking as ``base`` and, from a sweep, where to
+read it on the targets: given ``table``, the rule's complete selection
+table, and ``walk``, the walked ranking's running index sums, the scan
+ranks each target inline and reads its selection from the table; given
+``top``, a best-class rule's selection by best-class bitset, it skips
+each target that keeps the best class and sums SI per class once per
+best class, in ``memo``; given neither, it decodes each target and
+calls the rule. SI judges targets by bit operations on the pairs both
+selections meet; DMON counts a coalition's premises without its targets,
+reading them only while they could give the witness.
 
 A verdict is one of three statuses: ``inapplicable`` (no premise
 instance exists), ``satisfied`` (every instance met its forced
@@ -50,7 +52,7 @@ from .core import (
     mask_members,
     top_intersection,
 )
-from .enumeration import MAX_EXHAUSTIVE_N
+from .enumeration import MAX_EXHAUSTIVE_N, _rank_offsets
 from .errors import UniverseTooLargeError, UnknownAxiomError
 from .transforms import (
     SlideMove,
@@ -292,23 +294,14 @@ def judge(axiom: str, ranking, rule) -> Verdict:
     """Verdict of one premise-only axiom on one ranking.
 
     Lists every premise instance and evaluates the rule once, and only
-    when an instance exists.
+    when an instance exists. Counts every instance and judges their one
+    forced mask (see :func:`forced_mask`) with one bit test; when it
+    fails, the first instance is the witness.
     """
     instances = PREMISE_AXIOMS[axiom][0](ranking)
     if not instances:
         return Verdict(INAPPLICABLE, 0)
-    return judge_selection(axiom, ranking, instances, tuple(rule(ranking)))
-
-
-def judge_selection(axiom: str, ranking, instances, actual: tuple) -> Verdict:
-    """Verdict of a selection against the premise instances listed on a ranking.
-
-    ``instances`` is the nonempty list the axiom's lister returned on
-    ``ranking`` and ``actual`` the rule's selection there. Counts every
-    instance and judges their one forced mask (see :func:`forced_mask`)
-    with one bit test; when it fails, the first instance is the witness.
-    """
-    selected = sum(1 << i for i in set(actual))
+    selected = selection_mask(rule, ranking)
     witness = premise_witness(axiom, ranking, instances, forced_mask(instances), selected)
     return _verdict(len(instances), witness)
 
@@ -385,19 +378,6 @@ def selection_mask(rule, ranking) -> int:
     return selected
 
 
-def _source(ranking, rule):
-    """(table, bits, prefix, base, top): what an SI or DMON scan reads, here without a table.
-
-    A walked source holds the rule's complete selection table (id bitmasks
-    by stream index), the ranking's class bitsets, their
-    :class:`~millrank.enumeration.StreamPrefix` and the rule's selection on
-    the ranking as an id bitmask; a best-class rule has ``top``, its
-    selection by best-class bitset, where others have table and prefix, and
-    may add SI's memo.
-    """
-    return None, ranking.bits, None, selection_mask(rule, ranking), None
-
-
 @cache
 def _pairs(n: int):
     """(x, y, {x, y} as an id bitmask) per pair x < y, and per id bitmask the pairs it meets.
@@ -452,25 +432,32 @@ def _class_slides(n: int, best: int, cls: int, base: int, top) -> tuple:
     return fired_sum, balanced_sum, hit
 
 
-def check_slide_independence(ranking, rule, source=None) -> Verdict:
+def check_slide_independence(
+    ranking, rule, base=None, walk=None, top=None, table=None, memo=None
+) -> Verdict:
     """Stability of pairwise selection under balanced slides.
 
     For each pair {x, y} and each slide of a gamma balanced between x and y,
     a premise fires when both the original and the slid selection meet
     {x, y}; the two intersections must then coincide. Premises are scanned
     by source class, gamma bit pattern, destination class, then pair; the
-    witness is the first violation in that order. With a table in ``source``
-    (see :func:`_source`), each slid ranking is ranked from the running
-    index sums, adding the slide's terms as the destination moves one class
-    away from k1, and its selection read from the table; rankings are built
-    for the witness only. With ``top`` instead, each class is one
-    :func:`_class_slides`, kept in the source's memo while the best class
-    stays: a best-class gamma fires alike at all l - 1 destinations, a lower
-    one at 0 and, with the base selection, at the other l - 2. A target is
-    judged by bit operations over the pairs each selection meets, and each
-    gamma's balanced pairs are read from a map built once per n up to
-    MAX_EXHAUSTIVE_N. A ranking with more than _MAX_SLIDES slides is refused
-    with UniverseTooLargeError first.
+    witness is the first violation in that order. ``base`` is the rule's
+    selection on the ranking as an id bitmask, taken from the rule when
+    None. With ``table``, the rule's selections by stream index, and
+    ``walk``, the ranking's (remaining, before) running index sums from
+    :func:`~millrank.enumeration.walk_stream`, each slid ranking is ranked
+    from those sums, adding the slide's terms as the destination moves one
+    class away from k1, and its selection read from the table; rankings are
+    built for the witness only. With ``top`` instead, a best-class rule's
+    selection by best-class bitset, each class is one :func:`_class_slides`,
+    kept in ``memo`` while the best class stays: a best-class gamma fires
+    alike at all l - 1 destinations, a lower one at 0 and, with the base
+    selection, at the other l - 2. Without either, each slid ranking is
+    built and the rule called on it. A target is judged by bit operations
+    over the pairs each selection meets, and each gamma's balanced pairs
+    are read from a map built once per n up to MAX_EXHAUSTIVE_N. A ranking
+    with more than _MAX_SLIDES slides is refused with UniverseTooLargeError
+    first.
     """
     universe = ranking.universe
     n = universe.n
@@ -481,7 +468,7 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
             raise UniverseTooLargeError(
                 f"slide independence checks at most {_MAX_SLIDES} slides per ranking, got {slides}"
             )
-    table, bits, prefix, base, top, *memo = source or _source(ranking, rule)
+    bits, base = ranking.bits, selection_mask(rule, ranking) if base is None else base
     meets = _pairs(n)[1]
     relevant = meets[base]  # no pair the base selection misses can fire
     l = len(bits)
@@ -489,7 +476,7 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
         return Verdict(INAPPLICABLE, 0)
     premises, witness = 0, None
     if top is not None:
-        memo = memo[0] if memo else {}
+        memo = {} if memo is None else memo
         if bits[0] not in memo:  # a new best class: drop the last one's summaries
             memo.clear()
         summaries = memo.setdefault(bits[0], {})
@@ -503,7 +490,8 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
         return _verdict(premises, witness)
     balanced_of = _balanced_by_gamma(n) if n <= MAX_EXHAUSTIVE_N else None
     if table is not None:
-        offsets, remaining, before, rest = prefix
+        offsets, (remaining, before) = _rank_offsets(n), walk
+        index = before[-1]
     for k1, cls in enumerate(bits):
         # Downward destinations, then upward ones, each moving away from k1.
         destinations = (*range(k1 + 1, l), *range(k1 - 1, -1, -1))
@@ -515,14 +503,14 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
                 # Class k1 loses gamma and class k2 gains it; the classes between
                 # see it among the coalitions not yet placed (downward) or not (upward).
                 through = before[k1] + offsets[remaining[k1]][cls ^ gamma]
-                tail = offsets[remaining[k1] & ~gamma][cls ^ gamma] + rest[k1 + 1]
+                tail = offsets[remaining[k1] & ~gamma][cls ^ gamma] + index - before[k1 + 1]
             hit = None
             for k2 in destinations:
                 if table is None:
                     after = selection_mask(rule, _decode(universe, slide_bits(bits, k1, k2, gamma)))
                 elif k2 > k1:
                     row = offsets[remaining[k2] | gamma]
-                    after = table[through + row[bits[k2] | gamma] + rest[k2 + 1]]
+                    after = table[through + row[bits[k2] | gamma] + index - before[k2 + 1]]
                     through += row[bits[k2]]
                 else:
                     after = table[before[k2] + offsets[remaining[k2]][bits[k2] | gamma] + tail]
@@ -540,7 +528,9 @@ def check_slide_independence(ranking, rule, source=None) -> Verdict:
     return _verdict(premises, witness)
 
 
-def check_downward_monotonicity(ranking, rule, source=None) -> Verdict:
+def check_downward_monotonicity(
+    ranking, rule, base=None, walk=None, top=None, table=None
+) -> Verdict:
     """Selected individuals survive deteriorations of coalitions avoiding them.
 
     For every selected x, every nonempty coalition s avoiding x, and
@@ -550,12 +540,13 @@ def check_downward_monotonicity(ranking, rule, source=None) -> Verdict:
     counted without reading the targets. The witness is the first
     violation of the smallest violated x: one pass over s keeps the
     smallest x lost so far and reads the placements of s only while s
-    keeps an individual below it. Targets are ranked and read as in
-    :func:`check_slide_independence`; the identity placement is counted
-    but not read, nor with ``top`` any that keeps the best class: a
-    best-class s sharing its class is read once, one alone at most twice
-    (joining class 1, then anywhere lower). More than _MAX_PLACEMENTS
-    placements are refused with UniverseTooLargeError before the rule runs.
+    keeps an individual below it. ``base``, ``walk``, ``top`` and ``table``
+    are read, and targets ranked, as in :func:`check_slide_independence`;
+    the identity placement is counted but not read, nor with ``top`` any
+    that keeps the best class: a best-class s sharing its class is read
+    once, one alone at most twice (joining class 1, then anywhere lower).
+    More than _MAX_PLACEMENTS placements are refused with
+    UniverseTooLargeError before the rule runs.
     """
     universe = ranking.universe
     if universe.full_mask**2 > _MAX_PLACEMENTS:  # else no ranking can have more
@@ -569,11 +560,12 @@ def check_downward_monotonicity(ranking, rule, source=None) -> Verdict:
                 "downward monotonicity checks at most"
                 f" {_MAX_PLACEMENTS} placements per ranking, got {placements}"
             )
-    table, bits, prefix, base, top, *_ = source or _source(ranking, rule)
+    bits, base = ranking.bits, selection_mask(rule, ranking) if base is None else base
     if not base:
         return Verdict(INAPPLICABLE, 0)
     if table is not None:
-        offsets, remaining, before, rest = prefix
+        offsets, (remaining, before) = _rank_offsets(universe.n), walk
+        index = before[-1]
     premises = 0
     hit, wanted = None, base  # (x, s, position, selection) of the smallest x lost; those below x
     for s in range(1, universe.full_mask + 1):
@@ -601,12 +593,13 @@ def check_downward_monotonicity(ranking, rule, source=None) -> Verdict:
                 selected = selection_mask(rule, target)
             elif kind == "join":
                 row = offsets[remaining[k] | bit]
-                selected = table[joined + row[bits[k] | bit] + rest[k + 1]]
+                selected = table[joined + row[bits[k] | bit] + index - before[k + 1]]
                 joined += row[bits[k]]
             else:
                 if k > j:
                     below += offsets[remaining[k] | bit][bits[k]]
-                selected = table[below + offsets[remaining[k + 1] | bit][bit] + rest[k + 1]]
+                row = offsets[remaining[k + 1] | bit]
+                selected = table[below + row[bit] + index - before[k + 1]]
             lost = watched & ~selected
             if lost:
                 low = lost & -lost

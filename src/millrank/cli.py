@@ -224,8 +224,7 @@ _PARAMETER_SCHEMAS = {
     "mode": _KEY_SCHEMAS["mode"],
 }
 
-# Envelope parameter keys of each command, and of each verify campaign
-# beside its "campaign" key.
+# Envelope parameter keys of each command.
 PARAMETERS = {
     "solve": ("rule", "input"),
     "check": ("rule", "axiom", "input"),
@@ -233,12 +232,16 @@ PARAMETERS = {
     "enumerate": ("n", "count_only"),
     "sample": ("n", "seed", "count"),
 }
-CAMPAIGN_PARAMETERS = {
-    "theorem1": ("rule", "n", "mode"),
-    "prop1": ("n",),
-    "prop3": ("n", "mode"),
-    "independence": ("n",),
+# Verify campaign -> (default --n, its envelope parameter keys beside
+# "campaign"). A campaign reads --rule when it has the "rule" key and
+# --sample and --seed when it has "mode", beside --n, --witness-cap and --jobs.
+CAMPAIGNS = {
+    "theorem1": (3, ("rule", "n", "mode")),
+    "prop1": (3, ("n",)),
+    "prop3": (3, ("n", "mode")),
+    "independence": (4, ("n",)),
 }
+_FLAG_KEYS = {"rule": "rule", "sample": "mode", "seed": "mode"}  # verify flag -> key that reads it
 
 
 def _parameters_schema(keys, **fixed):
@@ -258,7 +261,7 @@ _PARAMETERS_DEFS = {
     "verify": {
         "oneOf": [
             _parameters_schema(keys, campaign=campaign)
-            for campaign, keys in CAMPAIGN_PARAMETERS.items()
+            for campaign, (_, keys) in CAMPAIGNS.items()
         ]
     },
 }
@@ -377,7 +380,7 @@ def _build_parser():
     sweep_cmd.add_argument("--n", required=True, type=int)
 
     verify_cmd = sub.add_parser("verify", parents=[streamed], help="run a verification campaign")
-    verify_cmd.add_argument("campaign", choices=list(_CAMPAIGNS))
+    verify_cmd.add_argument("campaign", choices=list(CAMPAIGNS))
     verify_cmd.add_argument("--rule", choices=sorted(RULES), help="theorem1 only")
     verify_cmd.add_argument("--n", type=int)
 
@@ -442,20 +445,10 @@ def _cmd_sweep(args) -> int:
     return 1 if report.violations else 0
 
 
-# Campaign -> (default --n, the flags it reads beyond --n, --witness-cap
-# and --jobs).
-_CAMPAIGNS = {
-    "theorem1": (3, ("rule", "sample", "seed")),
-    "prop1": (3, ()),
-    "prop3": (3, ("sample", "seed")),
-    "independence": (4, ()),
-}
-
-
 def _cmd_verify(args) -> int:
-    default_n, reads = _CAMPAIGNS[args.campaign]
-    for flag in ("rule", "sample", "seed"):
-        if getattr(args, flag) is not None and flag not in reads:
+    default_n, keys = CAMPAIGNS[args.campaign]
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag) is not None and key not in keys:
             raise MillrankError(f"verify {args.campaign} does not take --{flag}")
     n = args.n if args.n is not None else default_n
     jobs = _resolve_jobs(args)

@@ -7,9 +7,8 @@ n <= 3 (n = 4 has about 2.3e14 rankings); beyond that, use uniform
 sampling, guarded at n <= 10. :func:`walk_stream` is the exhaustive
 stream: a depth-first walk over class bitsets that covers any range of
 stream indices and yields each ranking's running index sums with it.
-Those sums, as a :class:`StreamPrefix`, rank any ranking that shares
-classes with the walked one, so a transformed ranking's stream index
-is found without its bitsets.
+Those sums rank any ranking that shares classes with the walked one, so
+a transformed ranking's stream index is found without its bitsets.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple
 
 from .core import CoalitionalRanking, Universe
 from .errors import UniverseTooLargeError
@@ -126,10 +124,17 @@ def walk_stream(n: int, start: int = 0, stop: int | None = None):
     The walk is depth-first: each class is the next top class of the
     coalitions not yet placed, in :func:`_stream_tops` order, and a
     subtree of rankings outside the range is skipped whole. For a
-    ranking of L classes, ``classes`` holds their coalition masks,
-    ``bits`` their bitsets, and ``remaining`` and ``before`` the L + 1
-    running sums of its :class:`StreamPrefix` (see :func:`prefix_of`);
-    its stream index is ``before[L]``. Defined for n <= MAX_EXHAUSTIVE_N.
+    ranking of L classes, ``classes`` holds their coalition masks and
+    ``bits`` their bitsets; ``remaining`` and ``before`` are L + 1
+    running sums. ``remaining[i]`` is the bitset of the coalitions
+    outside classes 0..i-1 (``remaining[L]`` is 0), and class i adds the
+    term ``offsets[remaining[i]][bits[i]]`` (``offsets`` is
+    :func:`_rank_offsets`); ``before[i]`` sums the terms of the classes
+    before i, so the stream index is ``before[L]``. A ranking that agrees
+    with this one on classes 0..a-1 and, in the same order, on the
+    classes after class b has index ``before[a]``, plus the terms of its
+    own classes in between, plus ``before[L] - before[b + 1]``. Defined
+    for n <= MAX_EXHAUSTIVE_N.
     """
     tops = _stream_tops(n)
     if stop is None:
@@ -152,38 +157,6 @@ def walk_stream(n: int, start: int = 0, stop: int | None = None):
                 yield classes + (cls,), bits + (top,), remaining + (0,), before + (first,)
 
     return walk((), (), (len(tops) - 1,), (0,))
-
-
-class StreamPrefix(NamedTuple):
-    """The per-class terms of a ranking's stream index, as running sums.
-
-    For a ranking with L class bitsets: ``remaining[i]`` is the bitset of
-    the coalitions outside classes 0..i-1 (``remaining[L]`` is 0), and
-    class i adds the term ``offsets[remaining[i]][bits[i]]``. ``before[i]``
-    sums the terms of the classes before i and ``after[i]`` those of
-    class i on, so the index is ``before[L] == after[0]``. A ranking
-    that agrees with this one on classes 0..a-1 and, in the same order,
-    on the classes after class b has index ``before[a]``, plus the terms
-    of its own classes in between, plus ``after[b + 1]``.
-    """
-
-    offsets: tuple
-    remaining: list
-    before: list
-    after: list
-
-    @property
-    def index(self) -> int:
-        return self.before[-1]
-
-
-def prefix_of(remaining, before, n: int) -> StreamPrefix:
-    """The :class:`StreamPrefix` with the running sums ``remaining`` and ``before``.
-
-    :func:`walk_stream` yields these sums with each ranking.
-    """
-    total = before[-1]
-    return StreamPrefix(_rank_offsets(n), remaining, before, [total - done for done in before])
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,13 +3,14 @@
 A sweep judges one or more (rule, axiom) cells on every ranking of a
 stream, in one pass, and aggregates each cell's verdicts. Per ranking it
 builds the ranking once, lists each premise-only axiom's instances once
-for all cells, and evaluates each rule at most once, only when one of
-its cells has an instance; a best-class axiom or rule is listed or
-evaluated once per best class of a chunk. The ``SI`` and ``DMON`` cells
-run their checkers. An exhaustive pass with ``SI`` or ``DMON`` cells
-first builds those rules' selection tables and hands them to every
-chunk, whose cells of those rules read the rules' selections there, by
-best class alone for a rule of ``solutions.BEST_CLASS_RULES``. Nothing
+for all cells, and reads each rule's selection at most once, for all its
+cells; a best-class axiom or rule is listed or evaluated once per best
+class of a chunk. The ``SI`` and ``DMON`` cells run their checkers on
+that selection and the ranking's walk. An exhaustive pass with ``SI`` or
+``DMON`` cells first builds those rules' selection tables and hands them
+to every chunk, whose cells of those rules read the rules' selections
+there, by best class alone for a rule of ``solutions.BEST_CLASS_RULES``.
+Nothing
 is kept between passes. Campaign functions bundle one such pass and
 pinned instances into the characterization probe, the incompatibility
 report, the satisfaction matrix and the independence report; the
@@ -55,7 +56,7 @@ from .axioms import (
 from .core import (
     CoalitionalRanking, Universe, concomitant_set, mask_members, members_mask
 )
-from .enumeration import EXHAUSTIVE, RankingStream, fubini, prefix_of
+from .enumeration import EXHAUSTIVE, RankingStream, fubini
 from .errors import UniverseTooLargeError
 from .solutions import BEST_CLASS_RULES, RULES, best_class_reduction, lookup_rule
 from .transforms import SlideMove, apply_slide
@@ -116,25 +117,6 @@ class SweepReport:
         return "satisfied" if self.premises_found else "inapplicable"
 
 
-def _sources(rule, universe, table):
-    """(sources, top): the rule's SI and DMON source (see axioms._source) by (bits, prefix, before).
-
-    A best-class rule's ``top``, its selection by best-class bitset, reads
-    its best-class ``table`` (see :func:`_tables`), or else runs it once
-    per new best class, on the reduction; its source adds the chunk's SI
-    memo. Another rule has no ``top``; it reads its stream-indexed
-    ``table``, if any, with the prefix sums its caller builds once.
-    """
-    if rule in BEST_CLASS_RULES:
-        fn = lookup_rule(rule)
-        top = table.__getitem__ if table else cache(
-            lambda best: selection_mask(fn, best_class_reduction(universe, best)))
-        memo = {}
-        return (lambda bits, *_: (None, bits, None, top(bits[0]), top, memo)), top
-    return (lambda bits, prefix, before:
-            table and (table, bits, prefix, table[before[-1]], None)), None
-
-
 def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
     """Ranking count and per-cell [premises, violations, witnesses] of one chunk, and its ``tally`` totals.
 
@@ -146,21 +128,27 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
     chunk, and RAG, WRAG and RJAD share one set of agreement levels per
     ranking. A listing's instances all force one id bitmask, so a cell is
     one inline bit test, and a lister that lists nothing skips all its
-    cells. A rule's selection, an id bitmask kept in its slot, is read by
-    best class for a rule of ``solutions.BEST_CLASS_RULES`` (``top``, see
-    :func:`_sources`), from its stream-indexed table (see :func:`_tables`),
-    or else taken at most once per ranking, when one of its cells has an
-    instance there. A violated cell builds a witness only while under
-    ``cap``. ``SI`` and ``DMON`` cells run their own checkers on their
-    sources. With ``stop`` set, the chunk ends after the first ranking on
-    which a cell is violated, and the count includes that ranking.
+    cells. A rule's selection, an id bitmask kept in its slot, is read at
+    most once per ranking, when a cell needs it, and all its cells share
+    it: by best class for a rule of ``solutions.BEST_CLASS_RULES``
+    (``top``), from its stream-indexed table (see :func:`_tables`), or
+    from one rule call. A violated cell builds a witness only while under
+    ``cap``. ``SI`` and ``DMON`` cells run their checkers on it, the
+    ranking's walk and the reads (top, table, SI's memo) kept per chunk.
+    With ``stop`` set, the chunk ends after the first ranking on which a
+    cell is violated, and the count includes that ranking.
     """
     universe = stream.universe
     rules = list(dict.fromkeys(rule for rule, _ in cells))
-    readers = [  # per rule slot: its SI and DMON source, top, table and function
-        (*_sources(rule, universe, tables.get(rule)), tables.get(rule), lookup_rule(rule))
-        for rule in rules
-    ]
+    slots = []  # per rule slot: (function, top, stream-indexed table)
+    for rule in rules:
+        fn, table = lookup_rule(rule), tables.get(rule)
+        if rule in BEST_CLASS_RULES:  # its best-class table, or a run per new best class
+            top = table.__getitem__ if table else cache(
+                lambda best, fn=fn: selection_mask(fn, best_class_reduction(universe, best)))
+            slots.append((fn, top, None))
+        else:
+            slots.append((fn, None, table))
     results = [[0, 0, []] for _ in cells]
     plan, checks = {}, []  # cells by premise lister; SI and DMON cells
     for (rule, axiom), result in zip(cells, results):
@@ -169,13 +157,14 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
             lister, _, contains, _ = PREMISE_AXIOMS[axiom]
             plan.setdefault(lister, []).append((result, slot, contains, axiom))
         else:
-            checks.append((result, AXIOMS[axiom], readers[slot][3], readers[slot][0]))
+            fn, top, table = slots[slot]
+            reads = (top, table, {}) if axiom == "SI" else (top, table)  # SI adds its memo
+            checks.append((result, AXIOMS[axiom], fn, slot, reads))
     by_best = {PREMISE_AXIOMS[axiom][0] for axiom in BEST_CLASS_AXIOMS}
     levelled = {PREMISE_AXIOMS[axiom][0] for axiom in ("RAG", "RJAD")}  # take agreement levels
     best_listed = {}  # best-class bitset -> {lister: (instances, forced mask)}
     tallies = []
     count, stopped = 0, False
-    walked = any(rule not in BEST_CLASS_RULES for rule in tables)  # a table read with prefix sums
 
     def listing(lister):  # (instances, forced mask) of the current ranking
         memo = shared if lister in by_best else listed
@@ -186,10 +175,17 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
             memo[lister] = found, found and forced_mask(found)
         return memo[lister]
 
-    for ranking, remaining, before in stream.walk(chunk):
+    def select(slot):  # the slot's rule's selection on the current ranking, read once
+        sel = selected[slot]
+        if sel is None:
+            fn, top, table = slots[slot]
+            sel = selected[slot] = (top(bits[0]) if top else table[walk[1][-1]] if table
+                                    else selection_mask(fn, ranking))
+        return sel
+
+    for ranking, *walk in stream.walk(chunk):
         count += 1
         bits = ranking.bits
-        prefix = prefix_of(remaining, before, universe.n) if walked else None
         listed, selected, shared = {}, [None] * len(rules), best_listed.setdefault(bits[0], {})
         for lister, group in plan.items():
             found, forced = listing(lister)
@@ -197,20 +193,16 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
                 continue
             for result, slot, contains, axiom in group:
                 sel = selected[slot]
-                if sel is None:
-                    _, top, table, rule_fn = readers[slot]
-                    sel = selected[slot] = (
-                        top(bits[0]) if top else table[before[-1]] if table
-                        else selection_mask(rule_fn, ranking)
-                    )
+                if sel is None:  # a hit skips the call: this loop runs per cell and ranking
+                    sel = select(slot)
                 result[0] += len(found)
                 if forced & ~sel if contains else forced != sel:
                     result[1] += 1
                     stopped = stop
                     if len(result[2]) < cap:
                         result[2].append(premise_witness(axiom, ranking, found, forced, sel))
-        for result, check, rule_fn, source in checks:
-            verdict = check(ranking, rule_fn, source(bits, prefix, before))
+        for result, check, fn, slot, reads in checks:
+            verdict = check(ranking, fn, select(slot), walk, *reads)
             result[0] += verdict.premises_checked
             if verdict.status == VIOLATED:
                 result[1] += 1
@@ -772,10 +764,14 @@ def independence_report(
     a searched witness for f_star against DMON, the pinned
     four-individual slide for split plurality against SI, and the pinned
     two-level instance for les against STAG. Each claim carries a
-    discrepancy flag where the evidence contradicts the expectation.
+    discrepancy flag where the evidence contradicts the expectation. The
+    slide instance prints a ranking of all 2**n - 1 coalitions, so n stops
+    at MAX_CHECKED_N.
     """
     if n < 4:
         raise ValueError("independence_report needs n >= 4 for the slide instance")
+    if n > MAX_CHECKED_N:
+        raise UniverseTooLargeError(f"independence supports n <= {MAX_CHECKED_N}, got n={n}")
     claims = []
     # One table per rule serves the sweeps and the f_star x DMON search.
     universe = Universe(3)

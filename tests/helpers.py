@@ -8,7 +8,7 @@ the direct loops that faster code replaced: :func:`oracle_sweep`,
 :func:`oracle_first_violation` (the serial witness search the chunked
 one replaced),
 :func:`oracle_sample_classes`, :func:`oracle_ordered_partitions` (the
-exhaustive stream order), :func:`oracle_stream_prefix` and
+exhaustive stream order), :func:`oracle_stream_walk` and
 :func:`oracle_stream_index` (a ranking's stream index from its class
 bitsets), :func:`slide_gammas`, the slide and deterioration applicators
 and the deterioration recognizer on class tuples
@@ -42,7 +42,7 @@ from millrank import (
     validate_ranking,
 )
 from millrank.axioms import PREMISE_AXIOMS, _spell, _verdict, judge_slide
-from millrank.enumeration import _rank_offsets, prefix_of
+from millrank.enumeration import _rank_offsets
 from millrank.transforms import SlideMove, enumerate_deterioration_specs
 
 
@@ -393,10 +393,11 @@ def oracle_selection_table(rule, n):
     )
 
 
-def oracle_stream_prefix(bits, n):
-    """The StreamPrefix of the ranking with class bitsets ``bits``, summed class by class.
+def oracle_stream_walk(bits, n):
+    """The (remaining, before) running index sums of the ranking with class bitsets ``bits``.
 
-    Defined for n <= MAX_EXHAUSTIVE_N, where the offset table exists.
+    Summed class by class, as lists; ``walk_stream`` yields them as
+    tuples. Defined for n <= MAX_EXHAUSTIVE_N, where the offset table exists.
     """
     offsets = _rank_offsets(n)
     left = (1 << ((1 << n) - 1)) - 1
@@ -407,12 +408,12 @@ def oracle_stream_prefix(bits, n):
         left ^= cls
         remaining.append(left)
         before.append(total)
-    return prefix_of(remaining, before, n)
+    return remaining, before
 
 
 def oracle_stream_index(bits, n):
     """Index in the exhaustive stream of the ranking with class bitsets ``bits``."""
-    return oracle_stream_prefix(bits, n).index
+    return oracle_stream_walk(bits, n)[1][-1]
 
 
 @cache

@@ -50,13 +50,13 @@ from millrank.axioms import (
     PREMISE_AXIOMS,
     _balanced_by_gamma,
     forced_mask,
-    judge_selection,
+    judge,
     rdf_premises,
     rjad_premises,
     selection_mask,
 )
 from millrank.core import class_bits, mask_members
-from millrank.enumeration import prefix_of, walk_stream
+from millrank.enumeration import walk_stream
 from millrank.transforms import slide_gamma_bits
 from millrank.solutions import BEST_CLASS_RULES, best_class_reduction
 from millrank.cli import to_json
@@ -70,7 +70,7 @@ from helpers import (
     oracle_selection_table,
     oracle_slide_independence,
     oracle_stream_index,
-    oracle_stream_prefix,
+    oracle_stream_walk,
     rk,
     sel,
 )
@@ -385,9 +385,9 @@ class TestPremiseJudge:
 
     @pytest.mark.parametrize("axiom", PREMISE_AXIOMS)
     def test_matches_the_set_oracle(self, all_n2, axiom):
-        # Every nonempty selection on every ranking with an instance:
-        # exhaustive n = 2, a seeded n = 3 sample and two n = 3 rankings
-        # whose best class is the membership family of 1 (TDF, TJAD).
+        # Every nonempty selection, as a constant rule, on every ranking with
+        # an instance: exhaustive n = 2, a seeded n = 3 sample and two n = 3
+        # rankings whose best class is the membership family of 1 (TDF, TJAD).
         lister = PREMISE_AXIOMS[axiom][0]
         pinned = [rk("1 12 13 123 / rest"), rk("1 12 13 123 / 2 3 / 23")]
         judged = Counter()
@@ -398,7 +398,7 @@ class TestPremiseJudge:
             n = ranking.universe.n
             for selected in range(1, 1 << n):
                 actual = mask_members(selected, n)
-                verdict = judge_selection(axiom, ranking, instances, actual)
+                verdict = judge(axiom, ranking, lambda _: actual)
                 assert repr(verdict) == repr(oracle_judge_selection(axiom, ranking, instances, actual))
                 judged[verdict.status] += 1
         assert judged[VIOLATED] and judged[SATISFIED]
@@ -479,7 +479,7 @@ class TestTransformationCheckers:
     @pytest.fixture(scope="class")
     def rankings(self, all_n2):
         # Exhaustive n = 2 and seeded n = 3 and n = 4 samples, checked
-        # without a source: every target is built and the rule called on it.
+        # without a table: every target is built and the rule called on it.
         return [
             *all_n2,
             *RankingStream(Universe(3), Sample(150, 31)),
@@ -497,7 +497,7 @@ class TestTransformationCheckers:
     @pytest.mark.parametrize("axiom", CHECKERS)
     @pytest.mark.parametrize("rule_id", RULES)
     def test_match_the_oracles_from_filled_tables(self, axiom, rule_id):
-        # A walked source with a complete table built by the oracle stream:
+        # Each walked ranking with a complete table built by the oracle stream:
         # a wrongly ranked target would read another ranking's selection.
         check, oracle = self.CHECKERS[axiom]
         rule = RULES[rule_id]
@@ -507,8 +507,8 @@ class TestTransformationCheckers:
         for n, (classes, bits, remaining, before) in walked:
             table = oracle_selection_table(rule_id, n)
             ranking = CoalitionalRanking._trusted(Universe(n), classes)
-            source = table, bits, prefix_of(remaining, before, n), table[before[-1]], None
-            assert to_json(check(ranking, rule, source)) == to_json(oracle(ranking, rule))
+            got = check(ranking, rule, table[before[-1]], (remaining, before), None, table)
+            assert to_json(got) == to_json(oracle(ranking, rule))
 
     @pytest.mark.parametrize(
         "rule_id, axiom, shorthands",
@@ -531,8 +531,7 @@ class TestTransformationCheckers:
             index = oracle_stream_index(class_bits(ranking.classes), 3)
             ((classes, bits, remaining, before),) = walk_stream(3, index, index + 1)
             assert classes == ranking.classes
-            prefix = prefix_of(remaining, before, 3)
-            verdict = check(ranking, rule, (table, bits, prefix, table[index], None))
+            verdict = check(ranking, rule, table[index], (remaining, before), None, table)
             assert verdict.status == VIOLATED
             assert to_json(verdict) == to_json(oracle(ranking, rule))
 
@@ -546,20 +545,20 @@ class TestTransformationCheckers:
         # seeded n = 3 sample, walked.
         monkeypatch.setitem(RULES, "hashed_top", _hashed_top)
         check, rule = self.CHECKERS[axiom][0], RULES[rule_id]
-        cases = [(ranking, None) for ranking in all_n2]
+        cases = [(ranking, ()) for ranking in all_n2]
         table = oracle_selection_table(rule_id, 3)
         for index in random.Random(36).sample(range(fubini(7)), 80):
             ((classes, bits, remaining, before),) = walk_stream(3, index, index + 1)
-            general = table, bits, prefix_of(remaining, before, 3), table[index], None
+            general = table[index], (remaining, before), None, table
             cases.append((CoalitionalRanking._trusted(Universe(3), classes), general))
-        cases += [(ranking, None) for ranking in RankingStream(Universe(4), Sample(10, 37))]
-        cases += [(ranking, None) for ranking in RankingStream(Universe(5), Sample(3, 38))]
+        cases += [(ranking, ()) for ranking in RankingStream(Universe(4), Sample(10, 37))]
+        cases += [(ranking, ()) for ranking in RankingStream(Universe(5), Sample(3, 38))]
         statuses = Counter()
         for ranking, general in cases:
             universe, bits = ranking.universe, class_bits(ranking.classes)
             top = lambda best: selection_mask(rule, best_class_reduction(universe, best))
-            want = check(ranking, lambda r: rule(r), general)
-            assert repr(check(ranking, rule, (None, bits, None, top(bits[0]), top))) == repr(want)
+            want = check(ranking, lambda r: rule(r), *general)
+            assert repr(check(ranking, rule, top(bits[0]), None, top)) == repr(want)
             statuses[want.status] += 1
         if (rule_id, axiom) in (("hashed_top", "SI"), ("hashed_top", "DMON"), ("split_plurality", "SI")):
             assert statuses[VIOLATED] >= 3, statuses
@@ -583,10 +582,9 @@ class TestTransformationCheckers:
             for classes, bits, remaining, before in rankings:
                 ranking = CoalitionalRanking._trusted(universe, classes)
                 walked, reused = walked + 1, reused + (bits[0] in memo)
-                source = None, bits, None, top(bits[0]), top, memo
-                got = check_slide_independence(ranking, rule, source)
-                general = n == 3 and (table, bits, prefix_of(remaining, before, 3), table[before[-1]], None)
-                want = check_slide_independence(ranking, lambda r: rule(r), general or None)
+                got = check_slide_independence(ranking, rule, top(bits[0]), None, top, None, memo)
+                general = n == 3 and (table[before[-1]], (remaining, before), None, table)
+                want = check_slide_independence(ranking, lambda r: rule(r), *general or ())
                 assert repr(got) == repr(want), ranking
                 assert list(memo) == [bits[0]] if want.premises_checked else len(memo) <= 1
                 statuses[want.status] += 1
@@ -612,12 +610,12 @@ class TestTransformationCheckers:
         ranking = rk(shorthand, n=n)
         bits = class_bits(ranking.classes)
         assert {balanced_of[gamma] for gamma in slide_gamma_bits(bits[0])} == set(balanced_of)
-        prefix = oracle_stream_prefix(bits, n)
+        walk = oracle_stream_walk(bits, n)
         for base in range(1 << n):
             for after in range(1 << n):
                 table = bytes([after]) * fubini((1 << n) - 1)
                 rule = lambda r: mask_members(base if r is ranking else after, n)
-                got = check_slide_independence(ranking, rule, (table, bits, prefix, base, None))
+                got = check_slide_independence(ranking, rule, base, walk, None, table)
                 assert to_json(got) == to_json(oracle_slide_independence(ranking, rule))
 
     def test_rule_runs_once_per_distinct_ranking(self, rule_calls):

@@ -377,6 +377,26 @@ class TestProp1Guard:
         assert "n <= 8" in err
 
 
+class TestIndependenceGuard:
+    """verify independence prints the pinned slide instance of all 2^n - 1 coalitions: n stops at 8."""
+
+    @pytest.fixture(autouse=True)
+    def no_campaign(self, monkeypatch):
+        # A regression fails here instead of sweeping or building the instance.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(verify, "split_plurality_slide_instance", refuse)
+        monkeypatch.setattr(verify, "_sweep_pass", refuse)
+
+    @pytest.mark.parametrize("n", ["9", "20"])
+    def test_refused_beyond_the_bound(self, capsys, n):
+        code, doc, err = run(capsys, "verify", "independence", "--n", n)
+        assert code == 2
+        assert doc is None
+        assert "n <= 8" in err
+
+
 class TestSlideGuard:
     """check refuses an SI scan of too many slides; two classes of 30 and 1 coalitions have 2^30 - 2."""
 

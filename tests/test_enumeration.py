@@ -20,7 +20,7 @@ from helpers import (
     oracle_ordered_partitions,
     oracle_sample_classes,
     oracle_stream_index,
-    oracle_stream_prefix,
+    oracle_stream_walk,
     oracle_weak_order_count,
     rk,
 )
@@ -140,9 +140,8 @@ class TestWalkStream:
     @staticmethod
     def assert_carries_its_sums(walked, index, n):
         classes, bits, remaining, before = walked
-        prefix = oracle_stream_prefix(bits, n)
         assert bits == class_bits(classes)
-        assert (list(remaining), list(before)) == (prefix.remaining, prefix.before)
+        assert (list(remaining), list(before)) == oracle_stream_walk(bits, n)
         assert before[-1] == index
 
     @pytest.mark.parametrize("n", [1, 2])

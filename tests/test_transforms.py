@@ -35,7 +35,7 @@ from helpers import (
     oracle_apply_slide,
     oracle_is_deterioration,
     oracle_stream_index,
-    oracle_stream_prefix,
+    oracle_stream_walk,
     rk,
     slide_gammas,
 )
@@ -278,8 +278,9 @@ class TestBitsetTargets:
         for ranking in [*all_n2, *RankingStream(Universe(3), Sample(60, 24))]:
             n, bits = ranking.universe.n, class_bits(ranking.classes)
             full = ranking.universe.full_mask
-            prefix = oracle_stream_prefix(bits, n)
-            ((classes, *_),) = walk_stream(n, prefix.index, prefix.index + 1)
+            walk = oracle_stream_walk(bits, n)
+            index = walk[1][-1]
+            ((classes, *_),) = walk_stream(n, index, index + 1)
             assert classes == ranking.classes
             want = []
             for k1, cls in enumerate(ranking.classes):
@@ -288,7 +289,7 @@ class TestBitsetTargets:
                         for k2 in (*range(k1 + 1, len(bits)), *range(k1 - 1, -1, -1)):
                             want.append(oracle_stream_index(slide_bits(bits, k1, k2, gamma), n))
             table = _Reads(full)
-            check_slide_independence(ranking, None, (table, bits, prefix, full, None))
+            check_slide_independence(ranking, None, full, walk, None, table)
             assert table.read == want
             want = []
             for subject in range(1, full):  # the grand coalition keeps no one
@@ -299,7 +300,7 @@ class TestBitsetTargets:
                     for placement in placements[1:]
                 )
             table = _Reads(full)
-            check_downward_monotonicity(ranking, None, (table, bits, prefix, full, None))
+            check_downward_monotonicity(ranking, None, full, walk, None, table)
             assert table.read == want
 
     def test_best_class_reads_change_the_best_class(self, all_n2):
@@ -323,7 +324,7 @@ class TestBitsetTargets:
                         destinations = (*range(k1 + 1, len(bits)), *range(k1 - 1, -1, -1))
                         want += changed(slide_bits(bits, k1, k2, gamma) for k2 in destinations)
             top = _Reads(full)
-            check_slide_independence(ranking, None, (None, bits, None, full, top.__getitem__))
+            check_slide_independence(ranking, None, full, None, top.__getitem__)
             assert top.read == want
             want = []
             for subject in range(1, full):  # the grand coalition keeps no one
@@ -331,7 +332,7 @@ class TestBitsetTargets:
                 placements = deterioration_placements(j, len(bits), bits[j] == 1 << (subject - 1))
                 want += changed(deterioration_bits(bits, j, subject, *p) for p in placements[1:])
             top = _Reads(full)
-            check_downward_monotonicity(ranking, None, (None, bits, None, full, top.__getitem__))
+            check_downward_monotonicity(ranking, None, full, None, top.__getitem__)
             assert top.read == want
 
     def test_unknown_placement_kind_rejected(self):

@@ -317,23 +317,13 @@ class TestWitnessSearch:
         # search, and its difference scan
         assert runs[0]["les"] == 13 + 11
 
-    def test_prefix_sums_are_built_once_per_walked_ranking(self, monkeypatch):
-        built = Counter()
-
-        def counted(remaining, before, n, prefix_of=verify.prefix_of):
-            built[before[-1]] += 1
-            return prefix_of(remaining, before, n)
-
-        monkeypatch.setattr(verify, "prefix_of", counted)
-        every_index = Counter(range(fubini(3)))
-        sweep_cells([("les", "SI"), ("les", "DMON"), ("obi", "SI"), ("plurality", "SI")], 2)
-        assert built == every_index
-        built.clear()
-        assert verify._first_violation("les", ("SI", "DMON"), verify.Universe(2), EXHAUSTIVE) is None
-        assert built == every_index
-        built.clear()
-        sweep_cells([("plurality", "SI"), ("const_x", "DMON")], 2)  # best-class tables only
-        assert not built
+    def test_rule_runs_once_per_drawn_ranking(self, rule_calls):
+        # A sampled pass has no tables: les's STAG cell and its SI and DMON
+        # cells share one call on each drawn ranking.
+        mode = Sample(20, 1)
+        sweep_cells([("les", axiom) for axiom in THEOREM_AXIOMS], 4, mode)
+        drawn = [ranking.classes for ranking in RankingStream(verify.Universe(4), mode)]
+        assert [rule_calls["les", classes] for classes in drawn] == [1] * len(drawn)
 
 
 class TestBestClassRules:
