@@ -89,6 +89,12 @@ FIXED_CELLS = {
         ("verify", "theorem1", "--rule", rule, "--n", "3", "--jobs", "2")
         for rule in ("f_star", "obi", "les", "split_plurality", "const_x")
     ),
+    # The inline witness search of each declared best-class rule that differs
+    # from plurality; each report equals its --jobs 2 twin above.
+    "theorem1-witness-inline": tuple(
+        ("verify", "theorem1", "--rule", rule, "--n", "3")
+        for rule in ("split_plurality", "const_x")
+    ),
     # Three chunks each through a two-worker pool: pins witness order across chunks.
     "sweep-pooled": tuple(
         ("sweep", "--rule", rule, "--axiom", "DMON", "--n", "3", "--sample", "5000", "--seed", "4",
