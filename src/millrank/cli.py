@@ -324,7 +324,10 @@ def emit_report(command: str, parameters: dict, result_key: str, result, out=Non
 def _resolve_jobs(args) -> int:
     """Worker count: MILLRANK_JOBS, else --jobs, clamped to 1..cpu_count."""
     env = os.environ.get("MILLRANK_JOBS")
-    jobs = int(env) if env else args.jobs
+    try:
+        jobs = int(env) if env else args.jobs
+    except ValueError:
+        raise MillrankError(f"MILLRANK_JOBS must be an integer, got {env!r}") from None
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
@@ -385,7 +388,7 @@ def _build_parser():
     verify_cmd.add_argument("--n", type=int)
 
     enum_cmd = sub.add_parser("enumerate", help="list every ranking of a small universe")
-    enum_cmd.add_argument("--n", required=True, type=int)
+    enum_cmd.add_argument("--n", required=True, type=_count(0))
     enum_cmd.add_argument("--count-only", action="store_true")
 
     sample_cmd = sub.add_parser("sample", help="draw uniform random rankings")

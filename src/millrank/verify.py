@@ -7,14 +7,13 @@ for all cells, and reads each rule's selection at most once, for all its
 cells; a best-class axiom or rule is listed or evaluated once per best
 class of a chunk. The ``SI`` and ``DMON`` cells run their checkers on
 that selection and the ranking's walk. An exhaustive pass with ``SI`` or
-``DMON`` cells first builds those rules' selection tables and hands them
-to every chunk, whose cells of those rules read the rules' selections
-there, by best class alone for a rule of ``solutions.BEST_CLASS_RULES``.
-Nothing
-is kept between passes. Campaign functions bundle one such pass and
-pinned instances into the characterization probe, the incompatibility
-report, the satisfaction matrix and the independence report; the
-witness search is such a pass, stopped at the first violating ranking.
+``DMON`` cells of a rule not in ``solutions.BEST_CLASS_RULES`` first
+builds that rule's selection table and hands it to every chunk, whose
+cells of the rule read its selections there. Nothing is kept between
+passes. Campaign functions bundle one such pass and pinned instances
+into the characterization probe, the incompatibility report, the
+satisfaction matrix and the independence report; the witness search is
+such a pass, stopped at the first violating ranking.
 
 All outputs are deterministic for fixed inputs. Chunks of stream
 indices may be walked by a pool of worker processes; partial tallies
@@ -131,10 +130,11 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
     cells. A rule's selection, an id bitmask kept in its slot, is read at
     most once per ranking, when a cell needs it, and all its cells share
     it: by best class for a rule of ``solutions.BEST_CLASS_RULES``
-    (``top``), from its stream-indexed table (see :func:`_tables`), or
-    from one rule call. A violated cell builds a witness only while under
-    ``cap``. ``SI`` and ``DMON`` cells run their checkers on it, the
-    ranking's walk and the reads (top, table, SI's memo) kept per chunk.
+    (``top``, one rule call per new best class of the chunk), from its
+    stream-indexed table (see :func:`_tables`), or from one rule call. A
+    violated cell builds a witness only while under ``cap``. ``SI`` and
+    ``DMON`` cells run their checkers on it, the ranking's walk and the
+    reads (top, table, SI's memo) kept per chunk.
     With ``stop`` set, the chunk ends after the first ranking on which a
     cell is violated, and the count includes that ranking.
     """
@@ -142,13 +142,12 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
     rules = list(dict.fromkeys(rule for rule, _ in cells))
     slots = []  # per rule slot: (function, top, stream-indexed table)
     for rule in rules:
-        fn, table = lookup_rule(rule), tables.get(rule)
-        if rule in BEST_CLASS_RULES:  # its best-class table, or a run per new best class
-            top = table.__getitem__ if table else cache(
-                lambda best, fn=fn: selection_mask(fn, best_class_reduction(universe, best)))
-            slots.append((fn, top, None))
+        fn = lookup_rule(rule)
+        if rule in BEST_CLASS_RULES:  # a run per new best class, kept for the chunk
+            slots.append((fn, cache(
+                lambda best, fn=fn: selection_mask(fn, best_class_reduction(universe, best))), None))
         else:
-            slots.append((fn, None, table))
+            slots.append((fn, None, tables.get(rule)))
     results = [[0, 0, []] for _ in cells]
     plan, checks = {}, []  # cells by premise lister; SI and DMON cells
     for (rule, axiom), result in zip(cells, results):
@@ -216,15 +215,6 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
     return count, results, tuple(map(sum, zip(*tallies)))
 
 
-def _stream(universe, mode) -> RankingStream:
-    """The stream a sweep or campaign checks; sampled ones stop at MAX_CHECKED_N."""
-    if mode != EXHAUSTIVE and universe.n > MAX_CHECKED_N:
-        raise UniverseTooLargeError(
-            f"sampled sweeps and campaigns support n <= {MAX_CHECKED_N}, got n={universe.n}"
-        )
-    return RankingStream(universe, mode)
-
-
 def _run_chunks(universe, mode, worker, jobs):
     """Yield ``worker(stream, chunk)`` for each stream chunk, inline or from a fork pool.
 
@@ -234,8 +224,14 @@ def _run_chunks(universe, mode, worker, jobs):
     Closing the generator early cancels the chunks no worker has started
     and waits for the others. Terminating the workers instead can kill
     one that holds the lock of the result queue, and the pool then hangs.
+    A sampled stream stops at MAX_CHECKED_N individuals; the exhaustive
+    stream refuses more than MAX_EXHAUSTIVE_N itself, before any chunk.
     """
-    stream, size = _stream(universe, mode), _CHUNK
+    if mode != EXHAUSTIVE and universe.n > MAX_CHECKED_N:
+        raise UniverseTooLargeError(
+            f"sampled sweeps and campaigns support n <= {MAX_CHECKED_N}, got n={universe.n}"
+        )
+    stream, size = RankingStream(universe, mode), _CHUNK
     total = len(stream)
     chunks = (range(start, min(start + size, total)) for start in range(0, total, size))
     work = partial(worker, stream)
@@ -268,28 +264,23 @@ def _selection_chunk(rules, stop, stream, chunk):
 
 
 def _tables(cells, universe, mode, jobs):
-    """{rule: its selection table} for each rule with an ``SI`` or ``DMON`` cell, from one exhaustive pass.
+    """{rule: its selection table} for each undeclared rule with an ``SI`` or ``DMON`` cell, from one exhaustive pass.
 
     A rule's table is a bytes value holding its selection, as an id
-    bitmask, on the ranking of each stream index; it is built only up to
-    MAX_EXHAUSTIVE_N individuals, where the exhaustive stream exists. A
-    best-class rule's table holds it per best-class bitset instead. A
-    sampled pass has no tables.
+    bitmask, on the ranking of each stream index; the exhaustive stream
+    refuses more than MAX_EXHAUSTIVE_N individuals before any rule call.
+    A rule of ``solutions.BEST_CLASS_RULES`` has no table: its chunks
+    read it by best class. A sampled pass has no tables.
     """
-    transformed = (rule for rule, axiom in cells if axiom not in PREMISE_AXIOMS)
-    tables, rules = {}, dict.fromkeys(transformed if mode == EXHAUSTIVE else ())
-    if rules:  # refuse an n beyond MAX_EXHAUSTIVE_N before building any table
-        _stream(universe, EXHAUSTIVE)
-    for rule in BEST_CLASS_RULES.intersection(rules):
-        tops = (best_class_reduction(universe, top) for top in range(1, 1 << universe.full_mask))
-        tables[rule] = bytes([0, *(selection_mask(lookup_rule(rule), r) for r in tops)])
-    rules = [rule for rule in rules if rule not in tables]
+    transformed = (rule for rule, axiom in cells
+                   if axiom not in PREMISE_AXIOMS and rule not in BEST_CLASS_RULES)
+    rules = list(dict.fromkeys(transformed if mode == EXHAUSTIVE else ()))
     scan = partial(_selection_chunk, rules, False)
     chunks = [parts for parts, _ in _run_chunks(universe, EXHAUSTIVE, scan, jobs)] if rules else []
-    return tables | {rule: b"".join(part) for rule, part in zip(rules, zip(*chunks))}
+    return {rule: b"".join(part) for rule, part in zip(rules, zip(*chunks))}
 
 
-def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=None):
+def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=None, stop=False):
     """Sweep reports of every (rule, axiom) cell from one pass over the stream.
 
     ``tally(listing)``, when given, runs on every ranking with its
@@ -298,7 +289,11 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=Non
     their sum over the stream (empty without ``tally``).
     ``tables`` holds the selection tables of the pass (see
     :func:`_sweep_chunk`), built by :func:`_tables` when None. The
-    tables travel to the workers with each chunk.
+    tables travel to the workers with each chunk. With ``stop`` set,
+    each chunk ends after its first violating ranking, and the pass
+    after the first chunk with a violation, so ``rankings_checked``
+    counts up to that ranking. A pass that reaches the end of an
+    exhaustive stream must have covered every ranking.
     """
     cells = [(rule, axiom.upper()) for rule, axiom in cells]
     for rule, axiom in cells:
@@ -309,18 +304,20 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=Non
         tables = _tables(cells, universe, mode, jobs)
     checked, tallies = 0, []
     merged = [[0, 0, []] for _ in cells]
-    worker = partial(_sweep_chunk, cells, tally, witness_cap, tables, False)
-    for count, results, counts in _run_chunks(universe, mode, worker, jobs):
-        checked += count
-        tallies.append(counts)
-        for cell, (premises, violations, witnesses) in zip(merged, results):
-            cell[0] += premises
-            cell[1] += violations
-            cell[2].extend(witnesses[: witness_cap - len(cell[2])])
-    if mode == EXHAUSTIVE:
-        expected = fubini(universe.full_mask)
-        if checked != expected:
-            raise AssertionError(f"exhaustive sweep covered {checked} of {expected} rankings")
+    worker = partial(_sweep_chunk, cells, tally, witness_cap, tables, stop)
+    with closing(_run_chunks(universe, mode, worker, jobs)) as chunks:
+        for count, results, counts in chunks:
+            checked += count
+            tallies.append(counts)
+            for cell, (premises, violations, witnesses) in zip(merged, results):
+                cell[0] += premises
+                cell[1] += violations
+                cell[2].extend(witnesses[: witness_cap - len(cell[2])])
+            if stop and any(cell[1] for cell in merged):
+                break
+        else:
+            if mode == EXHAUSTIVE and checked != (expected := fubini(universe.full_mask)):
+                raise AssertionError(f"exhaustive sweep covered {checked} of {expected} rankings")
     wall_time = time.perf_counter() - started
     reports = tuple(
         SweepReport(
@@ -387,32 +384,19 @@ def check_single(rule: str, axiom: str, ranking: CoalitionalRanking):
 def _first_violation(rule, axioms, universe, mode, jobs=1, tables=None):
     """First (stream index, witness) where the rule violates one of the axioms, or None.
 
-    A pass of one cell per axiom through :func:`_sweep_chunk`, with
-    witness cap 1 and chunks that stop after their first violating
-    ranking, so it reads selections as sweeps do. The first chunk with a
-    violation ends the search; on its last ranking the earliest violated
-    axiom wins. The rule's selection table, if ``tables`` has one, serves
-    every cell; when ``tables`` is None, :func:`_tables` builds them.
+    A :func:`_sweep_pass` of one cell per axiom with witness cap 1,
+    stopped at the first violating ranking, so it reads selections as
+    sweeps do; on that ranking the earliest violated axiom wins.
+    ``tables`` are the pass's selection tables, built when None.
     """
-    lookup_rule(rule)
     cells = [(rule, axiom) for axiom in axioms]
-    if tables is None:
-        tables = _tables(cells, universe, mode, jobs)
-    worker = partial(_sweep_chunk, cells, None, 1, tables, True)
-    index = 0
-    with closing(_run_chunks(universe, mode, worker, jobs)) as chunks:
-        for count, results, _ in chunks:
-            index += count
-            for _, violations, witnesses in results:
-                if violations:
-                    return index - 1, witnesses[0]
-    return None
+    reports = _sweep_pass(cells, universe, mode, jobs, 1, tables=tables, stop=True)[0]
+    return next(((r.rankings_checked - 1, r.witnesses[0]) for r in reports if r.violations), None)
 
 
 def find_violation(rule: str, axiom: str, n: int, mode=EXHAUSTIVE, *, universe=None):
     """First (stream index, witness) whose checker reports a violation."""
-    lookup_axiom(axiom)
-    return _first_violation(rule, (axiom.upper(),), universe or Universe(n), mode)
+    return _first_violation(rule, (axiom,), universe or Universe(n), mode)
 
 
 @dataclass(frozen=True)
@@ -773,7 +757,7 @@ def independence_report(
     if n > MAX_CHECKED_N:
         raise UniverseTooLargeError(f"independence supports n <= {MAX_CHECKED_N}, got n={n}")
     claims = []
-    # One table per rule serves the sweeps and the f_star x DMON search.
+    # One table per undeclared rule serves the sweeps and the f_star x DMON search.
     universe = Universe(3)
     tables = _tables(INDEPENDENCE_SWEEPS, universe, EXHAUSTIVE, jobs)
     sweeps = _sweep_pass(INDEPENDENCE_SWEEPS, universe, EXHAUSTIVE, jobs, witness_cap, tables=tables)

@@ -200,6 +200,12 @@ class TestSweep:
         main(["sweep", "--rule", "plurality", "--axiom", "STAG", "--n", "2", "--jobs", "1"])
         assert capsys.readouterr().out == with_env
 
+    def test_env_var_that_is_not_a_number_is_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MILLRANK_JOBS", "abc")
+        code, doc, err = run(capsys, "sweep", "--rule", "les", "--axiom", "STAG", "--n", "2")
+        assert (code, doc) == (2, None)
+        assert "MILLRANK_JOBS" in err and "'abc'" in err
+
 
 class TestVerifyCommands:
     def test_theorem1_plurality_small(self, capsys):
@@ -298,7 +304,7 @@ class TestExhaustiveGuard:
 
     @pytest.fixture(autouse=True)
     def no_enumeration(self, monkeypatch):
-        # A regression fails here instead of starting the walk or a best-class table.
+        # A regression fails here instead of starting the walk or a best-class reduction.
         def refuse(*args):
             raise AssertionError("exhaustive enumeration started")
 
@@ -459,6 +465,14 @@ class TestEnumerateAndSample:
         code, doc, _ = run(capsys, "enumerate", "--n", "3", "--count-only")
         assert code == 0
         assert doc["result"]["count"] == 47293
+
+    def test_negative_n_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "-1", "--count-only"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least 0" in captured.err
 
     def test_full_listing_round_trips(self, capsys):
         from millrank import parse_ranking, enumerate_rankings

@@ -1,3 +1,4 @@
+import functools
 import json
 import time
 from collections import Counter
@@ -32,7 +33,7 @@ from millrank import axioms, core, verify
 from millrank.axioms import BEST_CLASS_AXIOMS, PREMISE_AXIOMS
 from millrank.cli import to_json
 from millrank.core import class_bits
-from millrank.solutions import BEST_CLASS_RULES
+from millrank.solutions import BEST_CLASS_RULES, best_class_reduction
 from millrank.transforms import slide_gamma_bits
 from millrank.verify import THEOREM_AXIOMS
 from helpers import cmask, oracle_first_violation, oracle_sweep, rk, sel
@@ -106,7 +107,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_refuses_best_class_tables_before_any_rule_call(self, rule_calls, n):
-        # A best-class table beyond the guard would hold 2**(2**n - 1) selections.
+        # Beyond the guard a declared rule's chunks would read up to
+        # 2**(2**n - 1) - 1 best classes, one rule call each.
         for run in (
             lambda: sweep("plurality", "SI", n),
             lambda: sweep_cells([("const_x", "DMON"), ("les", "SI")], n),
@@ -207,10 +209,11 @@ class TestTheorem1Probe:
         assert witness is not None and witness.axiom in ("STAG", "SI", "DMON")
         assert replay(witness, rule).status == VIOLATED
 
-    def test_plurality_reads_its_best_class_table(self, monkeypatch):
-        # Plurality is not scanned against itself: it runs once on the
-        # reduction of each of the 7 best classes at n = 2, and STAG, SI
-        # and DMON then read every selection from that table.
+    def test_plurality_runs_once_per_best_class(self, monkeypatch):
+        # Plurality is not scanned against itself: the 13 rankings at n = 2
+        # are one chunk, which runs it once on the reduction of each of the
+        # 7 best classes and reads every STAG, SI and DMON selection from
+        # those runs.
         calls = Counter()
         plurality = RULES["plurality"]
 
@@ -310,8 +313,8 @@ class TestWitnessSearch:
             sweep_cells([("obi", "SI"), ("split_plurality", "DMON")], 2)
             runs.append(Counter(rule_id for rule_id, _ in rule_calls.elements()))
         assert runs[0] == runs[1]
-        # plurality's best-class table, and les's scan up to its first
-        # difference, at index 10
+        # plurality's runs on the 7 best classes of its one chunk, and les's
+        # scan up to its first difference, at index 10
         assert runs[0]["plurality"] == 7 + 11
         # les's selection table, read by the STAG, SI and DMON witness
         # search, and its difference scan
@@ -324,6 +327,34 @@ class TestWitnessSearch:
         sweep_cells([("les", axiom) for axiom in THEOREM_AXIOMS], 4, mode)
         drawn = [ranking.classes for ranking in RankingStream(verify.Universe(4), mode)]
         assert [rule_calls["les", classes] for classes in drawn] == [1] * len(drawn)
+
+
+class TestCoverage:
+    """A pass that reaches the end of the exhaustive stream has checked every ranking."""
+
+    @pytest.fixture()
+    def short_chunks(self, monkeypatch):
+        # Every chunk reports one ranking fewer than it walked.
+        chunk = verify._sweep_chunk
+
+        def short(*args):
+            count, results, counts = chunk(*args)
+            return count - 1, results, counts
+
+        monkeypatch.setattr(verify, "_sweep_chunk", short)
+
+    def test_full_pass_that_misses_a_ranking_fails(self, short_chunks):
+        with pytest.raises(AssertionError, match="covered 12 of 13 rankings"):
+            sweep("les", "STAG", 2)
+
+    def test_search_that_finds_nothing_is_checked_too(self, short_chunks):
+        with pytest.raises(AssertionError, match="covered 12 of 13 rankings"):
+            verify._first_violation("plurality", THEOREM_AXIOMS, verify.Universe(2), EXHAUSTIVE)
+
+    def test_search_that_stops_early_is_not_checked(self, short_chunks):
+        # obi's first n = 3 ranking violates STAG: the search ends in its first chunk.
+        found = verify._first_violation("obi", THEOREM_AXIOMS, verify.Universe(3), EXHAUSTIVE)
+        assert found is not None and found[1].axiom == "STAG"
 
 
 class TestBestClassRules:
@@ -374,37 +405,49 @@ class TestBestClassRules:
     def test_slide_summaries_run_once_per_best_class_and_class(self, monkeypatch, mode, rule_id):
         # One chunk of a declared rule's SI cell at n = 3: each class's summary
         # runs at most once per (best class, class) and run of rankings with
-        # that best class, which the exhaustive walk visits in one run, and
-        # top, a counted best-class table, is read at most once per ranking
-        # plus once per gamma with a balanced pair the base selection meets,
-        # as a scan over every ranking's gammas reads it.
-        summaries, reads = Counter(), Counter()
-
-        class Counted(bytes):
-            def __getitem__(self, best):
-                reads[best] += 1
-                return super().__getitem__(best)
+        # that best class, which the exhaustive walk visits in one run; the
+        # chunk reduces each best class it reads at most once, and reads its
+        # best-class reader at most once per ranking plus once per gamma with
+        # a balanced pair the base selection meets, as a scan over every
+        # ranking's gammas reads it.
+        summaries, reads, reductions = Counter(), Counter(), Counter()
 
         def counted(n, best, cls, base, top, summarize=axioms._class_slides):
             summaries[best, cls] += 1
             return summarize(n, best, cls, base, top)
 
+        def reduced(universe, best):
+            reductions[best] += 1
+            return best_class_reduction(universe, best)
+
+        def counted_cache(fn):
+            cached = functools.cache(fn)
+
+            def read(best):
+                reads[best] += 1
+                return cached(best)
+            return read
+
         monkeypatch.setattr(axioms, "_class_slides", counted)
+        monkeypatch.setattr(verify, "best_class_reduction", reduced)
+        monkeypatch.setattr(verify, "cache", counted_cache)
         stream = RankingStream(verify.Universe(3), mode)
         chunk = range(min(verify._CHUNK, len(stream)))
-        table = verify._tables([(rule_id, "SI")], stream.universe, EXHAUSTIVE, 1)[rule_id]
-        verify._sweep_chunk([(rule_id, "SI")], None, 10, {rule_id: Counted(table)}, False, stream, chunk)
+        verify._sweep_chunk([(rule_id, "SI")], None, 10, {}, False, stream, chunk)
         meets, balanced_of = axioms._pairs(3)[1], axioms._balanced_by_gamma(3)
+        rule = RULES[rule_id]
         runs, last, scanned = Counter(), None, 0
         for ranking, *_ in stream.walk(chunk):
             bits = ranking.bits
             runs[bits[0]] += bits[0] != last
-            last, relevant = bits[0], meets[table[bits[0]]]
+            base = axioms.selection_mask(rule, best_class_reduction(stream.universe, bits[0]))
+            last, relevant = bits[0], meets[base]
             scanned += 1 + (len(bits) > 1) * sum(
                 bool(balanced_of[gamma] & relevant) for cls in bits for gamma in slide_gamma_bits(cls)
             )
         assert mode != EXHAUSTIVE or max(runs.values()) == 1
         assert all(count <= runs[best] for (best, _), count in summaries.items())
+        assert set(runs) <= set(reductions) == set(reads) and max(reductions.values()) == 1
         assert len(chunk) < sum(reads.values()) <= scanned
 
     @pytest.mark.parametrize("mode", [EXHAUSTIVE, Sample(400, 43)], ids=["exhaustive", "sampled"])
