@@ -120,6 +120,10 @@ RULES = {
 # on a ranking as on its best_class_reduction (f_star reads the class count).
 BEST_CLASS_RULES = frozenset({"plurality", "split_plurality", "const_x"})
 
+# Rules, by name, that commute with core.relabel: no axiom then tells a ranking
+# from its relabelings, so an exhaustive pass judges one ranking per orbit.
+ANONYMOUS_RULES = frozenset({"plurality", "les", "obi", "split_plurality", "f_star", "const_x"})
+
 
 def best_class_reduction(universe, top: int) -> CoalitionalRanking:
     """The ranking with best class bitset ``top`` and every other coalition in one class below."""

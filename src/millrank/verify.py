@@ -15,6 +15,13 @@ into the characterization probe, the incompatibility report, the
 satisfaction matrix and the independence report; the witness search is
 such a pass, stopped at the first violating ranking.
 
+An unstopped exhaustive pass of rules in ``solutions.ANONYMOUS_RULES``
+judges one ranking per relabeling orbit, weighted by the orbit's size:
+no axiom names an individual, so an orbit's rankings judge alike. Its
+witnesses, the smallest violating stream indices, are each judged on
+their own ranking, so reports do not change. Tables, sampled passes
+and stopped searches walk every ranking.
+
 All outputs are deterministic for fixed inputs. Chunks of stream
 indices may be walked by a pool of worker processes; partial tallies
 merge by addition as chunk results come back in stream order, so
@@ -55,9 +62,9 @@ from .axioms import (
 from .core import (
     CoalitionalRanking, Universe, concomitant_set, mask_members, members_mask
 )
-from .enumeration import EXHAUSTIVE, RankingStream, fubini
+from .enumeration import EXHAUSTIVE, RankingStream, fubini, orbit_indices
 from .errors import UniverseTooLargeError
-from .solutions import BEST_CLASS_RULES, RULES, best_class_reduction, lookup_rule
+from .solutions import ANONYMOUS_RULES, BEST_CLASS_RULES, RULES, best_class_reduction, lookup_rule
 from .transforms import SlideMove, apply_slide
 
 _CHUNK = 2048
@@ -136,9 +143,11 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
     ``DMON`` cells run their checkers on it, the ranking's walk and the
     reads (top, table, SI's memo) kept per chunk.
     With ``stop`` set, the chunk ends after the first ranking on which a
-    cell is violated, and the count includes that ranking.
+    cell is violated, and the count includes that ranking. On a stream
+    with ``orbits``, counts and tallies are weighted by orbit size, and a
+    cell keeps the ``cap`` smallest violating stream indices, not witnesses.
     """
-    universe = stream.universe
+    universe, orbits = stream.universe, stream.orbits
     rules = list(dict.fromkeys(rule for rule, _ in cells))
     slots = []  # per rule slot: (function, top, stream-indexed table)
     for rule in rules:
@@ -178,13 +187,22 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
         sel = selected[slot]
         if sel is None:
             fn, top, table = slots[slot]
-            sel = selected[slot] = (top(bits[0]) if top else table[walk[1][-1]] if table
+            sel = selected[slot] = (top(bits[0]) if top else table[before[-1]] if table
                                     else selection_mask(fn, ranking))
         return sel
 
-    for ranking, *walk in stream.walk(chunk):
-        count += 1
-        bits = ranking.bits
+    def violated(result, witness):  # one more violating ranking for the cell, weighted
+        nonlocal stopped
+        result[1] += weight
+        stopped, held = stop, result[2]
+        if not orbits and len(held) < cap:
+            held.append(witness())
+        elif orbits and (len(held) < cap or held and held[-1] > before[-1]):  # earlier ones may join
+            result[2] = sorted(held + [*orbit_indices(universe.n, bits)])[:cap]
+
+    for ranking, remaining, before, weight in stream.walk(chunk):
+        count += weight
+        bits, walk = ranking.bits, (remaining, before)
         listed, selected, shared = {}, [None] * len(rules), best_listed.setdefault(bits[0], {})
         for lister, group in plan.items():
             found, forced = listing(lister)
@@ -194,28 +212,22 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
                 sel = selected[slot]
                 if sel is None:  # a hit skips the call: this loop runs per cell and ranking
                     sel = select(slot)
-                result[0] += len(found)
+                result[0] += len(found) * weight
                 if forced & ~sel if contains else forced != sel:
-                    result[1] += 1
-                    stopped = stop
-                    if len(result[2]) < cap:
-                        result[2].append(premise_witness(axiom, ranking, found, forced, sel))
+                    violated(result, partial(premise_witness, axiom, ranking, found, forced, sel))
         for result, check, fn, slot, reads in checks:
             verdict = check(ranking, fn, select(slot), walk, *reads)
-            result[0] += verdict.premises_checked
+            result[0] += verdict.premises_checked * weight
             if verdict.status == VIOLATED:
-                result[1] += 1
-                stopped = stop
-                if len(result[2]) < cap:
-                    result[2].append(verdict.witness)
+                violated(result, lambda: verdict.witness)
         if tally is not None:
-            tallies.append(tally(listing))
+            tallies.append([tallied * weight for tallied in tally(listing)])
         if stopped:
             break
     return count, results, tuple(map(sum, zip(*tallies)))
 
 
-def _run_chunks(universe, mode, worker, jobs):
+def _run_chunks(universe, mode, worker, jobs, orbits=False):
     """Yield ``worker(stream, chunk)`` for each stream chunk, inline or from a fork pool.
 
     Both ways yield the results in stream order. A chunk is a range of
@@ -226,12 +238,13 @@ def _run_chunks(universe, mode, worker, jobs):
     one that holds the lock of the result queue, and the pool then hangs.
     A sampled stream stops at MAX_CHECKED_N individuals; the exhaustive
     stream refuses more than MAX_EXHAUSTIVE_N itself, before any chunk.
+    With ``orbits``, an exhaustive worker walks its chunk's orbits.
     """
     if mode != EXHAUSTIVE and universe.n > MAX_CHECKED_N:
         raise UniverseTooLargeError(
             f"sampled sweeps and campaigns support n <= {MAX_CHECKED_N}, got n={universe.n}"
         )
-    stream, size = RankingStream(universe, mode), _CHUNK
+    stream, size = RankingStream(universe, mode, orbits), _CHUNK
     total = len(stream)
     chunks = (range(start, min(start + size, total)) for start in range(0, total, size))
     work = partial(worker, stream)
@@ -293,7 +306,9 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=Non
     each chunk ends after its first violating ranking, and the pass
     after the first chunk with a violation, so ``rankings_checked``
     counts up to that ranking. A pass that reaches the end of an
-    exhaustive stream must have covered every ranking.
+    exhaustive stream must have covered every ranking. An exhaustive,
+    unstopped pass of declared rules walks orbits (see the module
+    docstring); ``tally`` must then count alike on every relabeling.
     """
     cells = [(rule, axiom.upper()) for rule, axiom in cells]
     for rule, axiom in cells:
@@ -302,22 +317,30 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=Non
     started = time.perf_counter()
     if tables is None:
         tables = _tables(cells, universe, mode, jobs)
+    # Rules that commute with relabeling leave every count alike across an orbit.
+    orbits = mode == EXHAUSTIVE and not stop and all(rule in ANONYMOUS_RULES for rule, _ in cells)
     checked, tallies = 0, []
     merged = [[0, 0, []] for _ in cells]
     worker = partial(_sweep_chunk, cells, tally, witness_cap, tables, stop)
-    with closing(_run_chunks(universe, mode, worker, jobs)) as chunks:
+    with closing(_run_chunks(universe, mode, worker, jobs, orbits)) as chunks:
         for count, results, counts in chunks:
             checked += count
-            tallies.append(counts)
+            tallies += [counts] if counts else []  # a chunk may hold no orbit's first ranking
             for cell, (premises, violations, witnesses) in zip(merged, results):
                 cell[0] += premises
                 cell[1] += violations
-                cell[2].extend(witnesses[: witness_cap - len(cell[2])])
+                kept = cell[2] + list(witnesses)  # witnesses, or stream indices of orbits
+                cell[2] = (sorted(kept) if orbits else kept)[:witness_cap]
             if stop and any(cell[1] for cell in merged):
                 break
         else:
             if mode == EXHAUSTIVE and checked != (expected := fubini(universe.full_mask)):
                 raise AssertionError(f"exhaustive sweep covered {checked} of {expected} rankings")
+    if orbits:  # each witness from its own ranking: relabeled, its premises scan in another order
+        stream = RankingStream(universe)
+        for cell, one in zip(merged, cells):
+            cell[2] = [_sweep_chunk([one], None, 1, tables, False, stream, range(i, i + 1))[1][0][2][0]
+                       for i in cell[2]]
     wall_time = time.perf_counter() - started
     reports = tuple(
         SweepReport(

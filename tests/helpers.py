@@ -2,7 +2,7 @@
 
 The oracles recompute everything from frozenset-of-ints first principles
 (itertools over member lists, no bitmasks), so they exercise none of the
-code paths they are used to check. Thirteen declared oracles are instead
+code paths they are used to check. Fourteen declared oracles are instead
 the direct loops that faster code replaced: :func:`oracle_sweep`,
 :func:`oracle_judge_selection` (premise-only verdicts on id sets),
 :func:`oracle_first_violation` (the serial witness search the chunked
@@ -10,7 +10,9 @@ one replaced),
 :func:`oracle_sample_classes`, :func:`oracle_ordered_partitions` (the
 exhaustive stream order), :func:`oracle_stream_walk` and
 :func:`oracle_stream_index` (a ranking's stream index from its class
-bitsets), :func:`slide_gammas`, the slide and deterioration applicators
+bitsets), :func:`oracle_orbit_minima` (the orderly walk's orbit
+representatives and sizes, by relabeling every ranking every way),
+:func:`slide_gammas`, the slide and deterioration applicators
 and the deterioration recognizer on class tuples
 :func:`oracle_apply_slide`, :func:`oracle_apply_deterioration` and
 :func:`oracle_is_deterioration`, and the slide independence and
@@ -22,7 +24,7 @@ call the rule on it, :func:`oracle_slide_independence` and
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 from millrank import (
@@ -42,6 +44,7 @@ from millrank import (
     validate_ranking,
 )
 from millrank.axioms import PREMISE_AXIOMS, _spell, _verdict, judge_slide
+from millrank.core import class_bits, mask_members
 from millrank.enumeration import _rank_offsets
 from millrank.transforms import SlideMove, enumerate_deterioration_specs
 
@@ -391,6 +394,45 @@ def oracle_selection_table(rule, n):
         sum(1 << i for i in rule_fn(CoalitionalRanking._trusted(universe, classes)))
         for classes in oracle_ordered_partitions(tuple(range(1, 1 << n)))
     )
+
+
+@cache
+def oracle_relabeled_indices(n):
+    """Per ranking of the oracle stream order, the index of its relabeling by each permutation.
+
+    The permutations run in ``itertools.permutations`` order, the
+    identity first; each renames the members of every coalition, and the
+    relabeled classes are sorted and looked up in the oracle stream.
+    """
+    coalitions = tuple(range(1, 1 << n))
+    stream = list(oracle_ordered_partitions(coalitions))
+    index = {classes: i for i, classes in enumerate(stream)}
+    renames = [
+        {m: sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in coalitions}
+        for perm in permutations(range(n))
+    ]
+    return tuple(
+        tuple(index[tuple(tuple(sorted(rename[m] for m in cls)) for cls in classes)] for rename in renames)
+        for classes in stream
+    )
+
+
+def oracle_orbit_minima(n):
+    """(stream index, orbit size) of the smallest-index ranking of each relabeling orbit.
+
+    Brute force: every ranking relabeled every way; a ranking is its
+    orbit's minimum when no relabeling has a smaller index.
+    """
+    return [(i, len(set(images))) for i, images in enumerate(oracle_relabeled_indices(n)) if min(images) == i]
+
+
+def hashed_top(ranking):
+    """A rule that reads the best class alone and selects a scrambled nonempty set.
+
+    It breaks ties by ids, so it does not commute with relabeling.
+    """
+    n = ranking.universe.n
+    return mask_members(class_bits(ranking.classes[:1])[0] * 40503 % ((1 << n) - 1) + 1, n)
 
 
 def oracle_stream_walk(bits, n):

@@ -62,6 +62,7 @@ from millrank.solutions import BEST_CLASS_RULES, best_class_reduction
 from millrank.cli import to_json
 from helpers import (
     cmask,
+    hashed_top as _hashed_top,
     oracle_downward_monotonicity,
     oracle_judge_selection,
     oracle_rag_premises,
@@ -77,12 +78,6 @@ from helpers import (
 
 EX2 = rk("123 12 13 / rest")
 TIE3 = rk("rest")
-
-
-def _hashed_top(ranking):
-    """A rule that reads the best class alone and selects a scrambled nonempty set."""
-    n = ranking.universe.n
-    return mask_members(class_bits(ranking.classes[:1])[0] * 40503 % ((1 << n) - 1) + 1, n)
 
 
 class TestTopAgreement:
@@ -504,7 +499,7 @@ class TestTransformationCheckers:
         walked = [(2, w) for w in walk_stream(2)]
         for index in random.Random(33).sample(range(fubini(7)), 60):
             walked.extend((3, w) for w in walk_stream(3, index, index + 1))
-        for n, (classes, bits, remaining, before) in walked:
+        for n, (classes, bits, remaining, before, _) in walked:
             table = oracle_selection_table(rule_id, n)
             ranking = CoalitionalRanking._trusted(Universe(n), classes)
             got = check(ranking, rule, table[before[-1]], (remaining, before), None, table)
@@ -529,7 +524,7 @@ class TestTransformationCheckers:
         for shorthand in shorthands:
             ranking = rk(shorthand)
             index = oracle_stream_index(class_bits(ranking.classes), 3)
-            ((classes, bits, remaining, before),) = walk_stream(3, index, index + 1)
+            ((classes, bits, remaining, before, _),) = walk_stream(3, index, index + 1)
             assert classes == ranking.classes
             verdict = check(ranking, rule, table[index], (remaining, before), None, table)
             assert verdict.status == VIOLATED
@@ -548,7 +543,7 @@ class TestTransformationCheckers:
         cases = [(ranking, ()) for ranking in all_n2]
         table = oracle_selection_table(rule_id, 3)
         for index in random.Random(36).sample(range(fubini(7)), 80):
-            ((classes, bits, remaining, before),) = walk_stream(3, index, index + 1)
+            ((classes, bits, remaining, before, _),) = walk_stream(3, index, index + 1)
             general = table[index], (remaining, before), None, table
             cases.append((CoalitionalRanking._trusted(Universe(3), classes), general))
         cases += [(ranking, ()) for ranking in RankingStream(Universe(4), Sample(10, 37))]
@@ -573,13 +568,13 @@ class TestTransformationCheckers:
         monkeypatch.setitem(RULES, "hashed_top", _hashed_top)
         rule, table = RULES[rule_id], oracle_selection_table(rule_id, 3)
         sample = RankingStream(Universe(4), Sample(120, 39))
-        sample = [(r.classes, class_bits(r.classes), None, None) for r in sample]
+        sample = [(r.classes, class_bits(r.classes), None, None, 1) for r in sample]
         phases = [(3, walk_stream(3)), (4, sorted(sample, key=lambda drawn: drawn[1][0]))]
         walked, reused, statuses = 0, 0, Counter()
         for n, rankings in phases:
             universe, memo = Universe(n), {}
             top = cache(lambda best: selection_mask(rule, best_class_reduction(universe, best)))
-            for classes, bits, remaining, before in rankings:
+            for classes, bits, remaining, before, _ in rankings:
                 ranking = CoalitionalRanking._trusted(universe, classes)
                 walked, reused = walked + 1, reused + (bits[0] in memo)
                 got = check_slide_independence(ranking, rule, top(bits[0]), None, top, None, memo)
@@ -622,8 +617,9 @@ class TestTransformationCheckers:
         # An exhaustive pass evaluates each rule with an SI or DMON cell
         # once per ranking, to build its table, and nowhere else; a
         # best-class rule once per best class, on the 7 reductions at n = 2.
+        # No witness is kept: an orbit pass judges each witness's ranking again.
         cells = [(rule, axiom) for rule in RULES for axiom in ("STAG", "SI", "DMON")]
-        sweep_cells(cells, 2)
+        sweep_cells(cells, 2, witness_cap=0)
         assert max(rule_calls.values()) == 1
         want = {rule: 7 if rule in BEST_CLASS_RULES else 13 for rule in RULES}
         assert Counter(rule_id for rule_id, _ in rule_calls) == want

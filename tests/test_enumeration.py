@@ -15,9 +15,12 @@ from millrank import (
     validate_ranking,
 )
 from millrank.core import bits_classes, class_bits
-from millrank.enumeration import MAX_SAMPLED_N, walk_stream
+from millrank.enumeration import MAX_SAMPLED_N, orbit_indices, relabelings, walk_stream
+from millrank.verify import _CHUNK
 from helpers import (
+    oracle_orbit_minima,
     oracle_ordered_partitions,
+    oracle_relabeled_indices,
     oracle_sample_classes,
     oracle_stream_index,
     oracle_stream_walk,
@@ -92,18 +95,18 @@ class TestStreamIndex:
         stream = RankingStream(Universe(3))
         walked = list(stream.walk(range(len(stream))))
         assert [ranking for ranking, *_ in walked] == all_n3
-        for index, (ranking, remaining, before) in enumerate(walked):
+        for index, (ranking, remaining, before, size) in enumerate(walked):
             assert ranking.bits == class_bits(ranking.classes)
-            assert remaining[-1] == 0 and before[-1] == index
+            assert remaining[-1] == 0 and before[-1] == index and size == 1
 
     def test_walk_draws_a_sampled_range(self):
         stream = RankingStream(Universe(4), Sample(30, 5))
         draws = [ranking.classes for ranking in stream]
         walked = list(stream.walk(range(10, 25)))
         assert [ranking.classes for ranking, *_ in walked] == draws[10:25]
-        for ranking, remaining, before in walked:
+        for ranking, remaining, before, size in walked:
             assert ranking.bits == class_bits(ranking.classes)
-            assert remaining is before is None
+            assert remaining is before is None and size == 1
 
     def test_bitsets_round_trip(self, all_n3):
         for ranking in all_n3[::97]:
@@ -139,8 +142,8 @@ class TestWalkStream:
 
     @staticmethod
     def assert_carries_its_sums(walked, index, n):
-        classes, bits, remaining, before = walked
-        assert bits == class_bits(classes)
+        classes, bits, remaining, before, size = walked
+        assert bits == class_bits(classes) and size == 1
         assert (list(remaining), list(before)) == oracle_stream_walk(bits, n)
         assert before[-1] == index
 
@@ -153,6 +156,55 @@ class TestWalkStream:
         for index in random.Random(12).sample(range(fubini(7)), 400):
             (walked,) = walk_stream(3, index, index + 1)
             self.assert_carries_its_sums(walked, index, 3)
+
+
+class TestOrbitWalk:
+    """The orderly walk over relabeling orbits against brute-force orbit minima."""
+
+    @staticmethod
+    def walked(n, start=0, stop=None):
+        return [(before[-1], size) for *_, before, size in walk_stream(n, start, stop, relabelings(n))]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_whole_stream_matches_the_oracle(self, n):
+        minima = oracle_orbit_minima(n)
+        assert self.walked(n) == minima
+        assert sum(size for _, size in minima) == fubini((1 << n) - 1)
+        assert len(minima) == {1: 1, 2: 8, 3: 8157}[n]
+
+    def test_every_range_at_n2(self):
+        minima, total = oracle_orbit_minima(2), fubini(3)
+        for start in range(total + 1):
+            for stop in range(start, total + 2):
+                assert self.walked(2, start, stop) == [m for m in minima if start <= m[0] < stop]
+
+    def test_chunks_and_partial_ranges_at_n3(self):
+        minima, total = oracle_orbit_minima(3), fubini(7)
+        ranges = [range(start, min(start + _CHUNK, total)) for start in range(0, total, _CHUNK)]
+        rng = random.Random(15)
+        ranges += [range(*sorted(rng.sample(range(total + 1), 2))) for _ in range(30)]
+        for indices in ranges:
+            assert self.walked(3, indices.start, indices.stop) == [m for m in minima if m[0] in indices]
+        chunks = ranges[:-30]
+        assert sum(size for chunk in chunks for _, size in self.walked(3, chunk.start, chunk.stop)) == total
+
+    def test_yields_what_the_plain_walk_yields(self):
+        plain = {walked[3][-1]: walked[:4] for walked in walk_stream(3)}
+        for walked in walk_stream(3, group=relabelings(3)):
+            assert walked[:4] == plain[walked[3][-1]]
+
+    def test_orbit_indices_match_the_oracle(self):
+        images = oracle_relabeled_indices(3)
+        for index, walked in enumerate(walk_stream(3)):
+            if index % 5 == 0:
+                assert orbit_indices(3, walked[1]) == set(images[index])
+
+    def test_stream_walks_orbits_in_exhaustive_mode_only(self):
+        stream = RankingStream(Universe(2), orbits=True)
+        walked = list(stream.walk(range(len(stream))))
+        assert [(before[-1], size) for _, _, before, size in walked] == oracle_orbit_minima(2)
+        assert len(stream) == 13 and len(list(stream)) == 8
+        assert RankingStream(Universe(3), Sample(5, 1), orbits=True).orbits is False
 
 
 class TestSampleRanking:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,9 @@ from millrank import (
     theta,
     top_intersection,
 )
-from millrank.solutions import BEST_CLASS_RULES, best_class_reduction
+from millrank.solutions import ANONYMOUS_RULES, BEST_CLASS_RULES, best_class_reduction
 from helpers import (
+    hashed_top,
     oracle_f_star,
     oracle_les,
     oracle_obi,
@@ -251,3 +253,40 @@ class TestBestClassRules:
         ranking = rk(shorthand)
         assert RULES[rule_id](ranking) == sel(on_ranking)
         assert RULES[rule_id](_reduction(ranking)) == sel(on_reduction)
+
+
+@pytest.fixture(scope="module")
+def relabeled_n3(all_n3):
+    """Per permutation of the ids, the stream index of each n = 3 ranking relabeled by core.relabel."""
+    index = {ranking.classes: i for i, ranking in enumerate(all_n3)}
+    return {perm: [index[relabel(r, perm).classes] for r in all_n3] for perm in permutations(range(3))}
+
+
+class TestAnonymousRules:
+    """ANONYMOUS_RULES is a claim: each rule it names commutes with core.relabel."""
+
+    def test_names_registered_rules_and_no_test_copy(self):
+        assert ANONYMOUS_RULES <= set(RULES)
+        assert "hashed_top" not in ANONYMOUS_RULES
+
+    @pytest.mark.parametrize("rule_id", [*sorted(ANONYMOUS_RULES), "hashed_top"])
+    def test_commutes_with_relabel_on_every_n3_ranking(self, all_n3, relabeled_n3, rule_id):
+        # Relabeling a ranking relabels the selection alike, under all six
+        # permutations; the id-breaking hashed_top must fail the same check.
+        rule = RULES.get(rule_id, hashed_top)
+        selections = [rule(ranking) for ranking in all_n3]
+        commutes = all(
+            selections[image] == tuple(sorted(perm[i] for i in selections[index]))
+            for perm, images in relabeled_n3.items()
+            for index, image in enumerate(images)
+        )
+        assert commutes == (rule_id in ANONYMOUS_RULES)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(4, 5), data=st.data())
+    def test_commutes_with_relabel_on_draws(self, seed, n, data):
+        ranking = sample_ranking(n, seed)
+        perm = data.draw(st.permutations(range(n)))
+        for rule_id in sorted(ANONYMOUS_RULES):
+            rule = RULES[rule_id]
+            assert rule(relabel(ranking, perm)) == tuple(sorted(perm[i] for i in rule(ranking))), rule_id

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import time
@@ -36,7 +37,16 @@ from millrank.core import class_bits
 from millrank.solutions import BEST_CLASS_RULES, best_class_reduction
 from millrank.transforms import slide_gamma_bits
 from millrank.verify import THEOREM_AXIOMS
-from helpers import cmask, oracle_first_violation, oracle_sweep, rk, sel
+from helpers import (
+    cmask,
+    hashed_top,
+    oracle_first_violation,
+    oracle_orbit_minima,
+    oracle_stream_index,
+    oracle_sweep,
+    rk,
+    sel,
+)
 
 ALL_CELLS = [(rule, axiom) for rule in RULES for axiom in AXIOMS]
 
@@ -459,6 +469,107 @@ class TestBestClassRules:
         assert repr(found) == repr(find_violation("wrapped", "SI", 3, mode))
 
 
+def dumps(reports):
+    return [json.dumps(to_json(report), sort_keys=True) for report in reports]
+
+
+def full_pass(monkeypatch, run, *args, **kwargs):
+    """``run(*args, **kwargs)`` with no rule declared anonymous, so every pass walks every ranking."""
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "ANONYMOUS_RULES", frozenset())
+        return run(*args, **kwargs)
+
+
+def capped(report, cap):
+    return dataclasses.replace(report, witness_cap=cap, witnesses=report.witnesses[:cap])
+
+
+class TestOrbitPasses:
+    """A pass of declared rules judges one ranking per relabeling orbit and reports what the full pass does."""
+
+    def test_all_cells_at_n2_every_cap(self, monkeypatch):
+        full = full_pass(monkeypatch, sweep_cells, ALL_CELLS, 2, witness_cap=10**6)
+        above = max(report.violations for report in full) + 1
+        assert above > 1 and all(len(report.witnesses) == report.violations for report in full)
+        for cap in (0, 1, 10, above):
+            got = sweep_cells(ALL_CELLS, 2, witness_cap=cap)
+            assert dumps(got) == dumps(capped(report, cap) for report in full), cap
+
+    def test_all_cells_at_n3(self, monkeypatch):
+        tables = verify._tables(ALL_CELLS, verify.Universe(3), EXHAUSTIVE, 1)
+        full, _ = full_pass(
+            monkeypatch, verify._sweep_pass, ALL_CELLS, verify.Universe(3), EXHAUSTIVE, 1, 10, tables=tables
+        )
+        assert sum(report.violations for report in full) == 280432
+        for cap in (0, 1, 10):
+            got, _ = verify._sweep_pass(ALL_CELLS, verify.Universe(3), EXHAUSTIVE, 1, cap, tables=tables)
+            assert dumps(got) == dumps(capped(report, cap) for report in full), cap
+
+    def test_every_witness_at_n3(self, monkeypatch):
+        # The cells with fewest violations, at one above their largest count:
+        # every witness, merged in stream order from orbits across chunks.
+        cells = [("const_x", "TDF"), ("const_x", "TJAD"), ("obi", "RDF"), ("obi", "RJAD"), ("f_star", "DMON")]
+        full = full_pass(monkeypatch, sweep_cells, cells, 3, witness_cap=10**6)
+        above = max(report.violations for report in full) + 1
+        assert above == 721
+        assert dumps(sweep_cells(cells, 3, witness_cap=above)) == dumps(capped(r, above) for r in full)
+
+    def test_jobs_and_small_chunks_do_not_change_reports(self, monkeypatch):
+        cells = [("les", "STAG"), ("obi", "SI"), ("f_star", "DMON"), ("const_x", "RDF"), ("split_plurality", "SI")]
+        want = full_pass(monkeypatch, sweep_cells, cells, 3, witness_cap=25)
+        monkeypatch.setattr(verify, "_CHUNK", 701)
+        assert dumps(sweep_cells(cells, 3, jobs=2, witness_cap=25)) == dumps(want)
+
+    def test_prop1_lemma_tallies(self, monkeypatch, prop1_n3):
+        full = full_pass(monkeypatch, verify.prop1_report, 3)
+        assert full.lemma == prop1_n3.lemma
+        assert json.dumps(to_json(full), sort_keys=True) == json.dumps(to_json(prop1_n3), sort_keys=True)
+
+    def test_undeclared_rule_keeps_the_full_walk(self, monkeypatch):
+        # A copy of a declared rule under another name is not declared, so a
+        # pass with it walks every ranking, even beside declared rules.
+        orbits, run_chunks = [], verify._run_chunks
+        monkeypatch.setitem(RULES, "wrapped", lambda ranking: RULES["les"](ranking))
+        monkeypatch.setattr(verify, "_run_chunks", lambda *args: orbits.append(args[4]) or run_chunks(*args))
+        sweep_cells([("les", "STAG"), ("wrapped", "STAG")], 2)
+        sweep_cells([("les", "STAG")], 2)
+        find_violation("les", "STAG", 2)
+        assert orbits == [False, True, False]
+
+    # The first violating stream index of each rule and axiom at n = 3, None
+    # when there is none, and of the three axioms together, as recorded
+    # before passes walked orbits.
+    FIRST_VIOLATIONS = {
+        "plurality": (None, None, None, None),
+        "les": (17650, None, None, 17650),
+        "obi": (0, 1, 0, 0),
+        "split_plurality": (None, 5315, None, 5315),
+        "f_star": (None, 4, 5224, 4),
+        "const_x": (0, None, None, 0),
+        "hashed_top": (0, 1, 0, 0),
+    }
+
+    @pytest.mark.parametrize("rule_id", FIRST_VIOLATIONS)
+    def test_stopped_searches_walk_every_ranking(self, monkeypatch, rule_id):
+        # A stopped search reads its stream index off the full walk: the
+        # index of its witness's own ranking, the first violating one of an
+        # orbit pass's witnesses.
+        monkeypatch.setitem(RULES, "hashed_top", hashed_top)
+        sweeps = sweep_cells([(rule_id, axiom) for axiom in THEOREM_AXIOMS], 3, witness_cap=1)
+        found = [find_violation(rule_id, axiom, 3) for axiom in THEOREM_AXIOMS]
+        found.append(verify._first_violation(rule_id, THEOREM_AXIOMS, verify.Universe(3), EXHAUSTIVE))
+        assert tuple(f and f[0] for f in found) == self.FIRST_VIOLATIONS[rule_id]
+        for report, hit in zip(sweeps, found):
+            assert (hit is None) == (report.violations == 0)
+            if hit:
+                index, witness = hit
+                assert index == oracle_stream_index(class_bits(witness.ranking.classes), 3)
+                assert dumps([witness]) == dumps(report.witnesses)
+        if found[-1]:
+            first = min((h for h in found[:-1] if h), key=lambda h: h[0])
+            assert found[-1][0] == first[0]
+
+
 class TestProp1:
     def test_constructions_certified(self, prop1_n3):
         assert prop1_n3.incompatibility_certified is True
@@ -490,8 +601,9 @@ class TestProp1:
 
     def test_each_rankings_facts_are_computed_once(self, monkeypatch):
         # One exhaustive n = 3 pass: the agreement levels that RAG (the WRAG
-        # cell and the lemma) and RJAD read are computed once per ranking, and
-        # RDF reads the ranking's carried bitsets instead of building them.
+        # cell and the lemma) and RJAD read are computed once per ranking it
+        # walks, the 8,157 orbit minima, and RDF reads the ranking's carried
+        # bitsets instead of building them.
         levels, bits_calls, in_rdf = Counter(), [0], [False]
 
         def counted_levels(ranking, original=axioms._agreement_classes):
@@ -515,7 +627,7 @@ class TestProp1:
         monkeypatch.setattr(verify, "rdf_premises", watched_rdf)
         lemma = verify.prop1_report(3).lemma
         assert (lemma.rankings_checked, lemma.counterexamples) == (47293, 0)
-        assert len(levels) == 47293 and set(levels.values()) == {1}
+        assert len(levels) == len(oracle_orbit_minima(3)) == 8157 and set(levels.values()) == {1}
         assert lemma.rdf_premises > 0 and bits_calls == [0]
 
     def test_small_universes_rejected(self):
