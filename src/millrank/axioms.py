@@ -27,6 +27,10 @@ best class, in ``memo``; given neither, it decodes each target and
 calls the rule. SI judges targets by bit operations on the pairs both
 selections meet; DMON counts a coalition's premises without its targets,
 reading them only while they could give the witness.
+For a best-class rule, TAG, STAG, TDF, TJAD, SI and DMON each have a
+block counter beside the checker (:data:`BLOCK_COUNTERS`): the sums of
+the checker's premises and violations over every ranking with one best
+class, computed from that class's best-class reduction alone.
 
 A verdict is one of three statuses: ``inapplicable`` (no premise
 instance exists), ``satisfied`` (every instance met its forced
@@ -52,7 +56,7 @@ from .core import (
     mask_members,
     top_intersection,
 )
-from .enumeration import MAX_EXHAUSTIVE_N, _rank_offsets
+from .enumeration import MAX_EXHAUSTIVE_N, _rank_offsets, fubini, partition_rows
 from .errors import UniverseTooLargeError, UnknownAxiomError
 from .transforms import (
     SlideMove,
@@ -330,6 +334,28 @@ def premise_witness(axiom: str, ranking, instances, forced: int, selected: int) 
     return Witness(axiom, ranking, dict(zip(keys, instances[0])), spelled, selection)
 
 
+def _rest(reduction) -> int:
+    """The bitset of the coalitions below a best-class reduction's best class, 0 when none."""
+    return reduction.bits[1] if len(reduction.bits) > 1 else 0
+
+
+def judge_block(axiom: str, reduction, top) -> tuple[int, int]:
+    """(premises, violations) of a best-class axiom on every ranking with the reduction's best class.
+
+    ``top`` is a best-class rule's selection by best-class bitset, read
+    only when the lister lists an instance. The lister
+    (:data:`BEST_CLASS_AXIOMS`) lists the same on each of those
+    fubini(|rest|) rankings as on ``reduction``, and the rule selects the
+    same on each, so each judges as the reduction does.
+    """
+    lister, _, contains, _ = PREMISE_AXIOMS[axiom]
+    found = lister(reduction)
+    if not found:
+        return 0, 0
+    size, forced, base = fubini(_rest(reduction).bit_count()), forced_mask(found), top(reduction.bits[0])
+    return len(found) * size, size if (forced & ~base if contains else forced != base) else 0
+
+
 def check_top_agreement(ranking, rule, strong: bool = False) -> Verdict:
     """Verdict of TAG, or of STAG when ``strong`` is set."""
     return judge("STAG" if strong else "TAG", ranking, rule)
@@ -528,6 +554,46 @@ def check_slide_independence(
     return _verdict(premises, witness)
 
 
+def slide_independence_block(reduction, top) -> tuple[int, int]:
+    """(premises, violations) of SI on every ranking with the reduction's best class T.
+
+    ``top`` is a best-class rule's selection by best-class bitset, and
+    ``base`` = top(T) its selection on the block. A ranking whose rest R
+    (r coalitions) falls in m classes adds, as
+    :func:`check_slide_independence` does, fired(T) * m and fired(C) +
+    balanced(C) * (m - 1) per lower class C, from :func:`_class_slides`.
+    Of the T(r, m) ordered partitions of R into
+    m blocks (:func:`~millrank.enumeration.partition_rows`),
+    m * T(r - |C|, m - 1) hold the block C. A ranking violates when one of
+    its classes hits: every ranking when T does, else all but the ordered
+    partitions of R into blocks that miss, counted over the subsets of R
+    (3**r steps).
+    """
+    n, best, rest = reduction.universe.n, reduction.bits[0], _rest(reduction)
+    base = top(best)
+    if not rest or not _pairs(n)[1][base]:
+        return 0, 0
+    r = rest.bit_count()
+    rows = tuple(partition_rows(r))
+    fired, _, hit = _class_slides(n, best, best, base, top)
+    premises = fired * sum(m * rows[r][m] for m in range(1, r + 1))
+    subsets = (*slide_gamma_bits(rest), rest)  # every nonempty subset of R, ascending
+    hits, clean = set(), {0: 1}  # the subsets that hit; ordered partitions into blocks that miss
+    for cls in subsets:
+        fired, balanced, hit_cls = _class_slides(n, best, cls, base, top)
+        left = r - cls.bit_count()
+        premises += sum(m * (fired + (m - 1) * balanced) * rows[left][m - 1] for m in range(1, left + 2))
+        if hit_cls:
+            hits.add(cls)
+        total, first = 0, cls
+        while first:  # each nonempty first block of cls that misses
+            if first not in hits:
+                total += clean[cls ^ first]
+            first = (first - 1) & cls
+        clean[cls] = total
+    return premises, sum(rows[r]) - (0 if hit else clean[rest])
+
+
 def check_downward_monotonicity(
     ranking, rule, base=None, walk=None, top=None, table=None
 ) -> Verdict:
@@ -622,10 +688,57 @@ def check_downward_monotonicity(
     return _verdict(premises, witness)
 
 
+def downward_monotonicity_block(reduction, top) -> tuple[int, int]:
+    """(premises, violations) of DMON on every ranking with the reduction's best class T.
+
+    ``top`` and ``base`` = top(T) are as in
+    :func:`slide_independence_block`. A
+    coalition s in class j of l adds its kept individuals once per
+    placement, 2 (l - j) less 1 when alone, as in
+    :func:`check_downward_monotonicity`; over the ordered partitions of the
+    rest R, one in T sees T(r, m) rankings of m + 1 classes, and one in R,
+    in a block uniformly placed among m, is alone in m * T(r - 1, m - 1).
+    Only s in T can lose an individual. With T of several coalitions,
+    every ranking violates when one s loses on T without s, none else;
+    with T = {s}, the rankings whose second class C loses on C with s or
+    on C alone violate, fubini(r - |C|) of them per C.
+    """
+    universe, best, rest = reduction.universe, reduction.bits[0], _rest(reduction)
+    base = top(best)
+    r, alone = rest.bit_count(), best.bit_count() == 1
+    rows = tuple(partition_rows(r))
+    size = sum(rows[r])
+    inside = sum(2 * (m + 1) * rows[r][m] for m in range(r + 1)) - alone * size
+    outside = sum((m + 1) * rows[r][m] - m * rows[r - 1][m - 1] for m in range(1, r + 1))
+    premises = sum(
+        (base & ~s).bit_count() * (inside if best >> (s - 1) & 1 else outside)
+        for s in range(1, universe.full_mask + 1)
+    )
+    if not alone:
+        lost = any(base & ~s & ~top(best ^ 1 << (s - 1)) for s in reduction.classes[0])
+        return premises, size if lost else 0
+    kept = base & ~reduction.classes[0][0]  # none when s is the one coalition (n = 1)
+    seconds = (*slide_gamma_bits(rest), rest) if kept else ()  # every nonempty subset of R
+    return premises, sum(
+        fubini(r - cls.bit_count()) for cls in seconds if kept & ~(top(cls | best) & top(cls))
+    )
+
+
 AXIOMS = {
     **{axiom: partial(judge, axiom) for axiom in PREMISE_AXIOMS},
     "SI": check_slide_independence,
     "DMON": check_downward_monotonicity,
+}
+
+
+# (premises, violations) of each axiom summed over the rankings that share a
+# best class, for a rule of solutions.BEST_CLASS_RULES: each counter takes the
+# best class's solutions.best_class_reduction and the rule's selection by
+# best-class bitset.
+BLOCK_COUNTERS = {
+    **{axiom: partial(judge_block, axiom) for axiom in sorted(BEST_CLASS_AXIOMS)},
+    "SI": slide_independence_block,
+    "DMON": downward_monotonicity_block,
 }
 
 

@@ -42,22 +42,27 @@ def fubini(m: int) -> int:
     return _fubini_table(m)[m]
 
 
+def partition_rows(m: int):
+    """Yield rows 0, ..., m of the ordered-partition triangle, each as a tuple.
+
+    Row j holds T(j, k) for k = 0..j, the number of ordered partitions of
+    j elements into k blocks (OEIS A019538): k * (T(j - 1, k - 1) +
+    T(j - 1, k)), as the last element opens a block of its own or joins
+    one. Each row takes additions and small multiples only, where the
+    binomial recurrence computes a big C(m, k) for every k <= m of every m.
+    """
+    row = (1,)
+    yield row
+    for j in range(1, m + 1):
+        last = (*row, 0)
+        row = (0, *(k * (last[k - 1] + last[k]) for k in range(1, j + 1)))
+        yield row
+
+
 @lru_cache(maxsize=None)
 def _fubini_table(m: int) -> tuple[int, ...]:
-    """fubini(0), ..., fubini(m), as row sums of the ordered-partition triangle.
-
-    T(j, k), the number of ordered partitions of j elements into k
-    blocks (OEIS A019538), is k * (T(j - 1, k - 1) + T(j - 1, k)): the
-    last element opens a block of its own or joins one. Each row takes
-    additions and small multiples only, where the binomial recurrence
-    computes a big C(m, k) for every k <= m of every m.
-    """
-    values, row = [1], [1]
-    for j in range(1, m + 1):
-        row.append(0)
-        row = [0, *(k * (row[k - 1] + row[k]) for k in range(1, j + 1))]
-        values.append(sum(row))
-    return tuple(values)
+    """fubini(0), ..., fubini(m), as row sums of :func:`partition_rows`."""
+    return tuple(map(sum, partition_rows(m)))
 
 
 def _top_classes(elements: tuple[int, ...]):

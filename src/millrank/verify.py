@@ -15,12 +15,19 @@ into the characterization probe, the incompatibility report, the
 satisfaction matrix and the independence report; the witness search is
 such a pass, stopped at the first violating ranking.
 
-An unstopped exhaustive pass of rules in ``solutions.ANONYMOUS_RULES``
-judges one ranking per relabeling orbit, weighted by the orbit's size:
-no axiom names an individual, so an orbit's rankings judge alike. Its
-witnesses, the smallest violating stream indices, are each judged on
-their own ranking, so reports do not change. Tables, sampled passes
-and stopped searches walk every ranking.
+An unstopped exhaustive pass counts each cell that pairs a rule of
+``solutions.BEST_CLASS_RULES`` with an axiom of ``axioms.BLOCK_COUNTERS``
+(TAG, STAG, TDF, TJAD, SI, DMON) once per best class: the rankings that
+share a best class are consecutive in the stream, and the axiom's block
+counter sums their premises and violations from the best class's
+reduction. Only the blocks that hold a cell's first witnesses are
+walked, and a pass left with no other cell and no tally walks nothing
+and starts no pool. Its other cells, when all their rules are in
+``solutions.ANONYMOUS_RULES``, judge one ranking per relabeling orbit,
+weighted by the orbit's size: no axiom names an individual, so an
+orbit's rankings judge alike. Their witnesses, the smallest violating
+stream indices, are each judged on their own ranking, so reports do not
+change. Tables, sampled passes and stopped searches walk every ranking.
 
 All outputs are deterministic for fixed inputs. Chunks of stream
 indices may be walked by a pool of worker processes; partial tallies
@@ -45,6 +52,7 @@ from typing import ClassVar, get_type_hints
 from .axioms import (
     AXIOMS,
     BEST_CLASS_AXIOMS,
+    BLOCK_COUNTERS,
     PREMISE_AXIOMS,
     VIOLATED,
     Status,
@@ -62,7 +70,7 @@ from .axioms import (
 from .core import (
     CoalitionalRanking, Universe, concomitant_set, mask_members, members_mask
 )
-from .enumeration import EXHAUSTIVE, RankingStream, fubini, orbit_indices
+from .enumeration import EXHAUSTIVE, RankingStream, _stream_tops, fubini, orbit_indices
 from .errors import UniverseTooLargeError
 from .solutions import ANONYMOUS_RULES, BEST_CLASS_RULES, RULES, best_class_reduction, lookup_rule
 from .transforms import SlideMove, apply_slide
@@ -123,6 +131,14 @@ class SweepReport:
         return "satisfied" if self.premises_found else "inapplicable"
 
 
+def _best_class_reader(fn, reduction):
+    """A best-class rule's selection by best-class bitset, as an id bitmask.
+
+    ``fn`` runs once per best class read, on ``reduction(best)``.
+    """
+    return cache(lambda best: selection_mask(fn, reduction(best)))
+
+
 def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
     """Ranking count and per-cell [premises, violations, witnesses] of one chunk, and its ``tally`` totals.
 
@@ -137,7 +153,8 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
     cells. A rule's selection, an id bitmask kept in its slot, is read at
     most once per ranking, when a cell needs it, and all its cells share
     it: by best class for a rule of ``solutions.BEST_CLASS_RULES``
-    (``top``, one rule call per new best class of the chunk), from its
+    (``top``, one rule call per new best class of the chunk, on a
+    reduction its rules share; see :func:`_best_class_reader`), from its
     stream-indexed table (see :func:`_tables`), or from one rule call. A
     violated cell builds a witness only while under ``cap``. ``SI`` and
     ``DMON`` cells run their checkers on it, the ranking's walk and the
@@ -149,12 +166,12 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
     """
     universe, orbits = stream.universe, stream.orbits
     rules = list(dict.fromkeys(rule for rule, _ in cells))
+    reduction = cache(partial(best_class_reduction, universe))  # one per best class read
     slots = []  # per rule slot: (function, top, stream-indexed table)
     for rule in rules:
         fn = lookup_rule(rule)
         if rule in BEST_CLASS_RULES:  # a run per new best class, kept for the chunk
-            slots.append((fn, cache(
-                lambda best, fn=fn: selection_mask(fn, best_class_reduction(universe, best))), None))
+            slots.append((fn, _best_class_reader(fn, reduction), None))
         else:
             slots.append((fn, None, tables.get(rule)))
     results = [[0, 0, []] for _ in cells]
@@ -293,6 +310,43 @@ def _tables(cells, universe, mode, jobs):
     return {rule: b"".join(part) for rule, part in zip(rules, zip(*chunks))}
 
 
+def _count_blocks(cells, stream, cap):
+    """Ranking count and per-cell [premises, violations, witnesses] of best-class cells, per best class.
+
+    Every cell pairs a rule of ``solutions.BEST_CLASS_RULES`` with an axiom
+    of ``axioms.BLOCK_COUNTERS``. A block is the fubini(|rest|) consecutive
+    indices of the exhaustive ``stream`` whose rankings share a best class
+    (:func:`~millrank.enumeration._stream_tops`); each cell's counter takes
+    the block's reduction and reads the rule by best class, so the pass
+    builds one reduction and runs each rule once per best class, and walks
+    no ranking. The blocks must cover the stream. A cell's witnesses come
+    from walking its violating blocks in stream order through
+    :func:`_sweep_chunk` until ``cap`` are held; of a block that violates
+    throughout, only its first rankings are walked.
+    """
+    reduction = cache(partial(best_class_reduction, stream.universe))
+    tops = {rule: _best_class_reader(lookup_rule(rule), reduction) for rule, _ in cells}
+    results, covered = [[0, 0, []] for _ in cells], 0
+    for best, _, offset, size in _stream_tops(stream.universe.n)[-1]:
+        covered += size
+        for (rule, axiom), result in zip(cells, results):
+            premises, violations = BLOCK_COUNTERS[axiom](reduction(best), tops[rule])
+            result[0] += premises
+            result[1] += violations
+            need = cap - len(result[2])
+            if violations and need > 0:
+                chunk = range(offset, offset + (min(need, size) if violations == size else size))
+                result[2] += _sweep_chunk([(rule, axiom)], None, need, {}, False, stream, chunk)[1][0][2]
+    _check_coverage(covered, stream.universe)
+    return covered, results
+
+
+def _check_coverage(checked, universe):
+    """Fail an exhaustive pass that did not count every ranking of the universe once."""
+    if checked != (expected := fubini(universe.full_mask)):
+        raise AssertionError(f"exhaustive sweep covered {checked} of {expected} rankings")
+
+
 def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=None, stop=False):
     """Sweep reports of every (rule, axiom) cell from one pass over the stream.
 
@@ -305,10 +359,14 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=Non
     tables travel to the workers with each chunk. With ``stop`` set,
     each chunk ends after its first violating ranking, and the pass
     after the first chunk with a violation, so ``rankings_checked``
-    counts up to that ranking. A pass that reaches the end of an
-    exhaustive stream must have covered every ranking. An exhaustive,
-    unstopped pass of declared rules walks orbits (see the module
-    docstring); ``tally`` must then count alike on every relabeling.
+    counts up to that ranking. An exhaustive, unstopped pass counts the
+    cells of best-class rules and axioms per best class
+    (:func:`_count_blocks`) and walks the others, and any ``tally``, over
+    the stream; with nothing left to walk it starts no walk and no pool.
+    A pass that reaches the end of an exhaustive stream must have
+    covered every ranking. A walk of declared rules only, exhaustive and
+    unstopped, walks orbits (see the module docstring); ``tally`` must
+    then count alike on every relabeling.
     """
     cells = [(rule, axiom.upper()) for rule, axiom in cells]
     for rule, axiom in cells:
@@ -317,31 +375,41 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=Non
     started = time.perf_counter()
     if tables is None:
         tables = _tables(cells, universe, mode, jobs)
-    # Rules that commute with relabeling leave every count alike across an orbit.
-    orbits = mode == EXHAUSTIVE and not stop and all(rule in ANONYMOUS_RULES for rule, _ in cells)
-    checked, tallies = 0, []
-    merged = [[0, 0, []] for _ in cells]
-    worker = partial(_sweep_chunk, cells, tally, witness_cap, tables, stop)
-    with closing(_run_chunks(universe, mode, worker, jobs, orbits)) as chunks:
-        for count, results, counts in chunks:
-            checked += count
-            tallies += [counts] if counts else []  # a chunk may hold no orbit's first ranking
-            for cell, (premises, violations, witnesses) in zip(merged, results):
-                cell[0] += premises
-                cell[1] += violations
-                kept = cell[2] + list(witnesses)  # witnesses, or stream indices of orbits
-                cell[2] = (sorted(kept) if orbits else kept)[:witness_cap]
-            if stop and any(cell[1] for cell in merged):
-                break
-        else:
-            if mode == EXHAUSTIVE and checked != (expected := fubini(universe.full_mask)):
-                raise AssertionError(f"exhaustive sweep covered {checked} of {expected} rankings")
-    if orbits:  # each witness from its own ranking: relabeled, its premises scan in another order
-        stream = RankingStream(universe)
-        for cell, one in zip(merged, cells):
-            cell[2] = [_sweep_chunk([one], None, 1, tables, False, stream, range(i, i + 1))[1][0][2][0]
-                       for i in cell[2]]
+    whole = mode == EXHAUSTIVE and not stop  # every ranking, to the end
+    by_block = [whole and rule in BEST_CLASS_RULES and axiom in BLOCK_COUNTERS for rule, axiom in cells]
+    walked = [cell for cell, block in zip(cells, by_block) if not block]
+    checked, counted = 0, []
+    if any(by_block):
+        stream = RankingStream(universe)  # refuses more than MAX_EXHAUSTIVE_N individuals first
+        blocked = [cell for cell, block in zip(cells, by_block) if block]
+        checked, counted = _count_blocks(blocked, stream, witness_cap)
+    tallies, merged = [], [[0, 0, []] for _ in walked]
+    if walked or tally:
+        # Rules that commute with relabeling leave every count alike across an orbit.
+        orbits = whole and all(rule in ANONYMOUS_RULES for rule, _ in walked)
+        checked = 0
+        worker = partial(_sweep_chunk, walked, tally, witness_cap, tables, stop)
+        with closing(_run_chunks(universe, mode, worker, jobs, orbits)) as chunks:
+            for count, results, counts in chunks:
+                checked += count
+                tallies += [counts] if counts else []  # a chunk may hold no orbit's first ranking
+                for cell, (premises, violations, witnesses) in zip(merged, results):
+                    cell[0] += premises
+                    cell[1] += violations
+                    kept = cell[2] + list(witnesses)  # witnesses, or stream indices of orbits
+                    cell[2] = (sorted(kept) if orbits else kept)[:witness_cap]
+                if stop and any(cell[1] for cell in merged):
+                    break
+            else:
+                if mode == EXHAUSTIVE:
+                    _check_coverage(checked, universe)
+        if orbits:  # each witness from its own ranking: relabeled, its premises scan in another order
+            stream = RankingStream(universe)
+            for cell, one in zip(merged, walked):
+                cell[2] = [_sweep_chunk([one], None, 1, tables, False, stream, range(i, i + 1))[1][0][2][0]
+                           for i in cell[2]]
     wall_time = time.perf_counter() - started
+    parts = iter(merged), iter(counted)  # each cell's results, back in cell order
     reports = tuple(
         SweepReport(
             rule=rule,
@@ -355,7 +423,8 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=Non
             witnesses=tuple(witnesses),
             wall_time=wall_time,
         )
-        for (rule, axiom), (premises, violations, witnesses) in zip(cells, merged)
+        for (rule, axiom), (premises, violations, witnesses)
+        in zip(cells, [next(parts[block]) for block in by_block])
     )
     return reports, tuple(map(sum, zip(*tallies)))
 

@@ -304,12 +304,14 @@ class TestExhaustiveGuard:
 
     @pytest.fixture(autouse=True)
     def no_enumeration(self, monkeypatch):
-        # A regression fails here instead of starting the walk or a best-class reduction.
+        # A regression fails here instead of starting the walk, a best-class
+        # reduction or the count per best class.
         def refuse(*args):
             raise AssertionError("exhaustive enumeration started")
 
         monkeypatch.setattr(enumeration, "walk_stream", refuse)
         monkeypatch.setattr(verify, "best_class_reduction", refuse)
+        monkeypatch.setattr(verify, "_count_blocks", refuse)
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from scipy import stats
@@ -15,7 +16,7 @@ from millrank import (
     validate_ranking,
 )
 from millrank.core import bits_classes, class_bits
-from millrank.enumeration import MAX_SAMPLED_N, orbit_indices, relabelings, walk_stream
+from millrank.enumeration import MAX_SAMPLED_N, orbit_indices, partition_rows, relabelings, walk_stream
 from millrank.verify import _CHUNK
 from helpers import (
     oracle_orbit_minima,
@@ -47,6 +48,12 @@ class TestFubini:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             fubini(-1)
+
+    def test_partition_rows_count_ordered_partitions_by_blocks(self):
+        for j, row in enumerate(partition_rows(6)):
+            blocks = Counter(len(p) for p in oracle_ordered_partitions(tuple(range(j))))
+            assert row == tuple(blocks[k] for k in range(j + 1))
+            assert sum(row) == fubini(j)
 
 
 class TestEnumerateRankings:

@@ -29,13 +29,22 @@ def test_tracer_traces_theorem1_and_restores(capsys):
     traced_main = tracer.install(millrank)
     try:
         code = traced_main(["verify", "theorem1", "--rule", "plurality", "--n", "2"])
+        theorem1_out = capsys.readouterr().out
+        # Plurality's cells are counted per best class: no checker runs, and
+        # plurality runs once on each of the 7 best classes at n = 2.
+        spans = ("axioms.SI", "axioms.DMON", "solutions.plurality")
+        theorem1_stats = {span: tracer.stats[span][0] for span in spans}
+        sampled = traced_main(
+            ["sweep", "--rule", "plurality", "--axiom", "SI", "--n", "2", "--sample", "20", "--seed", "1"]
+        )
     finally:
         tracer.restore()
-    assert code == 0
-    assert '"equivalent": true' in capsys.readouterr().out
-    assert tracer.stats["cli.main"][0] == 1
-    # One check per relabeling orbit: the 13 rankings at n = 2 fall in 8 orbits.
-    assert tracer.stats["axioms.SI"][0] == tracer.stats["axioms.DMON"][0] == 8
+    assert code == 0 and sampled == 0
+    assert '"equivalent": true' in theorem1_out
+    assert tracer.stats["cli.main"][0] == 2
+    assert theorem1_stats == {"axioms.SI": 0, "axioms.DMON": 0, "solutions.plurality": 7}
+    # A sampled pass walks its draws: one SI check per draw.
+    assert tracer.stats["axioms.SI"][0] == 20
     assert (millrank.cli.main, millrank.axioms.AXIOMS["DMON"], millrank.RULES["plurality"]) == originals
 
 

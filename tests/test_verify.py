@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 import time
 from collections import Counter
@@ -430,17 +429,17 @@ class TestBestClassRules:
             reductions[best] += 1
             return best_class_reduction(universe, best)
 
-        def counted_cache(fn):
-            cached = functools.cache(fn)
+        def counted_reader(fn, reduction, reader=verify._best_class_reader):
+            top = reader(fn, reduction)
 
             def read(best):
                 reads[best] += 1
-                return cached(best)
+                return top(best)
             return read
 
         monkeypatch.setattr(axioms, "_class_slides", counted)
         monkeypatch.setattr(verify, "best_class_reduction", reduced)
-        monkeypatch.setattr(verify, "cache", counted_cache)
+        monkeypatch.setattr(verify, "_best_class_reader", counted_reader)
         stream = RankingStream(verify.Universe(3), mode)
         chunk = range(min(verify._CHUNK, len(stream)))
         verify._sweep_chunk([(rule_id, "SI")], None, 10, {}, False, stream, chunk)
@@ -474,9 +473,10 @@ def dumps(reports):
 
 
 def full_pass(monkeypatch, run, *args, **kwargs):
-    """``run(*args, **kwargs)`` with no rule declared anonymous, so every pass walks every ranking."""
+    """``run(*args, **kwargs)`` with no rule declared anonymous or best-class, so every pass walks every ranking."""
     with monkeypatch.context() as patched:
         patched.setattr(verify, "ANONYMOUS_RULES", frozenset())
+        patched.setattr(verify, "BEST_CLASS_RULES", frozenset())
         return run(*args, **kwargs)
 
 
@@ -496,10 +496,9 @@ class TestOrbitPasses:
             assert dumps(got) == dumps(capped(report, cap) for report in full), cap
 
     def test_all_cells_at_n3(self, monkeypatch):
+        # The full pass builds its own tables: it reads every rule by stream index.
+        full, _ = full_pass(monkeypatch, verify._sweep_pass, ALL_CELLS, verify.Universe(3), EXHAUSTIVE, 1, 10)
         tables = verify._tables(ALL_CELLS, verify.Universe(3), EXHAUSTIVE, 1)
-        full, _ = full_pass(
-            monkeypatch, verify._sweep_pass, ALL_CELLS, verify.Universe(3), EXHAUSTIVE, 1, 10, tables=tables
-        )
         assert sum(report.violations for report in full) == 280432
         for cap in (0, 1, 10):
             got, _ = verify._sweep_pass(ALL_CELLS, verify.Universe(3), EXHAUSTIVE, 1, cap, tables=tables)
@@ -568,6 +567,64 @@ class TestOrbitPasses:
         if found[-1]:
             first = min((h for h in found[:-1] if h), key=lambda h: h[0])
             assert found[-1][0] == first[0]
+
+
+BLOCK_AXIOMS = ("TAG", "STAG", "TDF", "TJAD", "SI", "DMON")
+
+
+@pytest.fixture
+def declared_hashed_top(monkeypatch):
+    """``hashed_top`` registered and declared a best-class rule: it reads the best class alone."""
+    monkeypatch.setitem(RULES, "hashed_top", hashed_top)
+    monkeypatch.setattr(verify, "BEST_CLASS_RULES", BEST_CLASS_RULES | {"hashed_top"})
+
+
+class TestBlockCounts:
+    """An exhaustive pass counts best-class cells once per best class and reports what the walk does."""
+
+    CELLS = [(rule, axiom) for rule in (*sorted(BEST_CLASS_RULES), "hashed_top") for axiom in BLOCK_AXIOMS]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_declared_cell_every_cap(self, monkeypatch, declared_hashed_top, n):
+        assert set(BLOCK_AXIOMS) == set(axioms.BLOCK_COUNTERS)
+        walked = full_pass(monkeypatch, sweep_cells, self.CELLS, n, witness_cap=10)
+        assert n == 1 or sum(report.violations for report in walked) > 0
+        for cap in (0, 1, 10):
+            got = sweep_cells(self.CELLS, n, witness_cap=cap)
+            assert dumps(got) == dumps(capped(report, cap) for report in walked), (n, cap)
+
+    def test_named_universe(self, monkeypatch, declared_hashed_top):
+        # Witnesses spell individuals by name.
+        universe = verify.Universe(2, ("ann", "bob"))
+        walked = full_pass(monkeypatch, sweep_cells, self.CELLS, 2, universe=universe, witness_cap=10)
+        got = sweep_cells(self.CELLS, 2, universe=universe, witness_cap=10)
+        assert any("ann" in text for text in dumps(got))
+        assert dumps(got) == dumps(walked)
+
+    def test_cell_listed_twice_beside_walked_cells(self, monkeypatch):
+        # Counted and walked reports merge back in the order of the cells.
+        cells = [("split_plurality", "SI"), ("les", "STAG"), ("const_x", "TAG"), ("split_plurality", "SI"),
+                 ("obi", "TAG"), ("const_x", "CV")]
+        walked = full_pass(monkeypatch, sweep_cells, cells, 3, witness_cap=10)
+        assert [report.violations > 0 for report in walked] == [True, True, True, True, True, False]
+        assert dumps(sweep_cells(cells, 3, witness_cap=10)) == dumps(walked)
+
+    def test_counted_pass_starts_no_walk_and_no_pool(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a walk started")
+
+        monkeypatch.setattr(verify, "_run_chunks", refuse)
+        report = theorem1_probe("plurality", 3, jobs=2)
+        assert report.equivalent and report.rankings_compared == fubini(7)
+        cells = [(rule, axiom) for rule in sorted(BEST_CLASS_RULES) for axiom in BLOCK_AXIOMS]
+        assert all(r.rankings_checked == fubini(7) for r in sweep_cells(cells, 3, jobs=2, witness_cap=0))
+
+    def test_block_sizes_must_cover_the_stream(self, monkeypatch):
+        # One best class's block dropped: the count misses its rankings.
+        tops = verify._stream_tops(2)
+        monkeypatch.setattr(verify, "_stream_tops", lambda n: (*tops[:-1], tops[-1][:1] + tops[-1][2:]))
+        with pytest.raises(AssertionError, match="covered 12 of 13 rankings"):
+            sweep("plurality", "SI", 2)
 
 
 class TestProp1:
