@@ -140,6 +140,7 @@ def to_json(value, universe=None):
 
 _KEY_SCHEMAS = {key: schema for key, (_, schema) in KEYED.items()}
 _KEY_SCHEMAS["n"] = {"type": "integer", "minimum": 1}
+_KEY_SCHEMAS["seed"] = {"type": "integer"}
 _TYPE_SCHEMAS = {
     str: {"type": "string"},
     int: {"type": "integer", "minimum": 0},
@@ -166,42 +167,23 @@ def _schema(hint, key=None):
     return _TYPE_SCHEMAS.get(hint) or _object_schema(hint)
 
 
-def _object_schema(cls):
-    """Schema of a report dataclass: every key required, no other key allowed."""
-    keys = report_fields(cls)
+def _closed(properties):
+    """Schema of an object with exactly these keys, every one required."""
     return {
         "type": "object",
-        "required": sorted(keys),
-        "properties": {k: _schema(h, k) for k, h in keys.items()},
+        "required": sorted(properties),
+        "properties": properties,
         "additionalProperties": False,
     }
 
 
+def _object_schema(cls):
+    """Schema of a report dataclass: every key required, no other key allowed."""
+    return _closed({k: _schema(h, k) for k, h in report_fields(cls).items()})
+
+
 _MODE_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "required": ["exhaustive"],
-            "properties": {"exhaustive": {"const": True}},
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "required": ["sample"],
-            "properties": {
-                "sample": {
-                    "type": "object",
-                    "required": ["count", "seed"],
-                    "properties": {
-                        "count": {"type": "integer", "minimum": 0},
-                        "seed": {"type": "integer"},
-                    },
-                    "additionalProperties": False,
-                }
-            },
-            "additionalProperties": False,
-        },
-    ]
+    "oneOf": [_closed({"exhaustive": {"const": True}}), _closed({"sample": _object_schema(Sample)})]
 }
 
 # Result keys of the report dataclasses, each with a schema in "$defs".
@@ -247,13 +229,7 @@ _FLAG_KEYS = {"rule": "rule", "sample": "mode", "seed": "mode"}  # verify flag -
 def _parameters_schema(keys, **fixed):
     """Closed schema of one parameters object: every key required, no other allowed."""
     properties = {key: _PARAMETER_SCHEMAS[key] for key in keys}
-    properties.update({key: {"const": value} for key, value in fixed.items()})
-    return {
-        "type": "object",
-        "required": sorted(properties),
-        "properties": properties,
-        "additionalProperties": False,
-    }
+    return _closed(properties | {key: {"const": value} for key, value in fixed.items()})
 
 
 _PARAMETERS_DEFS = {
@@ -319,6 +295,12 @@ def emit_report(command: str, parameters: dict, result_key: str, result, out=Non
     }
     jsonschema.validate(document, REPORT_SCHEMA)
     print(json.dumps(document, sort_keys=True, indent=2), file=out or sys.stdout)
+
+
+def _parameters(keys, args, **computed):
+    """Envelope parameters of ``keys``: each computed value, else the parsed argument of that name."""
+    values = vars(args) | computed
+    return {key: values[key] for key in keys}
 
 
 def _resolve_jobs(args) -> int:
@@ -403,7 +385,7 @@ def _cmd_solve(args) -> int:
     ranking = load_ranking(args.input)
     selection = lookup_rule(args.rule)(ranking)
     names = _names(ranking.universe, selection)
-    emit_report("solve", {"rule": args.rule, "input": args.input}, "selection", names)
+    emit_report("solve", _parameters(PARAMETERS["solve"], args), "selection", names)
     print(f"selected: {' '.join(names)}", file=sys.stderr)
     return 0
 
@@ -411,7 +393,7 @@ def _cmd_solve(args) -> int:
 def _cmd_check(args) -> int:
     ranking = load_ranking(args.input)
     verdict = check_single(args.rule, args.axiom, ranking)
-    parameters = {"rule": args.rule, "axiom": args.axiom.upper(), "input": args.input}
+    parameters = _parameters(PARAMETERS["check"], args, axiom=args.axiom.upper())
     emit_report("check", parameters, "verdict", verdict)
     print(
         f"{args.rule} x {args.axiom.upper()}: {verdict.status}"
@@ -431,13 +413,7 @@ def _cmd_sweep(args) -> int:
         jobs=_resolve_jobs(args),
         witness_cap=args.witness_cap,
     )
-    parameters = {
-        "rule": args.rule,
-        "axiom": report.axiom,
-        "n": args.n,
-        "mode": mode,
-        "witness_cap": args.witness_cap,
-    }
+    parameters = _parameters(PARAMETERS["sweep"], args, axiom=report.axiom, mode=mode)
     emit_report("sweep", parameters, "sweep_report", report)
     print(
         f"{report.rule} x {report.axiom} n={report.n}: {report.rankings_checked} rankings,"
@@ -456,19 +432,19 @@ def _cmd_verify(args) -> int:
     n = args.n if args.n is not None else default_n
     jobs = _resolve_jobs(args)
     cap = args.witness_cap
+    if "rule" in keys and not args.rule:
+        raise MillrankError(f"verify {args.campaign} needs --rule")
+    mode = _mode_from_args(args)
+    parameters = _parameters(("campaign", *keys), args, n=n, mode=mode)
     if args.campaign == "theorem1":
-        if not args.rule:
-            raise MillrankError("verify theorem1 needs --rule")
-        mode = _mode_from_args(args)
         report = theorem1_probe(args.rule, n, mode, jobs=jobs, witness_cap=cap)
-        parameters = {"campaign": "theorem1", "rule": args.rule, "n": n, "mode": mode}
         emit_report("verify", parameters, "theorem1_report", report)
         outcome = "equivalent to plurality" if report.equivalent else "differs from plurality"
         print(f"theorem1 {args.rule} n={n}: {outcome}", file=sys.stderr)
         return 0 if report.equivalent else 1
     if args.campaign == "prop1":
         report = prop1_report(n, jobs=jobs, witness_cap=cap)
-        emit_report("verify", {"campaign": "prop1", "n": n}, "prop1_report", report)
+        emit_report("verify", parameters, "prop1_report", report)
         clean = (
             report.incompatibility_certified
             and (report.lemma is None or report.lemma.counterexamples == 0)
@@ -478,9 +454,7 @@ def _cmd_verify(args) -> int:
         print(f"prop1 n={n}: {'certified' if clean else 'FAILED'}", file=sys.stderr)
         return 0 if clean else 1
     if args.campaign == "prop3":
-        mode = _mode_from_args(args)
         report = prop3_matrix(n, mode, jobs=jobs, witness_cap=cap)
-        parameters = {"campaign": "prop3", "n": n, "mode": mode}
         emit_report("verify", parameters, "matrix_report", report)
         bad = report.discrepancies
         print(
@@ -489,7 +463,7 @@ def _cmd_verify(args) -> int:
         )
         return 0 if not bad else 1
     report = independence_report(n, jobs=jobs, witness_cap=cap)
-    emit_report("verify", {"campaign": "independence", "n": n}, "independence_report", report)
+    emit_report("verify", parameters, "independence_report", report)
     print(f"independence n={n}: {report.discrepancy_count} discrepancies", file=sys.stderr)
     return 0 if not report.discrepancy_count else 1
 
@@ -499,7 +473,7 @@ def _cmd_enumerate(args) -> int:
         raise UniverseTooLargeError(
             f"enumerate refuses n={args.n} (> 4); use the sample command instead"
         )
-    parameters = {"n": args.n, "count_only": bool(args.count_only)}
+    parameters = _parameters(PARAMETERS["enumerate"], args)
     if args.count_only:
         total = fubini((1 << args.n) - 1)
         emit_report("enumerate", parameters, "count", total)
@@ -514,8 +488,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_sample(args) -> int:
     stream = RankingStream(Universe(args.n), Sample(args.count, args.seed))
     rendered = [render_ranking(r) for r in stream]
-    parameters = {"n": args.n, "seed": args.seed, "count": args.count}
-    emit_report("sample", parameters, "rankings", rendered)
+    emit_report("sample", _parameters(PARAMETERS["sample"], args), "rankings", rendered)
     print(f"sampled {len(rendered)} ranking(s) at n={args.n}", file=sys.stderr)
     return 0
 

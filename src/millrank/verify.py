@@ -25,9 +25,9 @@ walked, and a pass left with no other cell and no tally walks nothing
 and starts no pool. Its other cells, when all their rules are in
 ``solutions.ANONYMOUS_RULES``, judge one ranking per relabeling orbit,
 weighted by the orbit's size: no axiom names an individual, so an
-orbit's rankings judge alike. Their witnesses, the smallest violating
-stream indices, are each judged on their own ranking, so reports do not
-change. Tables, sampled passes and stopped searches walk every ranking.
+orbit's rankings judge alike. The first violating rankings lie in the
+orbits whose witnesses the walk keeps, and each is judged on its own
+ranking, so reports do not change. Tables, sampled passes and stopped searches walk every ranking.
 
 All outputs are deterministic for fixed inputs. Chunks of stream
 indices may be walked by a pool of worker processes; partial tallies
@@ -46,7 +46,6 @@ from contextlib import closing
 from dataclasses import dataclass, field, fields
 from functools import cache, partial
 from itertools import permutations
-from multiprocessing import get_context
 from typing import ClassVar, get_type_hints
 
 from .axioms import (
@@ -161,10 +160,10 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
     reads (top, table, SI's memo) kept per chunk.
     With ``stop`` set, the chunk ends after the first ranking on which a
     cell is violated, and the count includes that ranking. On a stream
-    with ``orbits``, counts and tallies are weighted by orbit size, and a
-    cell keeps the ``cap`` smallest violating stream indices, not witnesses.
+    with ``orbits``, counts and tallies are weighted by orbit size, and
+    the witnesses are those of the first violating orbits' first rankings.
     """
-    universe, orbits = stream.universe, stream.orbits
+    universe = stream.universe
     rules = list(dict.fromkeys(rule for rule, _ in cells))
     reduction = cache(partial(best_class_reduction, universe))  # one per best class read
     slots = []  # per rule slot: (function, top, stream-indexed table)
@@ -211,11 +210,9 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
     def violated(result, witness):  # one more violating ranking for the cell, weighted
         nonlocal stopped
         result[1] += weight
-        stopped, held = stop, result[2]
-        if not orbits and len(held) < cap:
-            held.append(witness())
-        elif orbits and (len(held) < cap or held and held[-1] > before[-1]):  # earlier ones may join
-            result[2] = sorted(held + [*orbit_indices(universe.n, bits)])[:cap]
+        stopped = stop
+        if len(result[2]) < cap:
+            result[2].append(witness())
 
     for ranking, remaining, before, weight in stream.walk(chunk):
         count += weight
@@ -267,6 +264,7 @@ def _run_chunks(universe, mode, worker, jobs, orbits=False):
     work = partial(worker, stream)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported on use: about 10 ms
+        from multiprocessing import get_context
 
         with ProcessPoolExecutor(jobs, get_context("fork")) as pool:
             yield from pool.map(work, chunks)
@@ -311,25 +309,26 @@ def _tables(cells, universe, mode, jobs):
 
 
 def _count_blocks(cells, stream, cap):
-    """Ranking count and per-cell [premises, violations, witnesses] of best-class cells, per best class.
+    """Count best-class cells per best class into their results; return the rankings covered.
 
-    Every cell pairs a rule of ``solutions.BEST_CLASS_RULES`` with an axiom
-    of ``axioms.BLOCK_COUNTERS``. A block is the fubini(|rest|) consecutive
-    indices of the exhaustive ``stream`` whose rankings share a best class
+    ``cells`` holds ((rule, axiom), result) pairs, each result the pass's
+    [premises, violations, witnesses] list of a cell that pairs a rule of
+    ``solutions.BEST_CLASS_RULES`` with an axiom of ``axioms.BLOCK_COUNTERS``.
+    A block is the fubini(|rest|) consecutive indices of the exhaustive
+    ``stream`` whose rankings share a best class
     (:func:`~millrank.enumeration._stream_tops`); each cell's counter takes
     the block's reduction and reads the rule by best class, so the pass
     builds one reduction and runs each rule once per best class, and walks
-    no ranking. The blocks must cover the stream. A cell's witnesses come
-    from walking its violating blocks in stream order through
-    :func:`_sweep_chunk` until ``cap`` are held; of a block that violates
-    throughout, only its first rankings are walked.
+    no ranking. A cell's witnesses come from walking its violating blocks
+    in stream order through :func:`_sweep_chunk` until ``cap`` are held;
+    of a block that violates throughout, only its first rankings are walked.
     """
     reduction = cache(partial(best_class_reduction, stream.universe))
-    tops = {rule: _best_class_reader(lookup_rule(rule), reduction) for rule, _ in cells}
-    results, covered = [[0, 0, []] for _ in cells], 0
+    tops = {rule: _best_class_reader(lookup_rule(rule), reduction) for (rule, _), _ in cells}
+    covered = 0
     for best, _, offset, size in _stream_tops(stream.universe.n)[-1]:
         covered += size
-        for (rule, axiom), result in zip(cells, results):
+        for (rule, axiom), result in cells:
             premises, violations = BLOCK_COUNTERS[axiom](reduction(best), tops[rule])
             result[0] += premises
             result[1] += violations
@@ -337,8 +336,7 @@ def _count_blocks(cells, stream, cap):
             if violations and need > 0:
                 chunk = range(offset, offset + (min(need, size) if violations == size else size))
                 result[2] += _sweep_chunk([(rule, axiom)], None, need, {}, False, stream, chunk)[1][0][2]
-    _check_coverage(covered, stream.universe)
-    return covered, results
+    return covered
 
 
 def _check_coverage(checked, universe):
@@ -368,6 +366,8 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=Non
     unstopped, walks orbits (see the module docstring); ``tally`` must
     then count alike on every relabeling.
     """
+    if witness_cap < 0:
+        raise ValueError(f"witness_cap must be at least 0, got {witness_cap}")
     cells = [(rule, axiom.upper()) for rule, axiom in cells]
     for rule, axiom in cells:
         lookup_rule(rule)
@@ -376,40 +376,43 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=Non
     if tables is None:
         tables = _tables(cells, universe, mode, jobs)
     whole = mode == EXHAUSTIVE and not stop  # every ranking, to the end
-    by_block = [whole and rule in BEST_CLASS_RULES and axiom in BLOCK_COUNTERS for rule, axiom in cells]
-    walked = [cell for cell, block in zip(cells, by_block) if not block]
-    checked, counted = 0, []
-    if any(by_block):
-        stream = RankingStream(universe)  # refuses more than MAX_EXHAUSTIVE_N individuals first
-        blocked = [cell for cell, block in zip(cells, by_block) if block]
-        checked, counted = _count_blocks(blocked, stream, witness_cap)
-    tallies, merged = [], [[0, 0, []] for _ in walked]
+    results = [[0, 0, []] for _ in cells]  # per cell: premises, violations, witnesses
+    blocked, walked = [], []
+    for (rule, axiom), result in zip(cells, results):
+        by_block = whole and rule in BEST_CLASS_RULES and axiom in BLOCK_COUNTERS
+        (blocked if by_block else walked).append(((rule, axiom), result))
+    checked, tallies = 0, []
+    if blocked:  # the stream refuses more than MAX_EXHAUSTIVE_N individuals first
+        checked = _count_blocks(blocked, RankingStream(universe), witness_cap)
+        _check_coverage(checked, universe)
     if walked or tally:
         # Rules that commute with relabeling leave every count alike across an orbit.
-        orbits = whole and all(rule in ANONYMOUS_RULES for rule, _ in walked)
+        orbits = whole and all(rule in ANONYMOUS_RULES for (rule, _), _ in walked)
         checked = 0
-        worker = partial(_sweep_chunk, walked, tally, witness_cap, tables, stop)
+        worker = partial(_sweep_chunk, [cell for cell, _ in walked], tally, witness_cap, tables, stop)
         with closing(_run_chunks(universe, mode, worker, jobs, orbits)) as chunks:
-            for count, results, counts in chunks:
+            for count, found, counts in chunks:
                 checked += count
                 tallies += [counts] if counts else []  # a chunk may hold no orbit's first ranking
-                for cell, (premises, violations, witnesses) in zip(merged, results):
-                    cell[0] += premises
-                    cell[1] += violations
-                    kept = cell[2] + list(witnesses)  # witnesses, or stream indices of orbits
-                    cell[2] = (sorted(kept) if orbits else kept)[:witness_cap]
-                if stop and any(cell[1] for cell in merged):
+                for (_, result), (premises, violations, witnesses) in zip(walked, found):
+                    result[0] += premises
+                    result[1] += violations
+                    result[2] = (result[2] + witnesses)[:witness_cap]
+                if stop and any(result[1] for _, result in walked):
                     break
             else:
                 if mode == EXHAUSTIVE:
                     _check_coverage(checked, universe)
-        if orbits:  # each witness from its own ranking: relabeled, its premises scan in another order
+        if orbits:
+            # An orbit's rankings violate alike, so the first cap violating rankings lie in the
+            # orbits of the first cap violating orbit minima, whose witnesses the walk kept. Each
+            # is judged on its own ranking: relabeled, its premises scan in another order.
             stream = RankingStream(universe)
-            for cell, one in zip(merged, walked):
-                cell[2] = [_sweep_chunk([one], None, 1, tables, False, stream, range(i, i + 1))[1][0][2][0]
-                           for i in cell[2]]
+            for cell, result in walked:
+                held = {i for witness in result[2] for i in orbit_indices(universe.n, witness.ranking.bits)}
+                result[2] = [_sweep_chunk([cell], None, 1, tables, False, stream, range(i, i + 1))[1][0][2][0]
+                             for i in sorted(held)[:witness_cap]]
     wall_time = time.perf_counter() - started
-    parts = iter(merged), iter(counted)  # each cell's results, back in cell order
     reports = tuple(
         SweepReport(
             rule=rule,
@@ -423,8 +426,7 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=Non
             witnesses=tuple(witnesses),
             wall_time=wall_time,
         )
-        for (rule, axiom), (premises, violations, witnesses)
-        in zip(cells, [next(parts[block]) for block in by_block])
+        for (rule, axiom), (premises, violations, witnesses) in zip(cells, results)
     )
     return reports, tuple(map(sum, zip(*tallies)))
 

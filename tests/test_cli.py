@@ -597,6 +597,29 @@ def test_parameters_schemas_are_closed(command_reports, name):
         jsonschema.validate(swapped, REPORT_SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "mode, valid",
+    [
+        ({"exhaustive": True}, True),
+        ({"sample": {"count": 0, "seed": -3}}, True),
+        ({"exhaustive": False}, False),
+        ({"sample": {"count": -1, "seed": 0}}, False),
+        ({"sample": {"count": 5}}, False),
+        ({"sample": {"count": 5, "seed": 0, "draws": 1}}, False),
+        ({"exhaustive": True, "sample": {"count": 5, "seed": 0}}, False),
+    ],
+)
+def test_mode_schema(capsys, mode, valid):
+    _, document, _ = run(capsys, "sweep", "--rule", "les", "--axiom", "STAG", "--n", "2")
+    for holder in (document["parameters"], document["result"]["sweep_report"]):
+        holder["mode"] = mode
+        if valid:
+            jsonschema.validate(document, REPORT_SCHEMA)
+        else:
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(document, REPORT_SCHEMA)
+
+
 class TestResolveJobs:
     def test_clamped_to_the_cpu_count(self, monkeypatch):
         monkeypatch.delenv("MILLRANK_JOBS", raising=False)

@@ -101,6 +101,20 @@ class TestSweep:
         assert capped.violations == 19860
         assert len(capped.witnesses) == 3
 
+    def test_negative_witness_cap_is_refused_before_any_walk(self, monkeypatch):
+        def walked(*args):
+            raise AssertionError("a pass with a negative witness cap started")
+
+        monkeypatch.setattr(verify, "_run_chunks", walked)
+        monkeypatch.setattr(verify, "_count_blocks", walked)
+        for run in (
+            lambda: theorem1_probe("plurality", 2, witness_cap=-3),
+            lambda: sweep("les", "SI", 2, witness_cap=-1),
+            lambda: verify.prop3_matrix(3, witness_cap=-1),
+        ):
+            with pytest.raises(ValueError, match="witness_cap"):
+                run()
+
     def test_exhaustive_count_matches_fubini(self):
         report = sweep("obi", "TDF", 2)
         assert report.rankings_checked == fubini(3)
