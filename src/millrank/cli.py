@@ -2,9 +2,12 @@
 
 Subcommands: solve, check, sweep, verify (theorem1 | prop1 | prop3 |
 independence), enumerate, sample. Every command prints one JSON report
-on stdout (schema below, validated on emission) and a short human
-summary on stderr. Exit codes: 0 when satisfied or equivalent, 1 when a
-violation or difference was found, 2 on usage or input errors.
+on stdout and a short human summary on stderr. Before it is printed,
+each report is checked against the schema below by
+:mod:`millrank.schema`, which knows exactly the draft-07 keywords the
+schema uses; a report that fails raises, as a fault of the program.
+Exit codes: 0 when satisfied or equivalent, 1 when a violation or
+difference was found, 2 on usage or input errors.
 
 Reports are byte-identical for identical arguments; the worker count
 (--jobs, overridden by the MILLRANK_JOBS environment variable) and wall
@@ -23,8 +26,9 @@ import sys
 from dataclasses import is_dataclass
 from typing import Literal, get_args, get_origin
 
-import jsonschema
-
+# The report checker keeps the name `jsonschema` here because
+# perfbench/tracer.py times validation by wrapping `cli.jsonschema.validate`.
+from . import schema as jsonschema
 from .axioms import Verdict, Witness
 from .core import CoalitionalRanking, mask_members
 from .enumeration import EXHAUSTIVE, RankingStream, Sample, Universe, fubini
@@ -266,8 +270,7 @@ REPORT_SCHEMA = {
     },
     "additionalProperties": False,
     "$defs": {
-        # Kept out of "properties": the draft-07 metaschema, which validation
-        # checks the schema against first, does not descend into "$defs".
+        # Each command's parameters rule, applied by the top-level "allOf".
         "command_parameters": {
             "allOf": [
                 {

@@ -209,6 +209,10 @@ class Sample:
     count: int
     seed: int
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"a sample needs at least one draw, got count={self.count}")
+
 
 EXHAUSTIVE = "exhaustive"
 

@@ -12,8 +12,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from millrank import RULES, enumeration, verify
+from millrank import RULES, cli, enumeration, schema, verify
 from millrank.cli import REPORT_SCHEMA, _resolve_jobs, emit_report, main
+from millrank.errors import MillrankError
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "reports.json"
 
@@ -618,6 +619,156 @@ def test_mode_schema(capsys, mode, valid):
         else:
             with pytest.raises(jsonschema.ValidationError):
                 jsonschema.validate(document, REPORT_SCHEMA)
+
+
+def test_report_schema_is_a_draft7_schema():
+    # Emission checks documents, not the schema; REPORT_SCHEMA is a constant, so one check covers it.
+    jsonschema.Draft7Validator.check_schema(REPORT_SCHEMA)
+
+
+# The keywords millrank.schema implements; "$ref" must stand alone, as draft 07 ignores its siblings.
+CHECKED_KEYWORDS = {
+    "$schema", "$defs", "$ref", "type", "const", "enum", "required", "properties",
+    "additionalProperties", "items", "minimum", "minProperties", "maxProperties",
+    "allOf", "oneOf", "if", "then",
+}
+
+
+def test_report_schema_uses_only_checked_keywords():
+    reached, pending = set(), [REPORT_SCHEMA]
+    while pending:
+        node = pending.pop()
+        if id(node) in reached:
+            continue
+        reached.add(id(node))
+        assert isinstance(node, dict) and set(node) <= CHECKED_KEYWORDS, node
+        if "$ref" in node:
+            assert set(node) == {"$ref"} and node["$ref"].startswith("#/"), node
+            target = REPORT_SCHEMA
+            for part in node["$ref"][2:].split("/"):
+                target = target[part]
+            pending.append(target)
+        assert node.get("type", "object") in schema._TYPES, node
+        assert node.get("additionalProperties", False) is False, node
+        for value in [node.get("const"), *node.get("enum", ())]:
+            assert not isinstance(value, (list, dict)), node
+        pending += node.get("properties", {}).values()
+        pending += node.get("allOf", []) + node.get("oneOf", [])
+        pending += [node[key] for key in ("items", "if", "then") if key in node]
+    assert len(reached) > 50
+
+
+def test_unknown_keyword_is_refused():
+    with pytest.raises(KeyError):
+        schema.validate("x", {"maxLength": 3})
+
+
+# Replacement values of the differential test: every JSON type, bools beside ints, an integral float.
+REPLACEMENTS = [True, False, 0, 1, -1, 1.0, 2.5, "x", None, [], {}, ["x"], {"a": 1}]
+
+
+def _mutants(node):
+    """Mutate ``node`` in place, yield after each mutation and undo it on resumption.
+
+    Each key is deleted, each object gains "unexpected", and each object value is
+    replaced by each of REPLACEMENTS; a list is entered at one item of each shape.
+    """
+    if isinstance(node, list):
+        shapes = set()
+        for item in node:
+            shape = repr(
+                sorted((k, type(v).__name__) for k, v in item.items())
+                if isinstance(item, dict) else type(item).__name__
+            )
+            if shape not in shapes:
+                shapes.add(shape)
+                yield from _mutants(item)
+        return
+    if not isinstance(node, dict):
+        return
+    for key in list(node):
+        value = node.pop(key)
+        yield
+        node[key] = value
+    node["unexpected"] = 0
+    yield
+    del node["unexpected"]
+    for key, value in list(node.items()):
+        for replacement in REPLACEMENTS:
+            node[key] = replacement
+            yield
+        node[key] = value
+        yield from _mutants(value)
+
+
+def _accepts(document, against=REPORT_SCHEMA):
+    try:
+        schema.validate(document, against)
+    except schema.ValidationError:
+        return False
+    return True
+
+
+_REF_WITH_SIBLING = {
+    "$defs": {"integer": {"type": "integer"}},
+    "properties": {"v": {"$ref": "#/$defs/integer", "type": "string"}},
+}
+_ONE_OF = {"oneOf": [{"type": "integer"}, {"minimum": 0}]}
+_IF_THEN = {"if": {"required": ["a"]}, "then": {"maxProperties": 1}}
+
+
+@pytest.mark.parametrize(
+    "value, subschema, valid",
+    [
+        (True, {"type": "integer"}, False),
+        (1.0, {"type": "integer"}, True),
+        (2.5, {"type": "integer"}, False),
+        (1, {"const": True}, False),
+        (1.0, {"const": 1}, True),
+        (True, {"enum": [1, "x"]}, False),
+        (True, {"minimum": 5}, True),
+        ({"v": 1}, _REF_WITH_SIBLING, True),
+        ({"v": "x"}, _REF_WITH_SIBLING, False),
+        (1, _ONE_OF, False),
+        (-1, _ONE_OF, True),
+        ({"a": 1, "b": 2}, _IF_THEN, False),
+        ({"b": 2, "c": 3}, _IF_THEN, True),
+        ("x", {"required": ["a"], "minProperties": 1, "additionalProperties": False}, True),
+        ([1, "x"], {"items": {"type": "integer"}}, False),
+    ],
+)
+def test_checker_keyword_semantics(value, subschema, valid):
+    assert jsonschema.Draft7Validator(subschema).is_valid(value) is valid
+    assert _accepts(value, subschema) is valid
+
+
+def test_checker_agrees_with_jsonschema_on_mutated_reports(command_reports):
+    oracle = jsonschema.Draft7Validator(REPORT_SCHEMA)
+    verdicts, disagreements = [], []
+    for name, document in command_reports.items():
+        for _ in _mutants(document):
+            expected = oracle.is_valid(document)
+            verdicts.append(expected)
+            if _accepts(document) != expected:
+                disagreements.append((name, expected, json.dumps(document)[:300]))
+    assert disagreements == []
+    assert len(verdicts) > 3000 and 0 < sum(verdicts) < len(verdicts)
+
+
+def test_broken_report_is_a_fault_and_prints_nothing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "fubini", lambda m: -1)
+    with pytest.raises(schema.ValidationError, match=r"document\.result\.count: -1 fails minimum 0"):
+        main(["enumerate", "--n", "1", "--count-only"])
+    assert capsys.readouterr().out == ""
+    assert not issubclass(schema.ValidationError, (MillrankError, ValueError, OSError))
+
+
+def test_cli_import_leaves_jsonschema_out():
+    src = Path(__file__).parent.parent / "src"
+    code = "import sys, millrank.cli; print('jsonschema' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 class TestResolveJobs:

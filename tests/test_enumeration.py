@@ -265,6 +265,11 @@ class TestSampleRanking:
         with pytest.raises(UniverseTooLargeError):
             RankingStream(Universe(MAX_SAMPLED_N + 1), Sample(1, 0))
 
+    @pytest.mark.parametrize("count, seed", [(0, 2), (-3, 1)])
+    def test_count_below_one_is_refused(self, count, seed):
+        with pytest.raises(ValueError, match="at least one draw"):
+            Sample(count, seed)
+
     def test_stream_keeps_its_universe(self):
         universe = Universe(3, ("a", "b", "c"))
         (ranking,) = RankingStream(universe, Sample(1, 0))

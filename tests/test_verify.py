@@ -115,6 +115,14 @@ class TestSweep:
             with pytest.raises(ValueError, match="witness_cap"):
                 run()
 
+    def test_sample_count_below_one_is_refused_before_any_rule_call(self, monkeypatch):
+        def called(ranking):
+            raise AssertionError("the rule ran on a sample of no draws")
+
+        monkeypatch.setitem(RULES, "obi", called)
+        with pytest.raises(ValueError, match="at least one draw"):
+            theorem1_probe("obi", 3, Sample(0, 2))
+
     def test_exhaustive_count_matches_fubini(self):
         report = sweep("obi", "TDF", 2)
         assert report.rankings_checked == fubini(3)
