@@ -22,11 +22,11 @@ read it on the targets: given ``table``, the rule's complete selection
 table, and ``walk``, the walked ranking's running index sums, the scan
 ranks each target inline and reads its selection from the table; given
 ``top``, a best-class rule's selection by best-class bitset, it skips
-each target that keeps the best class and sums SI per class once per
-best class, in ``memo``; given neither, it decodes each target and
-calls the rule. SI judges targets by bit operations on the pairs both
-selections meet; DMON counts a coalition's premises without its targets,
-reading them only while they could give the witness.
+each target that keeps the best class and sums SI once per class of
+the ranking; given neither, it decodes each target and calls the rule.
+SI judges targets by bit operations on the pairs both selections meet;
+DMON counts a coalition's premises without its targets, reading them
+only while they could give the witness.
 For a best-class rule, TAG, STAG, TDF, TJAD, SI and DMON each have a
 block counter beside the checker (:data:`BLOCK_COUNTERS`): the sums of
 the checker's premises and violations over every ranking with one best
@@ -459,7 +459,7 @@ def _class_slides(n: int, best: int, cls: int, base: int, top) -> tuple:
 
 
 def check_slide_independence(
-    ranking, rule, base=None, walk=None, top=None, table=None, memo=None
+    ranking, rule, base=None, walk=None, top=None, table=None
 ) -> Verdict:
     """Stability of pairwise selection under balanced slides.
 
@@ -475,15 +475,14 @@ def check_slide_independence(
     from those sums, adding the slide's terms as the destination moves one
     class away from k1, and its selection read from the table; rankings are
     built for the witness only. With ``top`` instead, a best-class rule's
-    selection by best-class bitset, each class is one :func:`_class_slides`,
-    kept in ``memo`` while the best class stays: a best-class gamma fires
-    alike at all l - 1 destinations, a lower one at 0 and, with the base
-    selection, at the other l - 2. Without either, each slid ranking is
-    built and the rule called on it. A target is judged by bit operations
-    over the pairs each selection meets, and each gamma's balanced pairs
-    are read from a map built once per n up to MAX_EXHAUSTIVE_N. A ranking
-    with more than _MAX_SLIDES slides is refused with UniverseTooLargeError
-    first.
+    selection by best-class bitset, each class is one :func:`_class_slides`:
+    a best-class gamma fires alike at all l - 1 destinations, a lower one
+    at 0 and, with the base selection, at the other l - 2. Without either,
+    each slid ranking is built and the rule called on it. A target is
+    judged by bit operations over the pairs each selection meets, and each
+    gamma's balanced pairs are read from a map built once per n up to
+    MAX_EXHAUSTIVE_N. A ranking with more than _MAX_SLIDES slides is
+    refused with UniverseTooLargeError first.
     """
     universe = ranking.universe
     n = universe.n
@@ -502,14 +501,8 @@ def check_slide_independence(
         return Verdict(INAPPLICABLE, 0)
     premises, witness = 0, None
     if top is not None:
-        memo = {} if memo is None else memo
-        if bits[0] not in memo:  # a new best class: drop the last one's summaries
-            memo.clear()
-        summaries = memo.setdefault(bits[0], {})
         for k1, cls in enumerate(bits):
-            if cls not in summaries:
-                summaries[cls] = _class_slides(n, bits[0], cls, base, top)
-            fired, balanced, hit = summaries[cls]
+            fired, balanced, hit = _class_slides(n, bits[0], cls, base, top)
             premises += fired * (l - 1) if k1 == 0 else fired + balanced * (l - 2)
             if hit and witness is None:
                 witness = _slide_witness(ranking, base, k1, 0 if k1 else 1, *hit)

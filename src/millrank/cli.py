@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import is_dataclass
 from typing import Literal, get_args, get_origin
 
@@ -408,6 +409,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     mode = _mode_from_args(args)
+    started = time.perf_counter()
     report = sweep(
         args.rule,
         args.axiom,
@@ -421,7 +423,7 @@ def _cmd_sweep(args) -> int:
     print(
         f"{report.rule} x {report.axiom} n={report.n}: {report.rankings_checked} rankings,"
         f" {report.premises_found} premises, {report.violations} violations"
-        f" in {report.wall_time:.1f}s",
+        f" in {time.perf_counter() - started:.1f}s",
         file=sys.stderr,
     )
     return 1 if report.violations else 0

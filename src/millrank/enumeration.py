@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, combinations, permutations
 from math import comb
 
 from .core import CoalitionalRanking, Universe
@@ -66,20 +66,8 @@ def _fubini_table(m: int) -> tuple[int, ...]:
 
 
 def _top_classes(elements: tuple[int, ...]):
-    """Nonempty subsets of sorted ``elements``, ordered by their sorted tuples.
-
-    A tuple comes before its extensions, so this is the depth-first
-    walk adding the smallest unused larger element first.
-    """
-    m = len(elements)
-
-    def subsets(start, prefix):
-        for i in range(start, m):
-            chosen = prefix + (elements[i],)
-            yield chosen
-            yield from subsets(i + 1, chosen)
-
-    return subsets(0, ())
+    """Nonempty subsets of sorted ``elements``, ordered by their sorted tuples."""
+    return sorted(chain.from_iterable(combinations(elements, k) for k in range(1, len(elements) + 1)))
 
 
 @lru_cache(maxsize=None)

@@ -12,8 +12,9 @@ builds that rule's selection table and hands it to every chunk, whose
 cells of the rule read its selections there. Nothing is kept between
 passes. Campaign functions bundle one such pass and pinned instances
 into the characterization probe, the incompatibility report, the
-satisfaction matrix and the independence report; the witness search is
-such a pass, stopped at the first violating ranking.
+satisfaction matrix and the independence report, whose f_star x DMON
+witness is that cell's first; the witness search of the probe is such a
+pass, stopped at the first violating ranking.
 
 An unstopped exhaustive pass counts each cell that pairs a rule of
 ``solutions.BEST_CLASS_RULES`` with an axiom of ``axioms.BLOCK_COUNTERS``
@@ -41,9 +42,8 @@ keys of its JSON form.
 
 from __future__ import annotations
 
-import time
 from contextlib import closing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 from functools import cache, partial
 from itertools import permutations
 from typing import ClassVar, get_type_hints
@@ -81,19 +81,16 @@ _CHUNK = 2048
 MAX_CHECKED_N = 8
 THEOREM_AXIOMS = ("STAG", "SI", "DMON")
 
-# Field metadata of an execution detail that reports never print.
-NOT_REPORTED = {"reported": False}
-
 
 @cache
 def report_fields(cls) -> dict:
     """JSON key -> type hint of a report dataclass.
 
-    The keys are its fields, less those marked ``NOT_REPORTED``, plus
-    the properties its ``DERIVED`` tuple names.
+    The keys are its fields plus the properties its ``DERIVED`` tuple
+    names.
     """
     hints = get_type_hints(cls)
-    keys = {f.name: hints[f.name] for f in fields(cls) if f.metadata != NOT_REPORTED}
+    keys = {f.name: hints[f.name] for f in fields(cls)}
     for name in getattr(cls, "DERIVED", ()):
         keys[name] = get_type_hints(getattr(cls, name).fget)["return"]
     return keys
@@ -105,9 +102,7 @@ class SweepReport:
 
     ``violations`` counts rankings whose verdict was violated (each
     contributes exactly one witness before capping); ``witnesses`` keeps
-    the first ``witness_cap`` of them in stream order. ``wall_time`` is
-    the time of the whole pass that swept this cell with others; it is
-    informational only and never serialized.
+    the first ``witness_cap`` of them in stream order.
     """
 
     DERIVED: ClassVar = ("verdict",)
@@ -121,7 +116,6 @@ class SweepReport:
     violations: int
     witness_cap: int
     witnesses: tuple[Witness, ...]
-    wall_time: float = field(metadata=NOT_REPORTED)
 
     @property
     def verdict(self) -> Status:
@@ -157,7 +151,7 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
     stream-indexed table (see :func:`_tables`), or from one rule call. A
     violated cell builds a witness only while under ``cap``. ``SI`` and
     ``DMON`` cells run their checkers on it, the ranking's walk and the
-    reads (top, table, SI's memo) kept per chunk.
+    slot's top or table.
     With ``stop`` set, the chunk ends after the first ranking on which a
     cell is violated, and the count includes that ranking. On a stream
     with ``orbits``, counts and tallies are weighted by orbit size, and
@@ -181,9 +175,7 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
             lister, _, contains, _ = PREMISE_AXIOMS[axiom]
             plan.setdefault(lister, []).append((result, slot, contains, axiom))
         else:
-            fn, top, table = slots[slot]
-            reads = (top, table, {}) if axiom == "SI" else (top, table)  # SI adds its memo
-            checks.append((result, AXIOMS[axiom], fn, slot, reads))
+            checks.append((result, AXIOMS[axiom], slot, *slots[slot]))
     by_best = {PREMISE_AXIOMS[axiom][0] for axiom in BEST_CLASS_AXIOMS}
     levelled = {PREMISE_AXIOMS[axiom][0] for axiom in ("RAG", "RJAD")}  # take agreement levels
     best_listed = {}  # best-class bitset -> {lister: (instances, forced mask)}
@@ -229,8 +221,8 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
                 result[0] += len(found) * weight
                 if forced & ~sel if contains else forced != sel:
                     violated(result, partial(premise_witness, axiom, ranking, found, forced, sel))
-        for result, check, fn, slot, reads in checks:
-            verdict = check(ranking, fn, select(slot), walk, *reads)
+        for result, check, slot, fn, top, table in checks:
+            verdict = check(ranking, fn, select(slot), walk, top, table)
             result[0] += verdict.premises_checked * weight
             if verdict.status == VIOLATED:
                 violated(result, lambda: verdict.witness)
@@ -345,15 +337,15 @@ def _check_coverage(checked, universe):
         raise AssertionError(f"exhaustive sweep covered {checked} of {expected} rankings")
 
 
-def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=None, stop=False):
+def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, stop=False):
     """Sweep reports of every (rule, axiom) cell from one pass over the stream.
 
     ``tally(listing)``, when given, runs on every ranking with its
     memoized premise listing, ``listing(lister)`` = (instances, forced
     mask), and returns a tuple of counts; the second return value is
     their sum over the stream (empty without ``tally``).
-    ``tables`` holds the selection tables of the pass (see
-    :func:`_sweep_chunk`), built by :func:`_tables` when None. The
+    The pass builds its own selection tables (see :func:`_sweep_chunk`)
+    with :func:`_tables`, before any walk. The
     tables travel to the workers with each chunk. With ``stop`` set,
     each chunk ends after its first violating ranking, and the pass
     after the first chunk with a violation, so ``rankings_checked``
@@ -372,9 +364,7 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=Non
     for rule, axiom in cells:
         lookup_rule(rule)
         lookup_axiom(axiom)
-    started = time.perf_counter()
-    if tables is None:
-        tables = _tables(cells, universe, mode, jobs)
+    tables = _tables(cells, universe, mode, jobs)
     whole = mode == EXHAUSTIVE and not stop  # every ranking, to the end
     results = [[0, 0, []] for _ in cells]  # per cell: premises, violations, witnesses
     blocked, walked = [], []
@@ -412,7 +402,6 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=Non
                 held = {i for witness in result[2] for i in orbit_indices(universe.n, witness.ranking.bits)}
                 result[2] = [_sweep_chunk([cell], None, 1, tables, False, stream, range(i, i + 1))[1][0][2][0]
                              for i in sorted(held)[:witness_cap]]
-    wall_time = time.perf_counter() - started
     reports = tuple(
         SweepReport(
             rule=rule,
@@ -424,7 +413,6 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, tables=Non
             violations=violations,
             witness_cap=witness_cap,
             witnesses=tuple(witnesses),
-            wall_time=wall_time,
         )
         for (rule, axiom), (premises, violations, witnesses) in zip(cells, results)
     )
@@ -443,8 +431,7 @@ def sweep_cells(
     """Check several (rule, axiom) cells in one pass over a ranking stream.
 
     Returns one report per cell, in the order of ``cells``, each equal
-    to what :func:`sweep` reports for that cell alone (``wall_time``
-    aside, which is the time of the whole pass). Exhaustive mode
+    to what :func:`sweep` reports for that cell alone. Exhaustive mode
     covers every ranking of the universe (guarded at n <= 3); sample
     mode draws ``mode.count`` uniform rankings from ``mode.seed``
     (guarded at n <= 8). The reports are identical for any ``jobs``
@@ -475,16 +462,15 @@ def check_single(rule: str, axiom: str, ranking: CoalitionalRanking):
     return lookup_axiom(axiom)(ranking, lookup_rule(rule))
 
 
-def _first_violation(rule, axioms, universe, mode, jobs=1, tables=None):
+def _first_violation(rule, axioms, universe, mode, jobs=1):
     """First (stream index, witness) where the rule violates one of the axioms, or None.
 
     A :func:`_sweep_pass` of one cell per axiom with witness cap 1,
     stopped at the first violating ranking, so it reads selections as
     sweeps do; on that ranking the earliest violated axiom wins.
-    ``tables`` are the pass's selection tables, built when None.
     """
     cells = [(rule, axiom) for axiom in axioms]
-    reports = _sweep_pass(cells, universe, mode, jobs, 1, tables=tables, stop=True)[0]
+    reports = _sweep_pass(cells, universe, mode, jobs, 1, stop=True)[0]
     return next(((r.rankings_checked - 1, r.witnesses[0]) for r in reports if r.violations), None)
 
 
@@ -839,23 +825,24 @@ def independence_report(
 
     For each alternative rule, sweeps the two axioms it is expected to
     keep (exhaustively at n = 3) and exhibits a violation of the third:
-    a searched witness for f_star against DMON, the pinned
-    four-individual slide for split plurality against SI, and the pinned
-    two-level instance for les against STAG. Each claim carries a
-    discrepancy flag where the evidence contradicts the expectation. The
-    slide instance prints a ranking of all 2**n - 1 coalitions, so n stops
-    at MAX_CHECKED_N.
+    for f_star against DMON, the first violating ranking of an f_star x
+    DMON sweep; for split plurality against SI, the pinned
+    four-individual slide; for les against STAG, the pinned two-level
+    instance. All seven cells share one exhaustive pass. Each claim
+    carries a discrepancy flag where the evidence contradicts the
+    expectation. The slide instance prints a ranking of all 2**n - 1
+    coalitions, so n stops at MAX_CHECKED_N.
     """
     if n < 4:
         raise ValueError("independence_report needs n >= 4 for the slide instance")
     if n > MAX_CHECKED_N:
         raise UniverseTooLargeError(f"independence supports n <= {MAX_CHECKED_N}, got n={n}")
     claims = []
-    # One table per undeclared rule serves the sweeps and the f_star x DMON search.
-    universe = Universe(3)
-    tables = _tables(INDEPENDENCE_SWEEPS, universe, EXHAUSTIVE, jobs)
-    sweeps = _sweep_pass(INDEPENDENCE_SWEEPS, universe, EXHAUSTIVE, jobs, witness_cap, tables=tables)
-    reports = dict(zip(INDEPENDENCE_SWEEPS, sweeps[0]))
+    # The f_star x DMON cell keeps at least its first witness; a negative cap reaches the pass's check.
+    cells = (*INDEPENDENCE_SWEEPS, ("f_star", "DMON"))
+    *sweeps, search = _sweep_pass(cells, Universe(3), EXHAUSTIVE, jobs, witness_cap or 1)[0]
+    trimmed = (replace(r, witness_cap=witness_cap, witnesses=r.witnesses[:witness_cap]) for r in sweeps)
+    reports = dict(zip(INDEPENDENCE_SWEEPS, trimmed))
 
     def add_claim(rule, axiom, expected, evidence_kind, verdict, witness, report=None):
         claims.append(Claim(rule, axiom, expected, verdict, evidence_kind, report, witness))
@@ -867,9 +854,8 @@ def independence_report(
 
     add_sweep_claim("f_star", "STAG")
     add_sweep_claim("f_star", "SI")
-    found = _first_violation("f_star", ("DMON",), universe, EXHAUSTIVE, jobs, tables)
-    verdict = "violated" if found else "satisfied"
-    add_claim("f_star", "DMON", "violated", "witness_search", verdict, found[1] if found else None)
+    verdict, witness = ("violated", search.witnesses[0]) if search.violations else ("satisfied", None)
+    add_claim("f_star", "DMON", "violated", "witness_search", verdict, witness)
 
     add_sweep_claim("split_plurality", "STAG")
     add_sweep_claim("split_plurality", "DMON")

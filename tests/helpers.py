@@ -324,7 +324,7 @@ def oracle_sweep(rule, axiom, n, mode=EXHAUSTIVE, witness_cap=10):
 
     Each ranking of the stream goes through ``AXIOMS[axiom]`` on its
     own, with no premise listing or rule evaluation shared across cells
-    or chunks. ``wall_time`` is 0.
+    or chunks.
     """
     check, rule_fn = AXIOMS[axiom], lookup_rule(rule)
     checked = premises = violations = 0
@@ -338,7 +338,7 @@ def oracle_sweep(rule, axiom, n, mode=EXHAUSTIVE, witness_cap=10):
             if len(witnesses) < witness_cap:
                 witnesses.append(verdict.witness)
     return SweepReport(
-        rule, axiom, n, mode, checked, premises, violations, witness_cap, tuple(witnesses), 0.0
+        rule, axiom, n, mode, checked, premises, violations, witness_cap, tuple(witnesses)
     )
 
 

@@ -560,30 +560,25 @@ class TestTransformationCheckers:
 
     @pytest.mark.parametrize("rule_id", [*sorted(BEST_CLASS_RULES), "hashed_top"])
     def test_slide_memo_shared_across_rankings(self, monkeypatch, rule_id):
-        # One SI memo per universe for the whole walk, as a chunk keeps it:
-        # every n = 3 ranking in stream order against the table path, then a
-        # seeded n = 4 sample, grouped by best class so that the memo is
-        # reused, against the no-table path. Verdicts, witnesses included,
-        # must be equal, and the memo keeps the current best class alone.
+        # The best-class path on every n = 3 ranking in stream order against
+        # the table path, then on a seeded n = 4 sample against the no-table
+        # path, with one best-class reader per universe for the whole walk,
+        # as a chunk keeps it. Verdicts, witnesses included, must be equal.
         monkeypatch.setitem(RULES, "hashed_top", _hashed_top)
         rule, table = RULES[rule_id], oracle_selection_table(rule_id, 3)
         sample = RankingStream(Universe(4), Sample(120, 39))
         sample = [(r.classes, class_bits(r.classes), None, None, 1) for r in sample]
-        phases = [(3, walk_stream(3)), (4, sorted(sample, key=lambda drawn: drawn[1][0]))]
-        walked, reused, statuses = 0, 0, Counter()
-        for n, rankings in phases:
-            universe, memo = Universe(n), {}
+        statuses = Counter()
+        for n, rankings in ((3, walk_stream(3)), (4, sample)):
+            universe = Universe(n)
             top = cache(lambda best: selection_mask(rule, best_class_reduction(universe, best)))
             for classes, bits, remaining, before, _ in rankings:
                 ranking = CoalitionalRanking._trusted(universe, classes)
-                walked, reused = walked + 1, reused + (bits[0] in memo)
-                got = check_slide_independence(ranking, rule, top(bits[0]), None, top, None, memo)
+                got = check_slide_independence(ranking, rule, top(bits[0]), None, top)
                 general = n == 3 and (table[before[-1]], (remaining, before), None, table)
                 want = check_slide_independence(ranking, lambda r: rule(r), *general or ())
                 assert repr(got) == repr(want), ranking
-                assert list(memo) == [bits[0]] if want.premises_checked else len(memo) <= 1
                 statuses[want.status] += 1
-        assert reused > walked // 2
         assert statuses[VIOLATED] >= (3 if rule_id in ("split_plurality", "hashed_top") else 0)
 
     @pytest.mark.parametrize("n, shorthand", [(2, "1 12 / 2"), (3, "1 2 3 12 13 23 / 123")])

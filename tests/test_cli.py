@@ -511,6 +511,12 @@ def test_schema_accepts_every_emitted_document(capsys, ex2_file):
     assert set(doc) == {"schema_version", "command", "parameters", "result"}
 
 
+def test_schema_digest_is_pinned():
+    # The schema follows the printed report fields alone: a field no report prints never moves it.
+    digest = hashlib.sha256(json.dumps(REPORT_SCHEMA, sort_keys=True).encode()).hexdigest()
+    assert digest == "0659437f7604df87ec6b840c280f2f7e17f29c05bb5d14b0c288cef50584858b"
+
+
 @pytest.fixture()
 def campaign_reports(capsys, independence_n4):
     """One emitted document of each campaign report kind."""

@@ -12,10 +12,10 @@ n = 3 ``theorem1`` campaign of every other rule through a two-worker
 pool, two sampled ``DMON`` sweeps split into three
 chunks and run through a two-worker pool, two sampled n = 3 ``theorem1``
 probes, every exhaustive n = 3 ``SI``, ``DMON`` and premise-only sweep
-through a two-worker pool, the ``verify independence --n 4 --jobs 2``
-report, and the ``enumerate`` and ``sample`` listings. The ``verify
-independence --n 4`` report takes about 3 s to build, and
-``test_cli.py`` checks it against the session fixture that builds it
+through a two-worker pool, the ``verify independence --n 4`` report
+with ``--jobs 2`` and at witness caps 0 and 1, and the ``enumerate``
+and ``sample`` listings. The ``verify independence --n 4`` report
+takes about 3 s to build, and ``test_cli.py`` checks it against the session fixture that builds it
 once instead of building it again here. A mismatch is fixed in the
 code, never by recording the file again.
 """
@@ -125,9 +125,14 @@ FIXED_CELLS = {
         for rule in RULE_IDS
         for axiom in AXIOM_IDS[:9]
     ),
-    # One table per rule serves a pooled sweep and a pooled witness search,
-    # both reading it by stream index.
+    # One pooled pass sweeps the six cells and the f_star x DMON witness cell,
+    # reading the undeclared rules by stream index.
     "independence-pooled": (("verify", "independence", "--n", "4", "--jobs", "2"),),
+    # The independence report with its printed witness lists trimmed below the
+    # cap of one at which its pass sweeps the f_star x DMON cell.
+    "independence-caps": tuple(
+        ("verify", "independence", "--n", "4", "--witness-cap", cap) for cap in ("0", "1")
+    ),
 }
 
 # Recorded here, checked by test_cli.py against the session fixture.

@@ -111,6 +111,7 @@ class TestSweep:
             lambda: theorem1_probe("plurality", 2, witness_cap=-3),
             lambda: sweep("les", "SI", 2, witness_cap=-1),
             lambda: verify.prop3_matrix(3, witness_cap=-1),
+            lambda: verify.independence_report(4, witness_cap=-1),
         ):
             with pytest.raises(ValueError, match="witness_cap"):
                 run()
@@ -435,9 +436,8 @@ class TestBestClassRules:
     @pytest.mark.parametrize("rule_id", sorted(BEST_CLASS_RULES))
     def test_slide_summaries_run_once_per_best_class_and_class(self, monkeypatch, mode, rule_id):
         # One chunk of a declared rule's SI cell at n = 3: each class's summary
-        # runs at most once per (best class, class) and run of rankings with
-        # that best class, which the exhaustive walk visits in one run; the
-        # chunk reduces each best class it reads at most once, and reads its
+        # runs at most once per ranking that holds the class; the chunk
+        # reduces each best class it reads at most once, and reads its
         # best-class reader at most once per ranking plus once per gamma with
         # a balanced pair the base selection meets, as a scan over every
         # ranking's gammas reads it.
@@ -467,18 +467,17 @@ class TestBestClassRules:
         verify._sweep_chunk([(rule_id, "SI")], None, 10, {}, False, stream, chunk)
         meets, balanced_of = axioms._pairs(3)[1], axioms._balanced_by_gamma(3)
         rule = RULES[rule_id]
-        runs, last, scanned = Counter(), None, 0
+        held, scanned = Counter(), 0  # (best class, class) -> rankings that hold the class
         for ranking, *_ in stream.walk(chunk):
             bits = ranking.bits
-            runs[bits[0]] += bits[0] != last
+            held.update((bits[0], cls) for cls in bits)
             base = axioms.selection_mask(rule, best_class_reduction(stream.universe, bits[0]))
-            last, relevant = bits[0], meets[base]
+            relevant = meets[base]
             scanned += 1 + (len(bits) > 1) * sum(
                 bool(balanced_of[gamma] & relevant) for cls in bits for gamma in slide_gamma_bits(cls)
             )
-        assert mode != EXHAUSTIVE or max(runs.values()) == 1
-        assert all(count <= runs[best] for (best, _), count in summaries.items())
-        assert set(runs) <= set(reductions) == set(reads) and max(reductions.values()) == 1
+        assert summaries and all(count <= held[key] for key, count in summaries.items())
+        assert {best for best, _ in held} <= set(reductions) == set(reads) and max(reductions.values()) == 1
         assert len(chunk) < sum(reads.values()) <= scanned
 
     @pytest.mark.parametrize("mode", [EXHAUSTIVE, Sample(400, 43)], ids=["exhaustive", "sampled"])
@@ -518,12 +517,11 @@ class TestOrbitPasses:
             assert dumps(got) == dumps(capped(report, cap) for report in full), cap
 
     def test_all_cells_at_n3(self, monkeypatch):
-        # The full pass builds its own tables: it reads every rule by stream index.
-        full, _ = full_pass(monkeypatch, verify._sweep_pass, ALL_CELLS, verify.Universe(3), EXHAUSTIVE, 1, 10)
-        tables = verify._tables(ALL_CELLS, verify.Universe(3), EXHAUSTIVE, 1)
+        # Each pass builds its own tables; the full pass reads every rule by stream index.
+        full = full_pass(monkeypatch, sweep_cells, ALL_CELLS, 3, witness_cap=10)
         assert sum(report.violations for report in full) == 280432
         for cap in (0, 1, 10):
-            got, _ = verify._sweep_pass(ALL_CELLS, verify.Universe(3), EXHAUSTIVE, 1, cap, tables=tables)
+            got = sweep_cells(ALL_CELLS, 3, witness_cap=cap)
             assert dumps(got) == dumps(capped(report, cap) for report in full), cap
 
     def test_every_witness_at_n3(self, monkeypatch):
