@@ -13,7 +13,10 @@ first instance is then the witness (:func:`premise_witness`), for
 The listers of :data:`BEST_CLASS_AXIOMS` read the best class alone, so
 a sweep lists them once per best class; RAG, WRAG and RJAD read one set
 of agreement levels, which a sweep computes once per ranking, and RDF
-reads the ranking's carried class bitsets.
+reads the ranking's carried class bitsets. The other listers each have
+a step form (:data:`PREMISE_STEPS`) that lists class by class, down the
+stream's class tree, so an exhaustive sweep counts their premises and
+violations over many rankings at once.
 The two transformation axioms, slide independence (SI) and downward
 monotonicity (DMON), judge the rule on transformed rankings too, each in
 one scan over the ranking's class bitsets. Their checkers take the
@@ -66,6 +69,7 @@ from .transforms import (
     deterioration_bits,
     deterioration_placements,
     enumerate_deterioration_specs,
+    lifted_bits,
     membership_bits,
     slide_bits,
     slide_gamma_bits,
@@ -265,6 +269,70 @@ def rjad_premises(ranking, levels=None):
     ]
 
 
+# Step forms of the listers that read below the best class. A step takes n,
+# its state above class ``top`` (None above the best class) and
+# ``remaining``, the coalitions not yet placed, ``top`` among them; it
+# returns its state below ``top``, the instances it lists with reference
+# coalition in ``top`` and the id bitmask they force (0 when none). Applied
+# to the classes of a ranking in turn, the counts sum to the lister's and
+# every nonzero mask is its forced mask.
+
+
+@cache
+def _coalition_meets(n: int) -> tuple[list[int], list[int]]:
+    """Per class bitset of the 2**n - 1 coalitions: the intersection and union of its coalitions, as id bitmasks."""
+    size = 1 << ((1 << n) - 1)
+    meet, join = [(1 << n) - 1] * size, [0] * size
+    for cls in range(1, size):
+        low = cls & -cls
+        meet[cls], join[cls] = meet[cls ^ low] & low.bit_length(), join[cls ^ low] | low.bit_length()
+    return meet, join
+
+
+def agreement_step(n: int, inter, remaining: int, top: int):
+    """RAG and WRAG: ``inter`` is the superiors' intersection; ``top``'s coalitions fire when it is one individual."""
+    fires = inter is not None and inter.bit_count() == 1
+    meet = _coalition_meets(n)[0][top]
+    return meet if inter is None else inter & meet, top.bit_count() if fires else 0, inter if fires else 0
+
+
+def joint_step(n: int, inter, remaining: int, top: int):
+    """RJAD: RAG's step, where the coalitions from ``top`` down, ``remaining``, share nobody and avoid x."""
+    meet, join = _coalition_meets(n)
+    inter, listed, x = agreement_step(n, inter, remaining, top)
+    return (inter, listed, x) if x and not meet[remaining] and not join[remaining] & x else (inter, 0, 0)
+
+
+@cache
+def _cuts(n: int) -> dict[int, int]:
+    """{coalitions not yet placed: x as an id bitmask} where the coalitions placed are exactly those holding x."""
+    everything = (1 << ((1 << n) - 1)) - 1
+    return {everything ^ members: 1 << x for x, members in enumerate(membership_bits(n))}
+
+
+def difference_step(n: int, state, remaining: int, top: int):
+    """RDF, which carries nothing: ``top``'s coalitions fire when the coalitions placed above it hold x."""
+    x = _cuts(n).get(remaining, 0)
+    return state, top.bit_count() if x else 0, x
+
+
+@cache
+def _unlifted(n: int, remaining: int, top: int) -> int:
+    """Id bitmask of each x with a coalition s of class ``top`` that avoids x and has s | x in ``remaining``."""
+    return sum(1 << x for x, (with_x, _) in enumerate(lifted_bits(n)) if with_x[top] & remaining)
+
+
+def concomitant_step(n: int, alive, remaining: int, top: int):
+    """CV: ``alive`` holds each x whose every coalition s placed without x has s | x strictly above it.
+
+    The last class, where ``top`` is all of ``remaining``, lists the one
+    instance when anyone is alive.
+    """
+    alive = ((1 << n) - 1 if alive is None else alive) & ~_unlifted(n, remaining, top)
+    last = top == remaining
+    return alive, int(last and alive > 0), alive if last else 0
+
+
 _EQUALS = "selection equals {}"
 _EQUALS_TOP = "selection equals the best-class intersection {}"
 
@@ -292,6 +360,15 @@ PREMISE_AXIOMS = {
 # same on a ranking as on its solutions.best_class_reduction (TJAD's family
 # below is the complement of the best class).
 BEST_CLASS_AXIOMS = frozenset({"TAG", "STAG", "TDF", "TJAD"})
+
+# The step form of each other premise-only axiom's lister.
+PREMISE_STEPS = {
+    "CV": concomitant_step,
+    "RAG": agreement_step,
+    "WRAG": agreement_step,
+    "RDF": difference_step,
+    "RJAD": joint_step,
+}
 
 
 def judge(axiom: str, ranking, rule) -> Verdict:
@@ -323,10 +400,18 @@ def forced_mask(instances) -> int:
     return 1 << f if type(f) is int else sum(1 << i for i in f)
 
 
+def fails(forced: int, selected: int, contains: bool) -> bool:
+    """Whether a selection id bitmask fails the conclusion that forces ``forced`` (0: no premise).
+
+    The selection must equal the forced mask, or with ``contains`` hold it.
+    """
+    return bool(forced) and bool(forced & ~selected if contains else forced != selected)
+
+
 def premise_witness(axiom: str, ranking, instances, forced: int, selected: int) -> Witness | None:
     """Witness of the first instance when the selection mask fails the forced mask, or None."""
     _, keys, contains, expected = PREMISE_AXIOMS[axiom]
-    if not (forced & ~selected if contains else forced != selected):
+    if not fails(forced, selected, contains):
         return None
     n = ranking.universe.n
     spelled = expected.format(_spell(ranking, mask_members(forced, n)))
@@ -353,7 +438,7 @@ def judge_block(axiom: str, reduction, top) -> tuple[int, int]:
     if not found:
         return 0, 0
     size, forced, base = fubini(_rest(reduction).bit_count()), forced_mask(found), top(reduction.bits[0])
-    return len(found) * size, size if (forced & ~base if contains else forced != base) else 0
+    return len(found) * size, size if fails(forced, base, contains) else 0
 
 
 def check_top_agreement(ranking, rule, strong: bool = False) -> Verdict:

@@ -50,6 +50,7 @@ __all__ = [
     "to_json",
 ]
 from .verify import (
+    MAX_SAMPLE_COUNT,
     IndependenceReport,
     MatrixReport,
     Prop1Report,
@@ -325,13 +326,15 @@ def _mode_from_args(args):
     return EXHAUSTIVE
 
 
-def _count(minimum: int):
-    """Argparse type of an integer count of at least ``minimum``."""
+def _count(minimum: int, maximum: int | None = None):
+    """Argparse type of an integer count of at least ``minimum`` and at most ``maximum``, when given."""
 
     def count(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return count
@@ -355,7 +358,9 @@ def _build_parser():
 
     streamed = argparse.ArgumentParser(add_help=False)
     streamed.add_argument(
-        "--sample", type=_count(1), help="draw this many rankings instead of enumerating"
+        "--sample",
+        type=_count(1, MAX_SAMPLE_COUNT),
+        help=f"draw this many rankings instead of enumerating (at most {MAX_SAMPLE_COUNT})",
     )
     streamed.add_argument("--seed", type=int, help="seed of --sample (default 0)")
     streamed.add_argument("--witness-cap", type=_count(0), default=10)
@@ -380,7 +385,7 @@ def _build_parser():
     sample_cmd = sub.add_parser("sample", help="draw uniform random rankings")
     sample_cmd.add_argument("--n", required=True, type=int)
     sample_cmd.add_argument("--seed", required=True, type=int)
-    sample_cmd.add_argument("--count", type=_count(1), default=1)
+    sample_cmd.add_argument("--count", type=_count(1, MAX_SAMPLE_COUNT), default=1)
 
     return parser
 

@@ -65,6 +65,31 @@ def membership_bits(n: int) -> tuple[int, ...]:
     )
 
 
+@cache
+def lifted_bits(n: int) -> tuple[tuple[list[int], list[int]], ...]:
+    """Per individual x, per class bitset: (with x, without x), its coalitions' partners in the pairs (s, s | x).
+
+    ``with x`` holds s | x for each of the class's coalitions s that avoids
+    x, and ``without x`` holds t - x for each coalition t that holds x,
+    other than {x}. Indexed by every class bitset of the 2**n - 1
+    coalitions, so built for an exhaustive n only.
+    """
+    size = 1 << ((1 << n) - 1)
+    lifted = []
+    for x in range(n):
+        bit, with_x, without_x = 1 << x, [0] * size, [0] * size
+        for cls in range(1, size):
+            low = cls & -cls
+            mask = low.bit_length()
+            with_x[cls], without_x[cls] = with_x[cls ^ low], without_x[cls ^ low]
+            if not mask & bit:
+                with_x[cls] |= 1 << (mask | bit) - 1
+            elif mask != bit:
+                without_x[cls] |= 1 << (mask ^ bit) - 1
+        lifted.append((with_x, without_x))
+    return tuple(lifted)
+
+
 def slide_gamma_bits(cls: int):
     """Yield every gamma a slide can move out of a class bitset, as a bitset.
 

@@ -4,9 +4,10 @@ A sweep judges one or more (rule, axiom) cells on every ranking of a
 stream, in one pass, and aggregates each cell's verdicts. Per ranking it
 builds the ranking once, lists each premise-only axiom's instances once
 for all cells, and reads each rule's selection at most once, for all its
-cells; a best-class axiom or rule is listed or evaluated once per best
-class of a chunk. The ``SI`` and ``DMON`` cells run their checkers on
-that selection and the ranking's walk. An exhaustive pass with ``SI`` or
+cells; a best-class axiom is listed once per best class of a chunk, and
+a best-class rule runs once per best class of a pass. The ``SI`` and
+``DMON`` cells run their checkers on that selection and the ranking's
+walk. An exhaustive pass with ``SI`` or
 ``DMON`` cells of a rule not in ``solutions.BEST_CLASS_RULES`` first
 builds that rule's selection table and hands it to every chunk, whose
 cells of the rule read its selections there. Nothing is kept between
@@ -16,22 +17,29 @@ satisfaction matrix and the independence report, whose f_star x DMON
 witness is that cell's first; the witness search of the probe is such a
 pass, stopped at the first violating ranking.
 
-An unstopped exhaustive pass counts each cell that pairs a rule of
+An unstopped exhaustive pass counts some cells at one root loop over
+best classes, and walks no ranking for them: the rankings that share a
+best class are consecutive in the stream. A cell that pairs a rule of
 ``solutions.BEST_CLASS_RULES`` with an axiom of ``axioms.BLOCK_COUNTERS``
-(TAG, STAG, TDF, TJAD, SI, DMON) once per best class: the rankings that
-share a best class are consecutive in the stream, and the axiom's block
-counter sums their premises and violations from the best class's
-reduction. Only the blocks that hold a cell's first witnesses are
-walked, and a pass left with no other cell and no tally walks nothing
+(TAG, STAG, TDF, TJAD, SI, DMON) is counted once per best class by the
+axiom's block counter, from the best class's reduction. A cell that
+pairs any other premise-only axiom with such a rule, or any premise-only
+axiom with a rule of ``solutions.RULE_STEPS``, is counted over the class
+tree below each best class, by the step forms of its rule and lister
+(``solutions.RULE_STEPS``, ``axioms.PREMISE_STEPS``) on a memo that lives
+as long as the pass. Only the rankings of a counted cell's first
+witnesses are walked, and a pass left with no other cell walks nothing
 and starts no pool. Its other cells, when all their rules are in
 ``solutions.ANONYMOUS_RULES``, judge one ranking per relabeling orbit,
 weighted by the orbit's size: no axiom names an individual, so an
 orbit's rankings judge alike. The first violating rankings lie in the
 orbits whose witnesses the walk keeps, and each is judged on its own
-ranking, so reports do not change. Tables, sampled passes and stopped searches walk every ranking.
+ranking, so reports do not change. Tables, sampled passes and stopped
+searches walk every ranking, except a stopped search of best-class
+rules and block counters only, which walks the first violating block.
 
 All outputs are deterministic for fixed inputs. Chunks of stream
-indices may be walked by a pool of worker processes; partial tallies
+indices may be walked by a pool of worker processes; partial counts
 merge by addition as chunk results come back in stream order, so
 witnesses concatenate in stream order and the number of workers never
 changes a report.
@@ -45,7 +53,8 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
-from itertools import permutations
+from itertools import islice, permutations
+from operator import add
 from typing import ClassVar, get_type_hints
 
 from .axioms import (
@@ -53,17 +62,18 @@ from .axioms import (
     BEST_CLASS_AXIOMS,
     BLOCK_COUNTERS,
     PREMISE_AXIOMS,
+    PREMISE_STEPS,
     VIOLATED,
     Status,
     Witness,
     _agreement_classes,
+    fails,
     forced_mask,
     judge_slide,
     lookup_axiom,
     premise_witness,
-    rag_premises,
-    rdf_premises,
-    rjad_premises,
+    rdf_premises,  # rdf_premises and rjad_premises are not called here: perfbench/tracer.py
+    rjad_premises,  # wraps them in this module too
     selection_mask,
 )
 from .core import (
@@ -71,7 +81,7 @@ from .core import (
 )
 from .enumeration import EXHAUSTIVE, RankingStream, _stream_tops, fubini, orbit_indices
 from .errors import UniverseTooLargeError
-from .solutions import ANONYMOUS_RULES, BEST_CLASS_RULES, RULES, best_class_reduction, lookup_rule
+from .solutions import ANONYMOUS_RULES, BEST_CLASS_RULES, RULE_STEPS, RULES, best_class_reduction, lookup_rule
 from .transforms import SlideMove, apply_slide
 
 _CHUNK = 2048
@@ -79,6 +89,12 @@ _CHUNK = 2048
 # took about 0.5, 4 and 24 s per sampled ranking at n = 6, 7 and 8 on a
 # 2.1 GHz Xeon with Python 3.11.7, about six times more per individual.
 MAX_CHECKED_N = 8
+# A sample holds at most this many draws, for sweeps, campaigns and the
+# sample command alike. `sample --n 8` holds every rendered draw until it
+# prints, about 11 KB each: peak RSS read 28.8 MB at 1,000 draws and 40.3 MB
+# at 2,000 on a 2.1 GHz Xeon with Python 3.11.7, so this bound keeps it
+# near 135 MB.
+MAX_SAMPLE_COUNT = 10_000
 THEOREM_AXIOMS = ("STAG", "SI", "DMON")
 
 
@@ -132,41 +148,41 @@ def _best_class_reader(fn, reduction):
     return cache(lambda best: selection_mask(fn, reduction(best)))
 
 
-def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
-    """Ranking count and per-cell [premises, violations, witnesses] of one chunk, and its ``tally`` totals.
+def _sweep_chunk(cells, cap, reads, stop, stream, chunk):
+    """Ranking count and per-cell [premises, violations, witnesses] of one chunk.
 
     The cells are compiled once per chunk into a plan: premise-only cells
     grouped by lister, each as (result, rule slot, contains flag, axiom).
-    Each lister runs at most once per ranking, whichever cells and
-    ``tally`` ask for its instances, a lister of
-    ``axioms.BEST_CLASS_AXIOMS`` at most once per best class in the
-    chunk, and RAG, WRAG and RJAD share one set of agreement levels per
-    ranking. A listing's instances all force one id bitmask, so a cell is
-    one inline bit test, and a lister that lists nothing skips all its
-    cells. A rule's selection, an id bitmask kept in its slot, is read at
-    most once per ranking, when a cell needs it, and all its cells share
-    it: by best class for a rule of ``solutions.BEST_CLASS_RULES``
-    (``top``, one rule call per new best class of the chunk, on a
-    reduction its rules share; see :func:`_best_class_reader`), from its
-    stream-indexed table (see :func:`_tables`), or from one rule call. A
-    violated cell builds a witness only while under ``cap``. ``SI`` and
-    ``DMON`` cells run their checkers on it, the ranking's walk and the
-    slot's top or table.
+    Each lister runs at most once per ranking, whichever cells ask for its
+    instances, a lister of ``axioms.BEST_CLASS_AXIOMS`` at most once per
+    best class in the chunk, and RAG, WRAG and RJAD share one set of
+    agreement levels per ranking. A listing's instances all force one id
+    bitmask, so a cell is one inline bit test, and a lister that lists
+    nothing skips all its cells. A rule's selection, an id bitmask kept in
+    its slot, is read at most once per ranking, when a cell needs it, and
+    all its cells share it: by best class for a rule of
+    ``solutions.BEST_CLASS_RULES`` (``top``, the pass's reader in
+    ``reads``, or else the chunk's own, one rule call per new best class
+    on a reduction its rules share; see :func:`_best_class_reader`), from
+    its stream-indexed table in ``reads`` (see :func:`_tables`), or from
+    one rule call. A violated cell builds a witness only while under
+    ``cap``. ``SI`` and ``DMON`` cells run their checkers on it, the
+    ranking's walk and the slot's top or table.
     With ``stop`` set, the chunk ends after the first ranking on which a
     cell is violated, and the count includes that ranking. On a stream
-    with ``orbits``, counts and tallies are weighted by orbit size, and
-    the witnesses are those of the first violating orbits' first rankings.
+    with ``orbits``, counts are weighted by orbit size, and the witnesses
+    are those of the first violating orbits' first rankings.
     """
     universe = stream.universe
     rules = list(dict.fromkeys(rule for rule, _ in cells))
-    reduction = cache(partial(best_class_reduction, universe))  # one per best class read
+    reduction = cache(partial(best_class_reduction, universe))  # for the readers the pass did not share
     slots = []  # per rule slot: (function, top, stream-indexed table)
     for rule in rules:
-        fn = lookup_rule(rule)
-        if rule in BEST_CLASS_RULES:  # a run per new best class, kept for the chunk
-            slots.append((fn, _best_class_reader(fn, reduction), None))
+        fn, read = lookup_rule(rule), reads.get(rule)
+        if rule in BEST_CLASS_RULES:  # a run per new best class
+            slots.append((fn, read or _best_class_reader(fn, reduction), None))
         else:
-            slots.append((fn, None, tables.get(rule)))
+            slots.append((fn, None, read))
     results = [[0, 0, []] for _ in cells]
     plan, checks = {}, []  # cells by premise lister; SI and DMON cells
     for (rule, axiom), result in zip(cells, results):
@@ -179,7 +195,6 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
     by_best = {PREMISE_AXIOMS[axiom][0] for axiom in BEST_CLASS_AXIOMS}
     levelled = {PREMISE_AXIOMS[axiom][0] for axiom in ("RAG", "RJAD")}  # take agreement levels
     best_listed = {}  # best-class bitset -> {lister: (instances, forced mask)}
-    tallies = []
     count, stopped = 0, False
 
     def listing(lister):  # (instances, forced mask) of the current ranking
@@ -226,11 +241,9 @@ def _sweep_chunk(cells, tally, cap, tables, stop, stream, chunk):
             result[0] += verdict.premises_checked * weight
             if verdict.status == VIOLATED:
                 violated(result, lambda: verdict.witness)
-        if tally is not None:
-            tallies.append([tallied * weight for tallied in tally(listing)])
         if stopped:
             break
-    return count, results, tuple(map(sum, zip(*tallies)))
+    return count, results
 
 
 def _run_chunks(universe, mode, worker, jobs, orbits=False):
@@ -300,34 +313,168 @@ def _tables(cells, universe, mode, jobs):
     return {rule: b"".join(part) for rule, part in zip(rules, zip(*chunks))}
 
 
-def _count_blocks(cells, stream, cap):
-    """Count best-class cells per best class into their results; return the rankings covered.
+def _class_tree(n, step, leaf, width):
+    """``below`` and ``first`` of one step over the exhaustive stream's class tree, on one memo.
+
+    A node is ``remaining``, the coalitions not yet placed, and a
+    ``state``. Each top class of ``remaining`` heads a child, in stream
+    order (:func:`~millrank.enumeration._stream_tops`), and
+    ``step(state, remaining, top)`` returns the child's state and the
+    gains of placing ``top``, the first counts of ``width``.
+    ``below(remaining, state)`` sums over every completion of the node
+    the gains of each class it places, weighted by the rankings under
+    the class, and ``leaf`` of its last state: a tuple of ``width``
+    counts. ``first(remaining, state, index, failing)`` yields, in stream
+    order, the index of each completion whose leaf counts something in a
+    slot of ``failing``, given one does; ``index`` is the node's first.
+    The memo is dropped with the two functions.
+    """
+    tops = _stream_tops(n)
+    memo = [{} for _ in tops]  # per remaining: state -> counts
+
+    def below(remaining, state):
+        got = memo[remaining].get(state)
+        if got is None:
+            if not remaining:
+                got = leaf(state)
+            else:
+                sums = [0] * width
+                for top, _, _, size in tops[remaining]:
+                    after, gains = step(state, remaining, top)
+                    child = remaining ^ top
+                    sums = list(map(add, sums, memo[child].get(after) or below(child, after)))
+                    for slot, gain in enumerate(gains):
+                        if gain:
+                            sums[slot] += gain * size
+                got = tuple(sums)
+            memo[remaining][state] = got
+        return got
+
+    def first(remaining, state, index, failing):
+        if not remaining:
+            yield index
+        for top, _, offset, _ in tops[remaining]:
+            after = step(state, remaining, top)[0]
+            counts = below(remaining ^ top, after)
+            if any(counts[slot] for slot in failing):
+                yield from first(remaining ^ top, after, index + offset, failing)
+
+    return below, first
+
+
+def _read_top(top, selected, remaining, best):
+    """A best-class rule's step: its selection, read by best class at the root and kept below."""
+    return top(best) if selected is None else selected
+
+
+def _premise_tree(n, rule, cells, top, reduction):
+    """``count(best, offset, size)``: a rule's premise-only cells over the class tree of one best class.
+
+    ``cells`` holds (axiom, result) pairs. The rule's state is its
+    selection read by ``top`` at the root when it is a rule of
+    ``solutions.BEST_CLASS_RULES``, else that of its step in
+    ``solutions.RULE_STEPS``. Each step of ``axioms.PREMISE_STEPS`` that a
+    cell's axiom takes (RAG and WRAG share one) carries its state and the
+    mask forced so far. The counts are each step's premises, then per
+    cell of such an axiom, its violating rankings, judged at the leaf;
+    a lister of ``axioms.BEST_CLASS_AXIOMS`` is fixed at the root, as it
+    lists on every ranking of the block as on the best class's
+    ``reduction``, so its cells are judged there, on the rankings counted
+    per selection, the last 2**n counts. ``count`` yields, per cell,
+    (axiom, result, premises, violations, the block's violating stream
+    indices).
+    """
+    steps = list(dict.fromkeys(PREMISE_STEPS[axiom] for axiom, _ in cells if axiom in PREMISE_STEPS))
+    listers = [partial(step, n) for step in steps]
+    rule_step = partial(_read_top, top) if rule in BEST_CLASS_RULES else partial(RULE_STEPS[rule], n)
+    judged = [(2 * steps.index(PREMISE_STEPS[axiom]) + 2, PREMISE_AXIOMS[axiom][2])
+              for axiom, _ in cells if axiom in PREMISE_STEPS]  # (forced mask's place in the state, contains)
+    selections = range(1 << n) if len(judged) < len(cells) else range(0)
+    width, by_selection = len(steps) + len(judged) + len(selections), len(steps) + len(judged)
+
+    def step(state, remaining, best):  # state: the rule's, then (carried, forced so far) per step
+        after, gains = [rule_step(state[0], remaining, best)], []
+        for i, lister in enumerate(listers):
+            carried, listed, forced = lister(state[2 * i + 1], remaining, best)
+            after += carried, state[2 * i + 2] or forced
+            gains.append(listed)
+        return tuple(after), gains
+
+    def leaf(state):
+        selected = state[0]
+        violated = (int(fails(state[place], selected, contains)) for place, contains in judged)
+        return (*(0 for _ in steps), *violated, *(int(selected == mask) for mask in selections))
+
+    below, first = _class_tree(n, step, leaf, width)
+    start, everything = (None, *(None, 0) * len(listers)), (1 << ((1 << n) - 1)) - 1
+
+    def count(best, offset, size):
+        after, gains = step(start, everything, best)
+        rest = everything ^ best
+        counts = below(rest, after)
+        stepped = iter(range(len(steps), by_selection))
+        for axiom, result in cells:
+            lister, _, contains, _ = PREMISE_AXIOMS[axiom]
+            if axiom in PREMISE_STEPS:
+                slot = steps.index(PREMISE_STEPS[axiom])
+                premises, failing = gains[slot] * size + counts[slot], (next(stepped),)
+            else:
+                found = lister(reduction(best))
+                premises, forced = len(found) * size, found and forced_mask(found)
+                failing = [by_selection + mask for mask in selections if fails(forced, mask, contains)]
+            violations = sum(counts[slot] for slot in failing)
+            yield axiom, result, premises, violations, partial(first, rest, after, offset, failing)
+
+    return count
+
+
+def _count_blocks(cells, stream, cap, reads, reduction):
+    """Count the counted cells of an exhaustive pass at the root of the class tree; return the rankings covered.
 
     ``cells`` holds ((rule, axiom), result) pairs, each result the pass's
     [premises, violations, witnesses] list of a cell that pairs a rule of
-    ``solutions.BEST_CLASS_RULES`` with an axiom of ``axioms.BLOCK_COUNTERS``.
-    A block is the fubini(|rest|) consecutive indices of the exhaustive
-    ``stream`` whose rankings share a best class
-    (:func:`~millrank.enumeration._stream_tops`); each cell's counter takes
-    the block's reduction and reads the rule by best class, so the pass
-    builds one reduction and runs each rule once per best class, and walks
-    no ranking. A cell's witnesses come from walking its violating blocks
-    in stream order through :func:`_sweep_chunk` until ``cap`` are held;
-    of a block that violates throughout, only its first rankings are walked.
+    ``solutions.BEST_CLASS_RULES`` with an axiom of
+    ``axioms.BLOCK_COUNTERS``, or a premise-only axiom with such a rule or
+    one of ``solutions.RULE_STEPS``. A block is the fubini(|rest|)
+    consecutive indices of the exhaustive ``stream`` whose rankings share
+    a best class (:func:`~millrank.enumeration._stream_tops`), and the
+    root loops over blocks once. A cell of ``axioms.BLOCK_COUNTERS`` takes
+    the block's reduction and reads the rule by best class; its witnesses
+    come from walking its violating blocks in stream order through
+    :func:`_sweep_chunk` until ``cap`` are held, and of a block that
+    violates throughout, only its first rankings are walked. Every other
+    cell is counted by its rule's :func:`_premise_tree`, on one memo per
+    rule for the pass, and its witnesses are rebuilt one stream index at
+    a time through :func:`_sweep_chunk`, at the first ``cap`` violating
+    indices. The reductions, ``reads``' best-class readers and every
+    rebuild share the pass's cache, so each rule runs once per best class
+    read, and no ranking is walked but the witnesses'.
     """
-    reduction = cache(partial(best_class_reduction, stream.universe))
-    tops = {rule: _best_class_reader(lookup_rule(rule), reduction) for (rule, _), _ in cells}
+    n = stream.universe.n
+    blocks, trees = [], {}
+    for (rule, axiom), result in cells:
+        if rule in BEST_CLASS_RULES and axiom in BLOCK_COUNTERS:
+            blocks.append(((rule, axiom), result))
+        else:
+            trees.setdefault(rule, []).append((axiom, result))
+    roots = [(rule, _premise_tree(n, rule, group, reads.get(rule), reduction)) for rule, group in trees.items()]
     covered = 0
-    for best, _, offset, size in _stream_tops(stream.universe.n)[-1]:
+    for best, _, offset, size in _stream_tops(n)[-1]:
         covered += size
-        for (rule, axiom), result in cells:
-            premises, violations = BLOCK_COUNTERS[axiom](reduction(best), tops[rule])
+        for (rule, axiom), result in blocks:
+            premises, violations = BLOCK_COUNTERS[axiom](reduction(best), reads[rule])
             result[0] += premises
             result[1] += violations
             need = cap - len(result[2])
             if violations and need > 0:
                 chunk = range(offset, offset + (min(need, size) if violations == size else size))
-                result[2] += _sweep_chunk([(rule, axiom)], None, need, {}, False, stream, chunk)[1][0][2]
+                result[2] += _sweep_chunk([(rule, axiom)], need, reads, False, stream, chunk)[1][0][2]
+        for rule, count in roots:
+            for axiom, result, premises, violations, indices in count(best, offset, size):
+                result[0] += premises
+                result[1] += violations
+                for i in islice(indices(), max(cap - len(result[2]), 0) if violations else 0):
+                    result[2] += _sweep_chunk([(rule, axiom)], 1, reads, False, stream, range(i, i + 1))[1][0][2]
     return covered
 
 
@@ -337,26 +484,34 @@ def _check_coverage(checked, universe):
         raise AssertionError(f"exhaustive sweep covered {checked} of {expected} rankings")
 
 
-def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, stop=False):
+def _counted(rule, axiom):
+    """Whether an exhaustive, unstopped pass counts the cell at the root of the class tree (:func:`_count_blocks`)."""
+    if axiom in PREMISE_AXIOMS:
+        return rule in BEST_CLASS_RULES or rule in RULE_STEPS
+    return rule in BEST_CLASS_RULES and axiom in BLOCK_COUNTERS
+
+
+def _sweep_pass(cells, universe, mode, jobs, witness_cap, stop=False):
     """Sweep reports of every (rule, axiom) cell from one pass over the stream.
 
-    ``tally(listing)``, when given, runs on every ranking with its
-    memoized premise listing, ``listing(lister)`` = (instances, forced
-    mask), and returns a tuple of counts; the second return value is
-    their sum over the stream (empty without ``tally``).
     The pass builds its own selection tables (see :func:`_sweep_chunk`)
-    with :func:`_tables`, before any walk. The
-    tables travel to the workers with each chunk. With ``stop`` set,
-    each chunk ends after its first violating ranking, and the pass
-    after the first chunk with a violation, so ``rankings_checked``
-    counts up to that ranking. An exhaustive, unstopped pass counts the
-    cells of best-class rules and axioms per best class
-    (:func:`_count_blocks`) and walks the others, and any ``tally``, over
-    the stream; with nothing left to walk it starts no walk and no pool.
-    A pass that reaches the end of an exhaustive stream must have
+    with :func:`_tables`, before any walk, and one best-class reduction
+    cache, on which every best-class rule has one reader that the counts,
+    the inline walks and the witness rebuilds share; pool workers build
+    their own readers, as tables travel to them with each chunk. An
+    exhaustive, unstopped pass counts the cells that :func:`_counted`
+    names at the root of the class tree (:func:`_count_blocks`) and walks
+    the others over the stream; with nothing left to walk it starts no
+    walk and no pool. With ``stop`` set, each chunk ends after its first
+    violating ranking, and the pass after the first chunk with a
+    violation, so ``rankings_checked`` counts up to that ranking. A
+    stopped search of best-class rules and ``axioms.BLOCK_COUNTERS`` only
+    runs the block counters in stream order and walks only the first
+    block that violates, which holds the first violating ranking;
+    ``rankings_checked`` is then the block's offset plus the rankings
+    walked. A pass that reaches the end of an exhaustive stream must have
     covered every ranking. A walk of declared rules only, exhaustive and
-    unstopped, walks orbits (see the module docstring); ``tally`` must
-    then count alike on every relabeling.
+    unstopped, walks orbits (see the module docstring).
     """
     if witness_cap < 0:
         raise ValueError(f"witness_cap must be at least 0, got {witness_cap}")
@@ -365,25 +520,39 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, stop=False
         lookup_rule(rule)
         lookup_axiom(axiom)
     tables = _tables(cells, universe, mode, jobs)
-    whole = mode == EXHAUSTIVE and not stop  # every ranking, to the end
+    reduction = cache(partial(best_class_reduction, universe))  # one per pass
+    tops = {rule: _best_class_reader(lookup_rule(rule), reduction) for rule, _ in cells if rule in BEST_CLASS_RULES}
+    reads = {**tables, **tops}
+    exhaustive = mode == EXHAUSTIVE
     results = [[0, 0, []] for _ in cells]  # per cell: premises, violations, witnesses
-    blocked, walked = [], []
-    for (rule, axiom), result in zip(cells, results):
-        by_block = whole and rule in BEST_CLASS_RULES and axiom in BLOCK_COUNTERS
-        (blocked if by_block else walked).append(((rule, axiom), result))
-    checked, tallies = 0, []
-    if blocked:  # the stream refuses more than MAX_EXHAUSTIVE_N individuals first
-        checked = _count_blocks(blocked, RankingStream(universe), witness_cap)
+    counted, walked = [], []
+    for cell, result in zip(cells, results):
+        (counted if exhaustive and not stop and _counted(*cell) else walked).append((cell, result))
+    checked = 0
+    if counted:  # the stream refuses more than MAX_EXHAUSTIVE_N individuals first
+        checked = _count_blocks(counted, RankingStream(universe), witness_cap, reads, reduction)
         _check_coverage(checked, universe)
-    if walked or tally:
-        # Rules that commute with relabeling leave every count alike across an orbit.
-        orbits = whole and all(rule in ANONYMOUS_RULES for (rule, _), _ in walked)
-        checked = 0
-        worker = partial(_sweep_chunk, [cell for cell, _ in walked], tally, witness_cap, tables, stop)
-        with closing(_run_chunks(universe, mode, worker, jobs, orbits)) as chunks:
-            for count, found, counts in chunks:
+    if walked and stop and exhaustive and all(rule in tops and axiom in BLOCK_COUNTERS for rule, axiom in cells):
+        stream = RankingStream(universe)
+        for best, _, offset, size in _stream_tops(universe.n)[-1]:
+            if any(BLOCK_COUNTERS[axiom](reduction(best), tops[rule])[1] for rule, axiom in cells):
+                count, found = _sweep_chunk(cells, witness_cap, reads, True, stream, range(offset, offset + size))
                 checked += count
-                tallies += [counts] if counts else []  # a chunk may hold no orbit's first ranking
+                for result, part in zip(results, found):
+                    result[:] = part
+                break
+            checked += size
+        else:
+            _check_coverage(checked, universe)
+    elif walked:
+        # Rules that commute with relabeling leave every count alike across an orbit.
+        orbits = exhaustive and not stop and all(rule in ANONYMOUS_RULES for (rule, _), _ in walked)
+        checked = 0
+        # A pool worker builds its own best-class readers: the pass's do not pickle.
+        worker = partial(_sweep_chunk, [cell for cell, _ in walked], witness_cap, tables if jobs > 1 else reads, stop)
+        with closing(_run_chunks(universe, mode, worker, jobs, orbits)) as chunks:
+            for count, found in chunks:
+                checked += count
                 for (_, result), (premises, violations, witnesses) in zip(walked, found):
                     result[0] += premises
                     result[1] += violations
@@ -391,7 +560,7 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, stop=False
                 if stop and any(result[1] for _, result in walked):
                     break
             else:
-                if mode == EXHAUSTIVE:
+                if exhaustive:
                     _check_coverage(checked, universe)
         if orbits:
             # An orbit's rankings violate alike, so the first cap violating rankings lie in the
@@ -400,9 +569,9 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, stop=False
             stream = RankingStream(universe)
             for cell, result in walked:
                 held = {i for witness in result[2] for i in orbit_indices(universe.n, witness.ranking.bits)}
-                result[2] = [_sweep_chunk([cell], None, 1, tables, False, stream, range(i, i + 1))[1][0][2][0]
+                result[2] = [_sweep_chunk([cell], 1, reads, False, stream, range(i, i + 1))[1][0][2][0]
                              for i in sorted(held)[:witness_cap]]
-    reports = tuple(
+    return tuple(
         SweepReport(
             rule=rule,
             axiom=axiom,
@@ -416,7 +585,6 @@ def _sweep_pass(cells, universe, mode, jobs, witness_cap, tally=None, stop=False
         )
         for (rule, axiom), (premises, violations, witnesses) in zip(cells, results)
     )
-    return reports, tuple(map(sum, zip(*tallies)))
 
 
 def sweep_cells(
@@ -437,7 +605,7 @@ def sweep_cells(
     (guarded at n <= 8). The reports are identical for any ``jobs``
     value.
     """
-    return _sweep_pass(cells, universe or Universe(n), mode, jobs, witness_cap)[0]
+    return _sweep_pass(cells, universe or Universe(n), mode, jobs, witness_cap)
 
 
 def sweep(
@@ -470,7 +638,7 @@ def _first_violation(rule, axioms, universe, mode, jobs=1):
     sweeps do; on that ranking the earliest violated axiom wins.
     """
     cells = [(rule, axiom) for axiom in axioms]
-    reports = _sweep_pass(cells, universe, mode, jobs, 1, stop=True)[0]
+    reports = _sweep_pass(cells, universe, mode, jobs, 1, stop=True)
     return next(((r.rankings_checked - 1, r.witnesses[0]) for r in reports if r.violations), None)
 
 
@@ -542,20 +710,32 @@ def theorem1_probe(
                     break
     if difference is None:  # the rule agrees with plurality on every ranking the sweeps check
         cells = [(rule, axiom) for axiom in THEOREM_AXIOMS]
-        sweeps = _sweep_pass(cells, universe, mode, jobs, witness_cap)[0]
+        sweeps = _sweep_pass(cells, universe, mode, jobs, witness_cap)
         return Theorem1Report(rule, n, mode, sweeps[0].rankings_checked, None, None, sweeps)
     found = _first_violation(rule, THEOREM_AXIOMS, universe, mode, jobs)
     return Theorem1Report(rule, n, mode, compared, difference, found and found[1], None)
 
 
-def _relative_lemma_counts(listing):
-    """RDF and RJAD premises of one ranking, and how many are not RAG premises."""
-    rdf, rjad = listing(rdf_premises)[0], listing(rjad_premises)[0]
-    counterexamples = 0
-    if rdf or rjad:
-        agreement = set(listing(rag_premises)[0])
-        counterexamples = sum(premise not in agreement for premise in rdf + rjad)
-    return len(rdf), len(rjad), counterexamples
+def _relative_lemma_counts(n):
+    """RDF and RJAD premises over every ranking at n, and how many are not RAG premises.
+
+    Counted over the class tree (:func:`_class_tree`) with the RAG, RDF
+    and RJAD steps of ``axioms.PREMISE_STEPS`` together: the instances a
+    step lists on a class all have their reference coalition in it, so
+    an RDF or RJAD instance is a RAG one exactly when RAG lists that class
+    and forces the same individual.
+    """
+    agreement, difference, joint = (partial(PREMISE_STEPS[axiom], n) for axiom in ("RAG", "RDF", "RJAD"))
+
+    def step(state, remaining, top):
+        rag, _, x = agreement(state[0], remaining, top)
+        rdf, differing, rdf_x = difference(state[1], remaining, top)
+        rjad, joined, rjad_x = joint(state[2], remaining, top)
+        missed = differing * (rdf_x != x) + joined * (rjad_x != x)  # x is 0 when RAG lists nothing
+        return (rag, rdf, rjad), (differing, joined, missed)
+
+    below, _ = _class_tree(n, step, lambda state: (0, 0, 0), 3)
+    return below((1 << ((1 << n) - 1)) - 1, (None, None, None))
 
 
 def relative_construction(x: int, y: int, universe: Universe) -> CoalitionalRanking:
@@ -649,10 +829,8 @@ def prop1_report(n: int = 3, *, jobs: int = 1, witness_cap: int = 10) -> Prop1Re
     if n != 3:
         return Prop1Report(n, tuple(constructions), None, None, None)
     cells = [("const_x", "WRAG"), ("const_x", "CV")]
-    (wrag, cv), counts = _sweep_pass(
-        cells, universe, EXHAUSTIVE, jobs, witness_cap, _relative_lemma_counts
-    )
-    lemma = RelativeLemma(wrag.rankings_checked, *counts)
+    wrag, cv = _sweep_pass(cells, universe, EXHAUSTIVE, jobs, witness_cap)
+    lemma = RelativeLemma(wrag.rankings_checked, *_relative_lemma_counts(n))
     return Prop1Report(n, tuple(constructions), lemma, wrag, cv)
 
 
@@ -840,7 +1018,7 @@ def independence_report(
     claims = []
     # The f_star x DMON cell keeps at least its first witness; a negative cap reaches the pass's check.
     cells = (*INDEPENDENCE_SWEEPS, ("f_star", "DMON"))
-    *sweeps, search = _sweep_pass(cells, Universe(3), EXHAUSTIVE, jobs, witness_cap or 1)[0]
+    *sweeps, search = _sweep_pass(cells, Universe(3), EXHAUSTIVE, jobs, witness_cap or 1)
     trimmed = (replace(r, witness_cap=witness_cap, witnesses=r.witnesses[:witness_cap]) for r in sweeps)
     reports = dict(zip(INDEPENDENCE_SWEEPS, trimmed))
 

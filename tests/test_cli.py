@@ -15,6 +15,7 @@ import pytest
 from millrank import RULES, cli, enumeration, schema, verify
 from millrank.cli import REPORT_SCHEMA, _resolve_jobs, emit_report, main
 from millrank.errors import MillrankError
+from millrank.verify import MAX_SAMPLE_COUNT
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "reports.json"
 
@@ -161,6 +162,30 @@ class TestSweep:
             main(argv)
         assert exc.value.code == 2
         assert "at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--rule", "les", "--axiom", "STAG", "--n", "2", "--sample", str(MAX_SAMPLE_COUNT + 1)],
+            ["verify", "prop3", "--n", "5", "--sample", "1000000000"],
+            ["sample", "--n", "8", "--seed", "1", "--count", str(MAX_SAMPLE_COUNT + 1)],
+        ],
+    )
+    def test_sample_count_above_the_bound_is_refused_before_any_draw(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("a ranking was drawn")
+
+        monkeypatch.setattr(enumeration, "sample_ranking", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at most {MAX_SAMPLE_COUNT}" in captured.err
+
+    def test_sample_bound_admits_the_largest_golden_count(self):
+        count = cli._count(1, MAX_SAMPLE_COUNT)
+        assert count(str(MAX_SAMPLE_COUNT)) == MAX_SAMPLE_COUNT >= 5000
 
     @pytest.mark.parametrize(
         "argv",

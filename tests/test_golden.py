@@ -13,9 +13,11 @@ pool, two sampled ``DMON`` sweeps split into three
 chunks and run through a two-worker pool, two sampled n = 3 ``theorem1``
 probes, every exhaustive n = 3 ``SI``, ``DMON`` and premise-only sweep
 through a two-worker pool, the ``verify independence --n 4`` report
-with ``--jobs 2`` and at witness caps 0 and 1, and the ``enumerate``
-and ``sample`` listings. The ``verify independence --n 4`` report
-takes about 3 s to build, and ``test_cli.py`` checks it against the session fixture that builds it
+with ``--jobs 2`` and at witness caps 0 and 1, the exhaustive n = 3
+``obi`` x TAG, ``les`` x CV and ``les`` x STAG sweeps at witness caps 0,
+1 and 100, and the ``enumerate`` and ``sample`` listings. The
+``verify independence --n 4`` report takes about 3 s to build, and
+``test_cli.py`` checks it against the session fixture that builds it
 once instead of building it again here. A mismatch is fixed in the
 code, never by recording the file again.
 """
@@ -132,6 +134,13 @@ FIXED_CELLS = {
     # cap of one at which its pass sweeps the f_star x DMON cell.
     "independence-caps": tuple(
         ("verify", "independence", "--n", "4", "--witness-cap", cap) for cap in ("0", "1")
+    ),
+    # Premise-only cells of les and obi, counted over the class tree, at witness
+    # caps 0, 1 and 100: the witnesses come from a descent of the counter's memo.
+    "premise-counted-caps": tuple(
+        ("sweep", "--rule", rule, "--axiom", axiom, "--n", "3", "--witness-cap", cap)
+        for rule, axiom in (("obi", "TAG"), ("les", "CV"), ("les", "STAG"))
+        for cap in ("0", "1", "100")
     ),
 }
 

@@ -33,7 +33,8 @@ from millrank import axioms, core, verify
 from millrank.axioms import BEST_CLASS_AXIOMS, PREMISE_AXIOMS
 from millrank.cli import to_json
 from millrank.core import class_bits
-from millrank.solutions import BEST_CLASS_RULES, best_class_reduction
+from millrank.enumeration import walk_stream
+from millrank.solutions import BEST_CLASS_RULES, RULE_STEPS, best_class_reduction
 from millrank.transforms import slide_gamma_bits
 from millrank.verify import THEOREM_AXIOMS
 from helpers import (
@@ -48,6 +49,10 @@ from helpers import (
 )
 
 ALL_CELLS = [(rule, axiom) for rule in RULES for axiom in AXIOMS]
+
+
+def refuse_walk(*args):
+    raise AssertionError("a walk started")
 
 
 def mark_chunk(folder, stream, chunk):
@@ -66,7 +71,7 @@ class TestSweep:
         assert report.verdict == "satisfied"
 
     @pytest.mark.parametrize("worker", [
-        partial(verify._sweep_chunk, [("les", "TAG"), ("obi", "RDF"), ("f_star", "CV")], None, 10, {}, False),
+        partial(verify._sweep_chunk, [("les", "TAG"), ("obi", "RDF"), ("f_star", "CV")], 10, {}, False),
         partial(verify._selection_chunk, ["les", "plurality"], False),
     ], ids=["sweep", "selections"])
     def test_sampled_chunks_build_each_draw_once(self, monkeypatch, worker):
@@ -201,9 +206,9 @@ class TestSweepCells:
 
         def recorded_chunk(*args):
             built.clear()
-            count, results, totals = sweep_chunk(*args)
+            count, results = sweep_chunk(*args)
             chunks.append((len(built), [(violations, len(w)) for _, violations, w in results]))
-            return count, results, totals
+            return count, results
 
         monkeypatch.setattr(verify, "_CHUNK", 32)  # five chunks
         monkeypatch.setattr(verify, "premise_witness", counted_witness)
@@ -370,16 +375,19 @@ class TestCoverage:
         chunk = verify._sweep_chunk
 
         def short(*args):
-            count, results, counts = chunk(*args)
-            return count - 1, results, counts
+            count, results = chunk(*args)
+            return count - 1, results
 
         monkeypatch.setattr(verify, "_sweep_chunk", short)
 
     def test_full_pass_that_misses_a_ranking_fails(self, short_chunks):
+        # f_star has no step and reads more than the best class: its cells are walked.
         with pytest.raises(AssertionError, match="covered 12 of 13 rankings"):
-            sweep("les", "STAG", 2)
+            sweep("f_star", "STAG", 2)
 
-    def test_search_that_finds_nothing_is_checked_too(self, short_chunks):
+    def test_search_that_finds_nothing_is_checked_too(self, short_chunks, monkeypatch):
+        # Undeclared, plurality's search walks the stream instead of its blocks.
+        monkeypatch.setattr(verify, "BEST_CLASS_RULES", frozenset())
         with pytest.raises(AssertionError, match="covered 12 of 13 rankings"):
             verify._first_violation("plurality", THEOREM_AXIOMS, verify.Universe(2), EXHAUSTIVE)
 
@@ -425,7 +433,7 @@ class TestBestClassRules:
         stream = RankingStream(verify.Universe(3), mode)
         chunk = range(min(verify._CHUNK, len(stream)))
         cells = [(rule_id, axiom) for rule_id in RULES for axiom in PREMISE_AXIOMS]
-        count, _, _ = verify._sweep_chunk(cells, None, 10, {}, False, stream, chunk)
+        count, _ = verify._sweep_chunk(cells, 10, {}, False, stream, chunk)
         tops = Counter(ranking.bits[0] for ranking, *_ in stream.walk(chunk))
         assert count == sum(tops.values()) > 2 * len(tops)  # best classes repeat
         assert {name for name, _ in calls} == BEST_CLASS_AXIOMS | BEST_CLASS_RULES
@@ -464,7 +472,7 @@ class TestBestClassRules:
         monkeypatch.setattr(verify, "_best_class_reader", counted_reader)
         stream = RankingStream(verify.Universe(3), mode)
         chunk = range(min(verify._CHUNK, len(stream)))
-        verify._sweep_chunk([(rule_id, "SI")], None, 10, {}, False, stream, chunk)
+        verify._sweep_chunk([(rule_id, "SI")], 10, {}, False, stream, chunk)
         meets, balanced_of = axioms._pairs(3)[1], axioms._balanced_by_gamma(3)
         rule = RULES[rule_id]
         held, scanned = Counter(), 0  # (best class, class) -> rankings that hold the class
@@ -494,10 +502,11 @@ def dumps(reports):
 
 
 def full_pass(monkeypatch, run, *args, **kwargs):
-    """``run(*args, **kwargs)`` with no rule declared anonymous or best-class, so every pass walks every ranking."""
+    """``run(*args, **kwargs)`` with no rule declared anonymous or best-class or stepped: every pass walks every ranking."""
     with monkeypatch.context() as patched:
         patched.setattr(verify, "ANONYMOUS_RULES", frozenset())
         patched.setattr(verify, "BEST_CLASS_RULES", frozenset())
+        patched.setattr(verify, "RULE_STEPS", {})
         return run(*args, **kwargs)
 
 
@@ -548,11 +557,11 @@ class TestOrbitPasses:
         # A copy of a declared rule under another name is not declared, so a
         # pass with it walks every ranking, even beside declared rules.
         orbits, run_chunks = [], verify._run_chunks
-        monkeypatch.setitem(RULES, "wrapped", lambda ranking: RULES["les"](ranking))
+        monkeypatch.setitem(RULES, "wrapped", lambda ranking: RULES["f_star"](ranking))
         monkeypatch.setattr(verify, "_run_chunks", lambda *args: orbits.append(args[4]) or run_chunks(*args))
-        sweep_cells([("les", "STAG"), ("wrapped", "STAG")], 2)
-        sweep_cells([("les", "STAG")], 2)
-        find_violation("les", "STAG", 2)
+        sweep_cells([("f_star", "STAG"), ("wrapped", "STAG")], 2)
+        sweep_cells([("f_star", "STAG")], 2)
+        find_violation("f_star", "STAG", 2)
         assert orbits == [False, True, False]
 
     # The first violating stream index of each rule and axiom at n = 3, None
@@ -643,8 +652,91 @@ class TestBlockCounts:
         # One best class's block dropped: the count misses its rankings.
         tops = verify._stream_tops(2)
         monkeypatch.setattr(verify, "_stream_tops", lambda n: (*tops[:-1], tops[-1][:1] + tops[-1][2:]))
-        with pytest.raises(AssertionError, match="covered 12 of 13 rankings"):
-            sweep("plurality", "SI", 2)
+        for run in (
+            lambda: sweep("plurality", "SI", 2),
+            lambda: sweep("les", "STAG", 2),
+            lambda: verify._first_violation("plurality", THEOREM_AXIOMS, verify.Universe(2), EXHAUSTIVE),
+        ):
+            with pytest.raises(AssertionError, match="covered 12 of 13 rankings"):
+                run()
+
+
+PREMISE_CELLS = [
+    (rule, axiom)
+    for rule in ("plurality", "split_plurality", "const_x", "les", "obi", "hashed_top")
+    for axiom in PREMISE_AXIOMS
+]
+
+
+class TestPremiseTrees:
+    """An exhaustive pass counts premise-only cells of best-class and stepped rules over the class tree."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_cell_every_cap(self, monkeypatch, declared_hashed_top, n):
+        walked = full_pass(monkeypatch, sweep_cells, PREMISE_CELLS, n, witness_cap=10**6)
+        above = max(report.violations for report in walked) + 1
+        assert n == 1 or above > 10
+        for cap in (0, 1, 10, above):
+            got = sweep_cells(PREMISE_CELLS, n, witness_cap=cap)
+            assert dumps(got) == dumps(capped(report, cap) for report in walked), (n, cap)
+
+    def test_every_cell_at_n3(self, monkeypatch, declared_hashed_top):
+        walked = full_pass(monkeypatch, sweep_cells, PREMISE_CELLS, 3, witness_cap=10)
+        assert sum(report.violations for report in walked) == 336836
+        for cap in (0, 1, 10):
+            got = sweep_cells(PREMISE_CELLS, 3, witness_cap=cap)
+            assert dumps(got) == dumps(capped(report, cap) for report in walked), cap
+
+    def test_every_witness_at_n3(self, monkeypatch, declared_hashed_top):
+        # The cells with fewest violations, at one above their largest count:
+        # every witness, rebuilt at the indices the memo's descent finds.
+        cells = [("const_x", "TDF"), ("hashed_top", "TJAD"), ("obi", "RDF"), ("obi", "RJAD")]
+        walked = full_pass(monkeypatch, sweep_cells, cells, 3, witness_cap=10**6)
+        above = max(report.violations for report in walked) + 1
+        assert above == 364
+        assert dumps(sweep_cells(cells, 3, witness_cap=above)) == dumps(capped(r, above) for r in walked)
+
+    def test_named_universe(self, monkeypatch, declared_hashed_top):
+        universe = verify.Universe(2, ("ann", "bob"))
+        walked = full_pass(monkeypatch, sweep_cells, PREMISE_CELLS, 2, universe=universe, witness_cap=10)
+        got = sweep_cells(PREMISE_CELLS, 2, universe=universe, witness_cap=10)
+        assert any("ann" in text for text in dumps(got))
+        assert dumps(got) == dumps(walked)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_steps_select_as_the_rules_do(self, n):
+        universe = verify.Universe(n)
+        for classes, bits, remaining, _, _ in walk_stream(n):
+            ranking = core.CoalitionalRanking._trusted(universe, classes, bits)
+            for rule, step in RULE_STEPS.items():
+                state = None
+                for top, left in zip(bits, remaining):
+                    state = step(n, state, left, top)
+                assert state == axioms.selection_mask(RULES[rule], ranking), (rule, bits)
+
+    def test_best_class_rules_run_once_per_best_class_per_pass(self, rule_calls):
+        # Block counts, tree roots, block walks and witness rebuilds share one
+        # reduction cache and one reader per rule: each rule runs on a best
+        # class's reduction at most once in the pass.
+        cells = [(rule, axiom) for rule in sorted(BEST_CLASS_RULES) for axiom in AXIOMS]
+        reports = sweep_cells(cells, 3, witness_cap=10)
+        assert sum(len(report.witnesses) for report in reports) > 100
+        assert rule_calls and max(rule_calls.values()) == 1
+        universe = verify.Universe(3)
+        for _, classes in rule_calls:
+            assert classes == best_class_reduction(universe, class_bits(classes[:1])[0]).classes
+
+    def test_stopped_search_walks_one_block(self, monkeypatch):
+        # split_plurality first violates SI at index 5,315: the search counts
+        # the blocks before it and walks only the block that holds it.
+        walked, chunk = [], verify._sweep_chunk
+        monkeypatch.setattr(verify, "_run_chunks", refuse_walk)
+        monkeypatch.setattr(verify, "_sweep_chunk", lambda *args: walked.append(args[-1]) or chunk(*args))
+        (report,) = verify._sweep_pass([("split_plurality", "SI")], verify.Universe(3), EXHAUSTIVE, 1, 1, stop=True)
+        assert report.rankings_checked == 5316 and report.violations == 1
+        (block,) = walked
+        assert block.start in {offset for _, _, offset, _ in verify._stream_tops(3)[-1]}
+        assert block.start <= 5315 < block.stop
 
 
 class TestProp1:
@@ -671,41 +763,18 @@ class TestProp1:
 
     def test_lemma_counts_every_counterexample(self, monkeypatch):
         # With no agreement premise, every RDF and RJAD premise is a counterexample.
-        monkeypatch.setattr(verify, "rag_premises", lambda ranking: [])
+        monkeypatch.setitem(axioms.PREMISE_STEPS, "RAG", lambda n, inter, remaining, top: (inter, 0, 0))
         lemma = verify.prop1_report(3).lemma
         assert (lemma.rdf_premises, lemma.rjad_premises) == (4050, 4050)
         assert lemma.counterexamples == 8100
 
-    def test_each_rankings_facts_are_computed_once(self, monkeypatch):
-        # One exhaustive n = 3 pass: the agreement levels that RAG (the WRAG
-        # cell and the lemma) and RJAD read are computed once per ranking it
-        # walks, the 8,157 orbit minima, and RDF reads the ranking's carried
-        # bitsets instead of building them.
-        levels, bits_calls, in_rdf = Counter(), [0], [False]
-
-        def counted_levels(ranking, original=axioms._agreement_classes):
-            levels[ranking.classes] += 1
-            return original(ranking)
-
-        def counted_bits(classes, original=core.class_bits):
-            bits_calls[0] += in_rdf[0]
-            return original(classes)
-
-        def watched_rdf(ranking, original=axioms.rdf_premises):
-            in_rdf[0] = True
-            try:
-                return original(ranking)
-            finally:
-                in_rdf[0] = False
-
-        for module in (axioms, verify):
-            monkeypatch.setattr(module, "_agreement_classes", counted_levels)
-        monkeypatch.setattr(core, "class_bits", counted_bits)
-        monkeypatch.setattr(verify, "rdf_premises", watched_rdf)
-        lemma = verify.prop1_report(3).lemma
-        assert (lemma.rankings_checked, lemma.counterexamples) == (47293, 0)
-        assert len(levels) == len(oracle_orbit_minima(3)) == 8157 and set(levels.values()) == {1}
-        assert lemma.rdf_premises > 0 and bits_calls == [0]
+    def test_lemma_and_sweeps_start_no_walk_and_no_pool(self, monkeypatch, prop1_n3):
+        # The lemma and both constant-rule cells are counted over the class
+        # tree; only their witnesses' rankings are built, one index at a time.
+        monkeypatch.setattr(verify, "_run_chunks", refuse_walk)
+        report = verify.prop1_report(3, jobs=2)
+        assert (report.lemma.rankings_checked, report.lemma.counterexamples) == (47293, 0)
+        assert json.dumps(to_json(report), sort_keys=True) == json.dumps(to_json(prop1_n3), sort_keys=True)
 
     def test_small_universes_rejected(self):
         with pytest.raises(ValueError):
@@ -721,6 +790,10 @@ class TestProp1:
 
 
 class TestProp3Matrix:
+    def test_matrix_starts_no_walk_and_no_pool(self, monkeypatch, matrix_n3):
+        monkeypatch.setattr(verify, "_run_chunks", refuse_walk)
+        assert dumps(verify.prop3_matrix(3, jobs=2).cells) == dumps(matrix_n3.cells)
+
     def test_plurality_row_clean(self, matrix_n3):
         for cell in matrix_n3.cells:
             if cell.rule == "plurality":
