@@ -10,13 +10,12 @@ one lister force the same individuals, one mask ``f``
 when ``f != sel`` and "contains" when ``f & ~sel`` is nonzero, and the
 first instance is then the witness (:func:`premise_witness`), for
 :func:`judge` and sweeps alike.
-The listers of :data:`BEST_CLASS_AXIOMS` read the best class alone, so
-a sweep lists them once per best class; RAG, WRAG and RJAD read one set
-of agreement levels, which a sweep computes once per ranking, and RDF
-reads the ranking's carried class bitsets. The other listers each have
-a step form (:data:`PREMISE_STEPS`) that lists class by class, down the
-stream's class tree, so an exhaustive sweep counts their premises and
-violations over many rankings at once.
+A walked sweep runs each lister once per ranking. Each lister that
+reads below the best class has a step form (:data:`PREMISE_STEPS`) that
+lists class by class, down the stream's class tree, so an exhaustive
+sweep counts its premises and violations over many rankings at once;
+the others, :data:`BEST_CLASS_AXIOMS`, read the best class alone, and
+list the same on every ranking that shares it.
 The two transformation axioms, slide independence (SI) and downward
 monotonicity (DMON), judge the rule on transformed rankings too, each in
 one scan over the ranking's class bitsets. Their checkers take the
@@ -210,17 +209,15 @@ def _agreement_classes(ranking):
     return out
 
 
-def rag_premises(ranking, levels=None):
+def rag_premises(ranking):
     """All (s0, x) pairs firing the relative-agreement premise (RAG, WRAG).
 
     Premise for (s0, x): the strict superiors of s0 have exactly one
     common individual x. The selection must be x alone (weak form: must
     at least include x). References with no strict superior never fire.
-    Premises are scanned by class of s0, then by mask. A sweep passes the
-    ``levels`` (:func:`_agreement_classes`) it holds for RAG, WRAG and RJAD.
+    Premises are scanned by class of s0, then by mask.
     """
-    levels = _agreement_classes(ranking) if levels is None else levels
-    return [(s0, x) for j, x in levels for s0 in ranking.classes[j]]
+    return [(s0, x) for j, x in _agreement_classes(ranking) for s0 in ranking.classes[j]]
 
 
 def rdf_premises(ranking):
@@ -241,16 +238,16 @@ def rdf_premises(ranking):
     return [(s0, x) for x, m in enumerate(members) if m in below for s0 in classes[below[m]]]
 
 
-def rjad_premises(ranking, levels=None):
+def rjad_premises(ranking):
     """All (s0, x) pairs firing the relative-joint premise (RJAD).
 
     Premise for (s0, x): the strict superiors of s0 share exactly the
     individual x, the remaining coalitions share nobody, and none of the
     remaining coalitions contains x. Conclusion: the selection is x
     alone: RAG's premise plus a condition on the coalitions below, so it
-    filters RAG's agreement ``levels``. Scanned by class of s0, then by mask.
+    filters RAG's agreement levels. Scanned by class of s0, then by mask.
     """
-    levels = _agreement_classes(ranking) if levels is None else levels
+    levels = _agreement_classes(ranking)
     if not levels:
         return []
     classes = ranking.classes
@@ -356,12 +353,7 @@ PREMISE_AXIOMS = {
     "CV": (_concomitant_premises, ("concomitant",), True, "selection contains every individual of {}"),
 }
 
-# Premise-only axioms whose listers read the best class alone: each lists the
-# same on a ranking as on its solutions.best_class_reduction (TJAD's family
-# below is the complement of the best class).
-BEST_CLASS_AXIOMS = frozenset({"TAG", "STAG", "TDF", "TJAD"})
-
-# The step form of each other premise-only axiom's lister.
+# The step form of each premise-only axiom whose lister reads below the best class.
 PREMISE_STEPS = {
     "CV": concomitant_step,
     "RAG": agreement_step,
@@ -369,6 +361,12 @@ PREMISE_STEPS = {
     "RDF": difference_step,
     "RJAD": joint_step,
 }
+
+# Premise-only axioms whose listers read the best class alone, those with no
+# step form: each lists the same on a ranking as on its
+# solutions.best_class_reduction (TJAD's family below is the complement of
+# the best class).
+BEST_CLASS_AXIOMS = frozenset(PREMISE_AXIOMS.keys() - PREMISE_STEPS.keys())
 
 
 def judge(axiom: str, ranking, rule) -> Verdict:

@@ -2,15 +2,14 @@
 
 A sweep judges one or more (rule, axiom) cells on every ranking of a
 stream, in one pass, and aggregates each cell's verdicts. Per ranking it
-builds the ranking once, lists each premise-only axiom's instances once
-for all cells, and reads each rule's selection at most once, for all its
-cells; a best-class axiom is listed once per best class of a chunk, and
-a best-class rule runs once per best class of a pass. The ``SI`` and
-``DMON`` cells run their checkers on that selection and the ranking's
-walk. An exhaustive pass with ``SI`` or
-``DMON`` cells of a rule not in ``solutions.BEST_CLASS_RULES`` first
-builds that rule's selection table and hands it to every chunk, whose
-cells of the rule read its selections there. Nothing is kept between
+builds the ranking once, runs each premise lister once for the cells of
+all its axioms, and reads each rule's selection at most once, for all
+its cells; a best-class rule runs once per best class of a pass. The
+``SI`` and ``DMON`` cells run their checkers on that selection and the
+ranking's walk. An exhaustive pass with ``SI`` or ``DMON`` cells of a
+rule not in ``solutions.BEST_CLASS_RULES`` first builds that rule's
+selection table and hands it to every chunk, whose cells of the rule
+read its selections there. Nothing is kept between
 passes. Campaign functions bundle one such pass and pinned instances
 into the characterization probe, the incompatibility report, the
 satisfaction matrix and the independence report, whose f_star x DMON
@@ -59,14 +58,12 @@ from typing import ClassVar, get_type_hints
 
 from .axioms import (
     AXIOMS,
-    BEST_CLASS_AXIOMS,
     BLOCK_COUNTERS,
     PREMISE_AXIOMS,
     PREMISE_STEPS,
     VIOLATED,
     Status,
     Witness,
-    _agreement_classes,
     fails,
     forced_mask,
     judge_slide,
@@ -79,7 +76,9 @@ from .axioms import (
 from .core import (
     CoalitionalRanking, Universe, concomitant_set, mask_members, members_mask
 )
-from .enumeration import EXHAUSTIVE, RankingStream, _stream_tops, fubini, orbit_indices
+from .enumeration import (  # MAX_SAMPLE_COUNT is not used here: cli reads it from this module
+    EXHAUSTIVE, MAX_SAMPLE_COUNT, RankingStream, _stream_tops, fubini, orbit_indices
+)
 from .errors import UniverseTooLargeError
 from .solutions import ANONYMOUS_RULES, BEST_CLASS_RULES, RULE_STEPS, RULES, best_class_reduction, lookup_rule
 from .transforms import SlideMove, apply_slide
@@ -89,12 +88,6 @@ _CHUNK = 2048
 # took about 0.5, 4 and 24 s per sampled ranking at n = 6, 7 and 8 on a
 # 2.1 GHz Xeon with Python 3.11.7, about six times more per individual.
 MAX_CHECKED_N = 8
-# A sample holds at most this many draws, for sweeps, campaigns and the
-# sample command alike. `sample --n 8` holds every rendered draw until it
-# prints, about 11 KB each: peak RSS read 28.8 MB at 1,000 draws and 40.3 MB
-# at 2,000 on a 2.1 GHz Xeon with Python 3.11.7, so this bound keeps it
-# near 135 MB.
-MAX_SAMPLE_COUNT = 10_000
 THEOREM_AXIOMS = ("STAG", "SI", "DMON")
 
 
@@ -153,12 +146,11 @@ def _sweep_chunk(cells, cap, reads, stop, stream, chunk):
 
     The cells are compiled once per chunk into a plan: premise-only cells
     grouped by lister, each as (result, rule slot, contains flag, axiom).
-    Each lister runs at most once per ranking, whichever cells ask for its
-    instances, a lister of ``axioms.BEST_CLASS_AXIOMS`` at most once per
-    best class in the chunk, and RAG, WRAG and RJAD share one set of
-    agreement levels per ranking. A listing's instances all force one id
-    bitmask, so a cell is one inline bit test, and a lister that lists
-    nothing skips all its cells. A rule's selection, an id bitmask kept in
+    Each lister runs once per walked ranking, whichever cells ask for its
+    instances. A listing's instances all force one id bitmask, which each
+    of its cells tests against its rule's selection with
+    :func:`~millrank.axioms.fails`, and a lister that lists nothing skips
+    all its cells. A rule's selection, an id bitmask kept in
     its slot, is read at most once per ranking, when a cell needs it, and
     all its cells share it: by best class for a rule of
     ``solutions.BEST_CLASS_RULES`` (``top``, the pass's reader in
@@ -192,19 +184,7 @@ def _sweep_chunk(cells, cap, reads, stop, stream, chunk):
             plan.setdefault(lister, []).append((result, slot, contains, axiom))
         else:
             checks.append((result, AXIOMS[axiom], slot, *slots[slot]))
-    by_best = {PREMISE_AXIOMS[axiom][0] for axiom in BEST_CLASS_AXIOMS}
-    levelled = {PREMISE_AXIOMS[axiom][0] for axiom in ("RAG", "RJAD")}  # take agreement levels
-    best_listed = {}  # best-class bitset -> {lister: (instances, forced mask)}
     count, stopped = 0, False
-
-    def listing(lister):  # (instances, forced mask) of the current ranking
-        memo = shared if lister in by_best else listed
-        if lister not in memo:
-            if lister in levelled and _agreement_classes not in listed:  # kept beside the listings
-                listed[_agreement_classes] = _agreement_classes(ranking)
-            found = lister(ranking, listed[_agreement_classes]) if lister in levelled else lister(ranking)
-            memo[lister] = found, found and forced_mask(found)
-        return memo[lister]
 
     def select(slot):  # the slot's rule's selection on the current ranking, read once
         sel = selected[slot]
@@ -224,17 +204,15 @@ def _sweep_chunk(cells, cap, reads, stop, stream, chunk):
     for ranking, remaining, before, weight in stream.walk(chunk):
         count += weight
         bits, walk = ranking.bits, (remaining, before)
-        listed, selected, shared = {}, [None] * len(rules), best_listed.setdefault(bits[0], {})
+        selected = [None] * len(rules)
         for lister, group in plan.items():
-            found, forced = listing(lister)
+            found = lister(ranking)
             if not found:
                 continue
+            forced = forced_mask(found)
             for result, slot, contains, axiom in group:
-                sel = selected[slot]
-                if sel is None:  # a hit skips the call: this loop runs per cell and ranking
-                    sel = select(slot)
                 result[0] += len(found) * weight
-                if forced & ~sel if contains else forced != sel:
+                if fails(forced, sel := select(slot), contains):
                     violated(result, partial(premise_witness, axiom, ranking, found, forced, sel))
         for result, check, slot, fn, top, table in checks:
             verdict = check(ranking, fn, select(slot), walk, top, table)
@@ -313,36 +291,40 @@ def _tables(cells, universe, mode, jobs):
     return {rule: b"".join(part) for rule, part in zip(rules, zip(*chunks))}
 
 
-def _class_tree(n, step, leaf, width):
-    """``below`` and ``first`` of one step over the exhaustive stream's class tree, on one memo.
+class _ClassTree:
+    """One step over the exhaustive stream's class tree, on one memo.
 
     A node is ``remaining``, the coalitions not yet placed, and a
     ``state``. Each top class of ``remaining`` heads a child, in stream
     order (:func:`~millrank.enumeration._stream_tops`), and
     ``step(state, remaining, top)`` returns the child's state and the
     gains of placing ``top``, the first counts of ``width``.
-    ``below(remaining, state)`` sums over every completion of the node
-    the gains of each class it places, weighted by the rankings under
-    the class, and ``leaf`` of its last state: a tuple of ``width``
-    counts. ``first(remaining, state, index, failing)`` yields, in stream
-    order, the index of each completion whose leaf counts something in a
-    slot of ``failing``, given one does; ``index`` is the node's first.
-    The memo is dropped with the two functions.
+    :meth:`below` sums over every completion of a node the gains of each
+    class it places, weighted by the rankings under the class, and
+    ``leaf`` of its last state; :meth:`first` yields the stream indices
+    of the completions whose leaves count. The methods reach each other
+    through the tree, which refers to neither, so the memo is freed with
+    the last reference to the tree or one of its bound methods, without
+    waiting for the cyclic collector.
     """
-    tops = _stream_tops(n)
-    memo = [{} for _ in tops]  # per remaining: state -> counts
 
-    def below(remaining, state):
+    def __init__(self, n, step, leaf, width):
+        self.tops, self.step, self.leaf, self.width = _stream_tops(n), step, leaf, width
+        self.memo = [{} for _ in self.tops]  # per remaining: state -> counts
+
+    def below(self, remaining, state):
+        """A tuple of ``width`` counts: the gains and leaf counts of every completion of the node."""
+        memo, step = self.memo, self.step
         got = memo[remaining].get(state)
         if got is None:
             if not remaining:
-                got = leaf(state)
+                got = self.leaf(state)
             else:
-                sums = [0] * width
-                for top, _, _, size in tops[remaining]:
+                sums = [0] * self.width
+                for top, _, _, size in self.tops[remaining]:
                     after, gains = step(state, remaining, top)
                     child = remaining ^ top
-                    sums = list(map(add, sums, memo[child].get(after) or below(child, after)))
+                    sums = list(map(add, sums, memo[child].get(after) or self.below(child, after)))
                     for slot, gain in enumerate(gains):
                         if gain:
                             sums[slot] += gain * size
@@ -350,16 +332,18 @@ def _class_tree(n, step, leaf, width):
             memo[remaining][state] = got
         return got
 
-    def first(remaining, state, index, failing):
+    def first(self, remaining, state, index, failing):
+        """In stream order, the index of each completion whose leaf counts in a slot of ``failing``.
+
+        One must exist; ``index`` is the node's first.
+        """
         if not remaining:
             yield index
-        for top, _, offset, _ in tops[remaining]:
-            after = step(state, remaining, top)[0]
-            counts = below(remaining ^ top, after)
+        for top, _, offset, _ in self.tops[remaining]:
+            after = self.step(state, remaining, top)[0]
+            counts = self.below(remaining ^ top, after)
             if any(counts[slot] for slot in failing):
-                yield from first(remaining ^ top, after, index + offset, failing)
-
-    return below, first
+                yield from self.first(remaining ^ top, after, index + offset, failing)
 
 
 def _read_top(top, selected, remaining, best):
@@ -405,13 +389,13 @@ def _premise_tree(n, rule, cells, top, reduction):
         violated = (int(fails(state[place], selected, contains)) for place, contains in judged)
         return (*(0 for _ in steps), *violated, *(int(selected == mask) for mask in selections))
 
-    below, first = _class_tree(n, step, leaf, width)
+    tree = _ClassTree(n, step, leaf, width)
     start, everything = (None, *(None, 0) * len(listers)), (1 << ((1 << n) - 1)) - 1
 
     def count(best, offset, size):
         after, gains = step(start, everything, best)
         rest = everything ^ best
-        counts = below(rest, after)
+        counts = tree.below(rest, after)
         stepped = iter(range(len(steps), by_selection))
         for axiom, result in cells:
             lister, _, contains, _ = PREMISE_AXIOMS[axiom]
@@ -423,7 +407,7 @@ def _premise_tree(n, rule, cells, top, reduction):
                 premises, forced = len(found) * size, found and forced_mask(found)
                 failing = [by_selection + mask for mask in selections if fails(forced, mask, contains)]
             violations = sum(counts[slot] for slot in failing)
-            yield axiom, result, premises, violations, partial(first, rest, after, offset, failing)
+            yield axiom, result, premises, violations, partial(tree.first, rest, after, offset, failing)
 
     return count
 
@@ -719,7 +703,7 @@ def theorem1_probe(
 def _relative_lemma_counts(n):
     """RDF and RJAD premises over every ranking at n, and how many are not RAG premises.
 
-    Counted over the class tree (:func:`_class_tree`) with the RAG, RDF
+    Counted over the class tree (:class:`_ClassTree`) with the RAG, RDF
     and RJAD steps of ``axioms.PREMISE_STEPS`` together: the instances a
     step lists on a class all have their reference coalition in it, so
     an RDF or RJAD instance is a RAG one exactly when RAG lists that class
@@ -734,8 +718,7 @@ def _relative_lemma_counts(n):
         missed = differing * (rdf_x != x) + joined * (rjad_x != x)  # x is 0 when RAG lists nothing
         return (rag, rdf, rjad), (differing, joined, missed)
 
-    below, _ = _class_tree(n, step, lambda state: (0, 0, 0), 3)
-    return below((1 << ((1 << n) - 1)) - 1, (None, None, None))
+    return _ClassTree(n, step, lambda state: (0, 0, 0), 3).below((1 << ((1 << n) - 1)) - 1, (None, None, None))
 
 
 def relative_construction(x: int, y: int, universe: Universe) -> CoalitionalRanking:

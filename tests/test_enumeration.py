@@ -13,10 +13,14 @@ from millrank import (
     enumerate_rankings,
     fubini,
     sample_ranking,
+    sweep,
     validate_ranking,
 )
+from millrank import enumeration
 from millrank.core import bits_classes, class_bits
-from millrank.enumeration import MAX_SAMPLED_N, orbit_indices, partition_rows, relabelings, walk_stream
+from millrank.enumeration import (
+    MAX_SAMPLE_COUNT, MAX_SAMPLED_N, orbit_indices, partition_rows, relabelings, walk_stream
+)
 from millrank.verify import _CHUNK
 from helpers import (
     oracle_orbit_minima,
@@ -269,6 +273,19 @@ class TestSampleRanking:
     def test_count_below_one_is_refused(self, count, seed):
         with pytest.raises(ValueError, match="at least one draw"):
             Sample(count, seed)
+
+    def test_count_above_the_bound_is_refused(self):
+        assert Sample(MAX_SAMPLE_COUNT, 0).count == MAX_SAMPLE_COUNT
+        with pytest.raises(ValueError, match=f"at most {MAX_SAMPLE_COUNT} draws"):
+            Sample(MAX_SAMPLE_COUNT + 1, 1)
+
+    def test_sampled_sweep_refuses_a_billion_draws_before_any(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a ranking was drawn")
+
+        monkeypatch.setattr(enumeration, "sample_ranking", refuse)
+        with pytest.raises(ValueError, match="at most"):
+            sweep("les", "STAG", 3, Sample(10**9, 1))
 
     def test_stream_keeps_its_universe(self):
         universe = Universe(3, ("a", "b", "c"))

@@ -70,3 +70,20 @@ def test_tracer_traces_the_witness_paths(capsys, tmp_path):
         "transforms.deterioration_specs",
     ):
         assert tracer.stats[span][0] >= 1, span
+
+
+def test_traced_walked_premise_pass_prints_as_untraced(capsys):
+    # A sampled pass walks its draws, so the RJAD lister runs and witnesses
+    # are built under the tracer, which wraps rjad_premises by name.
+    argv = ["sweep", "--rule", "f_star", "--axiom", "RJAD", "--n", "3", "--sample", "200", "--seed", "1"]
+    code = millrank.cli.main(argv)
+    untraced = capsys.readouterr().out
+    tracer = load_tracer().Tracer()
+    traced_main = tracer.install(millrank)
+    try:
+        traced = traced_main(argv)
+    finally:
+        tracer.restore()
+    assert (traced, capsys.readouterr().out) == (code, untraced)
+    assert code == 1
+    assert '"premises_found": 19' in untraced and '"violations": 8' in untraced
